@@ -286,7 +286,7 @@ def _fgsm_batch(net, fe, x_batch, t_batch, epsilon, through_frontend=False):
     y, caches = net.forward(point)
     g_out = softmax(y)
     g_out[np.arange(b), t_batch] -= 1.0  # d CE / d logits
-    g_point, _ = net.backward(g_out, caches)
+    g_point, _ = net.backward(g_out, caches, param_grads=False)
     if fe is None or not through_frontend:
         g_x = g_point
     else:

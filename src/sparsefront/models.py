@@ -153,7 +153,8 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
 
 # ---------------------------------------------------------------------------
 # Network layers. forward returns (output, cache); backward consumes the
-# cache and returns (input grad, [param grads]). switch_of extracts the
+# cache and returns (input grad, [param grads]); the list is empty when
+# param_grads is False or the layer has no parameters. switch_of extracts the
 # piecewise-linear switch payload from a cache; forward_frozen replays the
 # layer with that payload fixed.
 # ---------------------------------------------------------------------------
@@ -173,9 +174,9 @@ class Dense:
     def forward(self, x, train=False, rng=None):
         return x @ self.w + self.b, x
 
-    def backward(self, g, cache):
+    def backward(self, g, cache, param_grads):
         x = cache
-        return g @ self.w.T, [x.T @ g, g.sum(axis=0)]
+        return g @ self.w.T, ([x.T @ g, g.sum(axis=0)] if param_grads else [])
 
     def switch_of(self, cache):
         return None
@@ -195,7 +196,7 @@ class Relu:
         mask = x > 0
         return x * mask, mask
 
-    def backward(self, g, cache):
+    def backward(self, g, cache, param_grads):
         return g * cache, []
 
     def switch_of(self, cache):
@@ -234,22 +235,24 @@ class Conv2d:
         out = out.transpose(0, 2, 1).reshape(x.shape[0], self.w.shape[0], oh, ow)
         return out, (cols, x.shape, oh, ow)
 
-    def backward(self, g, cache):
+    def backward(self, g, cache, param_grads):
         cols, x_shape, oh, ow = cache
-        b = g.shape[0]
+        b, c, h, w_ = x_shape
         oc = self.w.shape[0]
-        gmat = g.reshape(b, oc, oh * ow).transpose(0, 2, 1)  # (B, OH*OW, OC)
-        wmat = self.w.reshape(oc, -1)
-        grad_w = np.einsum("bpo,bpk->ok", gmat, cols).reshape(self.w.shape)
-        grad_b = gmat.sum(axis=(0, 1))
-        dcols = gmat @ wmat  # (B, OH*OW, C*kh*kw)
-        _, c, h, w_ = x_shape
-        dcols = dcols.reshape(b, oh, ow, c, self.kh, self.kw)
-        gx = np.zeros(x_shape)
+        gmat = g.reshape(b, oc, oh * ow).transpose(0, 2, 1).reshape(b * oh * ow, oc)  # (B*P, OC)
+        grads = []
+        if param_grads:
+            grad_w = gmat.T @ cols.reshape(b * oh * ow, -1)
+            grads = [grad_w.reshape(self.w.shape), gmat.sum(axis=0)]
+        # Weight columns in (kh, kw, C) order make each kernel offset's slice
+        # of dcols a run of contiguous channels, added into a channel-last gx.
+        wmat = self.w.transpose(0, 2, 3, 1).reshape(oc, -1)
+        dcols = (gmat @ wmat).reshape(b, oh, ow, self.kh, self.kw, c)
+        gx = np.zeros((b, h, w_, c))
         for i in range(self.kh):
             for j in range(self.kw):
-                gx[:, :, i : i + oh, j : j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        return gx, [grad_w, grad_b]
+                gx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
+        return gx.transpose(0, 3, 1, 2), grads
 
     def switch_of(self, cache):
         return None
@@ -282,7 +285,7 @@ class MaxPool2:
         out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
         return out, (idx, x.shape)
 
-    def backward(self, g, cache):
+    def backward(self, g, cache, param_grads):
         idx, x_shape = cache
         b, c, h, w = x_shape
         dwin = np.zeros((b, c, h // 2, w // 2, 4))
@@ -317,7 +320,7 @@ class Dropout:
         mask = (rng.random(x.shape) < keep) / keep
         return x * mask, mask
 
-    def backward(self, g, cache):
+    def backward(self, g, cache, param_grads):
         return (g if cache is None else g * cache), []
 
     def switch_of(self, cache):
@@ -337,7 +340,7 @@ class Flatten:
     def forward(self, x, train=False, rng=None):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, g, cache):
+    def backward(self, g, cache, param_grads):
         return g.reshape(cache), []
 
     def switch_of(self, cache):
@@ -425,19 +428,17 @@ class FeedforwardNetwork:
             caches.append(cache)
         return h, caches
 
-    def backward(self, g, caches):
-        """Output grad (B, L) -> (input grad (B, N), param grads list)."""
+    def backward(self, g, caches, param_grads=True):
+        """Output grad (B, L) -> (input grad (B, N), param grads list).
+
+        With param_grads=False the layers skip their parameter gradients and
+        the list comes back empty; the input grad is the same.
+        """
         grads = []
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            g, pg = layer.backward(g, cache)
+            g, pg = layer.backward(g, cache, param_grads)
             grads[:0] = pg
         return g.reshape(g.shape[0], -1), grads
-
-    def input_gradient(self, x, output_grad):
-        """Gradient of output_grad . logits with respect to the flat input."""
-        _, caches = self.forward(np.atleast_2d(x))
-        gx, _ = self.backward(np.atleast_2d(output_grad), caches)
-        return gx
 
     def input_jacobian(self, x):
         """(B, N) inputs -> (B, L, N) Jacobian of the logits at each input."""
@@ -448,7 +449,7 @@ class FeedforwardNetwork:
         for i in range(self.n_classes):
             g = np.zeros((b, self.n_classes))
             g[:, i] = 1.0
-            jac[:, i, :], _ = self.backward(g, caches)
+            jac[:, i, :], _ = self.backward(g, caches, param_grads=False)
         return jac
 
     def switch_state(self, x):
@@ -611,7 +612,11 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Inverse of save_model; round-trip is exact."""
+    """Inverse of save_model; round-trip is exact.
+
+    Raises ValueError when the file is not a model file, or when its payload
+    is shorter or longer than the header's parameter shapes imply.
+    """
     raw = Path(path).read_bytes()
     if not raw.startswith(MODEL_MAGIC):
         raise ValueError(f"{path}: not a sparsefront model file")
@@ -620,26 +625,24 @@ def load_model(path):
     off += 4
     header = json.loads(raw[off : off + hlen])
     off += hlen
-    buf = raw[off:]
-
-    def take(shape):
-        nonlocal buf
-        count = int(np.prod(shape))
-        arr = np.frombuffer(buf[: 8 * count], dtype="<f8").reshape(shape).copy()
-        buf = buf[8 * count :]
-        return arr
 
     fe = _front_end_from_json(header["front_end"])
     if header["model"] == "linear_svm":
-        w = take((header["dim"],))
-        return LinearModel(w, header["b"], fe)
-    if header["model"] == "feedforward":
-        net = build_network(
+        model = LinearModel(np.empty(header["dim"]), header["b"], fe)
+        arrays = [model.w]
+    elif header["model"] == "feedforward":
+        model = build_network(
             {"input_shape": header["input_shape"], "layers": header["layers"]},
             seed=0,
             front_end=fe,
         )
-        for p in net.params():
-            p[...] = take(p.shape)
-        return net
-    raise ValueError(f"{path}: unknown model type {header['model']!r}")
+        arrays = model.params()
+    else:
+        raise ValueError(f"{path}: unknown model type {header['model']!r}")
+    expected = 8 * sum(a.size for a in arrays)
+    if len(raw) - off != expected:
+        raise ValueError(f"{path}: payload is {len(raw) - off} bytes, header implies {expected}")
+    for a in arrays:
+        a[...] = np.frombuffer(raw, "<f8", count=a.size, offset=off).reshape(a.shape)
+        off += 8 * a.size
+    return model

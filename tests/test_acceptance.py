@@ -1,7 +1,8 @@
 """Acceptance gate: every criterion checked at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per
-criterion. Needs the MNIST IDX files (see `sparsefront fetch-data`).
+criterion. C1-C6, C12 and C14 need the MNIST IDX files (see `sparsefront
+fetch-data`) and skip without them; C7-C11 and C13 need no data.
 
 Modes, selected by SPARSEFRONT_ACCEPTANCE:
   full (default)  - paper-scale CNN; trains two conv networks on the full
@@ -34,12 +35,7 @@ from sparsefront.attacks import AttackSpec
 from sparsefront.frontend import FrontEndConfig
 from sparsefront.transform import Basis
 
-from conftest import MNIST_AVAILABLE
-
-pytestmark = pytest.mark.skipif(
-    not MNIST_AVAILABLE,
-    reason="acceptance needs MNIST; run `sparsefront fetch-data` first",
-)
+from conftest import needs_mnist
 
 MODE = os.environ.get("SPARSEFRONT_ACCEPTANCE", "full")
 FULL = MODE != "reduced"
@@ -150,6 +146,7 @@ def pct(x):
     return 100.0 * x
 
 
+@needs_mnist
 class TestCriterion1:
     def test_svm_clean_accuracy_and_runtime(self, svm_plain, pair_test):
         model, seconds = svm_plain
@@ -163,6 +160,7 @@ class TestCriterion1:
         )
 
 
+@needs_mnist
 class TestCriterion2:
     def test_undefended_svm_is_overwhelmed(self, svm_plain, pair_test):
         model, _ = svm_plain
@@ -178,6 +176,7 @@ class TestCriterion2:
         )
 
 
+@needs_mnist
 class TestCriterion3:
     def test_defended_svm_table_row(self, svm_defended, pair_test):
         model, train_seconds = svm_defended
@@ -193,6 +192,7 @@ class TestCriterion3:
         )
 
 
+@needs_mnist
 class TestCriterion4:
     def test_cnn_clean_accuracy(self, cnn_plain, mnist_test):
         net, seconds = cnn_plain
@@ -224,6 +224,7 @@ def defended_cnn_attacks(cnn_defended, mnist_test):
     }
 
 
+@needs_mnist
 class TestCriterion5:
     def test_undefended_cnn_attacks(self, undefended_cnn_attacks):
         a = undefended_cnn_attacks
@@ -244,6 +245,7 @@ class TestCriterion5:
         check("C5", ok, detail)
 
 
+@needs_mnist
 class TestCriterion6:
     def test_defended_cnn_attacks_and_orderings(
         self, undefended_cnn_attacks, defended_cnn_attacks
@@ -425,6 +427,7 @@ class TestCriterion11:
         )
 
 
+@needs_mnist
 class TestCriterion12:
     def test_binary_fgsm_equals_semi_white(self, pair_train, pair_test):
         arch = {"input_shape": (784,), "layers": [("dense", 32), ("relu",), ("dense", 2)]}
@@ -479,6 +482,7 @@ class TestCriterion13:
         )
 
 
+@needs_mnist
 class TestCriterion14:
     def test_reports_reproduce_byte_for_byte(self, tmp_path):
         from sparsefront import cli

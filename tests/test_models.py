@@ -21,6 +21,21 @@ TINY_CNN = {
     ],
 }
 
+# Two convs with several channels into each and non-square kernels, so a
+# channel or kernel-axis mix-up in the conv backward shows.
+TWO_CONV = {
+    "input_shape": (2, 9, 9),
+    "layers": [
+        ("conv", 3, 2, 3),
+        ("relu",),
+        ("conv", 4, 3, 2),
+        ("relu",),
+        ("maxpool",),
+        ("flatten",),
+        ("dense", 5),
+    ],
+}
+
 TINY_DENSE = {
     "input_shape": (16,),
     "layers": [("dense", 8), ("relu",), ("dense", 3)],
@@ -101,6 +116,9 @@ class TestBackpropOracle:
     def test_conv_relu_pool_dense(self, rng):
         self.check_network(TINY_CNN, rng)
 
+    def test_two_conv(self, rng):
+        self.check_network(TWO_CONV, rng)
+
     def test_dense_only(self, rng):
         self.check_network(TINY_DENSE, rng)
 
@@ -165,6 +183,20 @@ class TestPiecewiseLinearity:
         lhs = f(0.3 * u + 0.7 * v)
         rhs = 0.3 * f(u) + 0.7 * f(v)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    @pytest.mark.parametrize("arch", [TINY_CNN, TWO_CONV, TINY_DENSE],
+                             ids=["tiny_cnn", "two_conv", "tiny_dense"])
+    def test_input_jacobian_matches_frozen_map(self, arch, rng):
+        net = M.build_network(arch, seed=8)
+        n = net.n_inputs
+        x = rng.standard_normal((4, n))
+        jac = net.input_jacobian(x)
+        assert jac.shape == (4, net.n_classes, n)
+        for row, xi in zip(jac, x):
+            state = net.switch_state(xi)
+            # column k of the frozen affine map is f(e_k) - f(0)
+            y = net.forward_frozen(np.vstack([np.zeros(n), np.eye(n)]), state)
+            assert np.max(np.abs(row - (y[1:] - y[0]).T)) < 1e-9
 
 
 class TestTrainingDeterminism:
@@ -324,6 +356,15 @@ class TestSerialization:
         M.save_model(a, pa)
         M.save_model(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + bytes(8)],
+                             ids=["truncated", "trailing"])
+    def test_payload_length_mismatch_rejected(self, tmp_path, edit):
+        path = tmp_path / "net.model"
+        M.save_model(M.build_network(TINY_CNN, seed=9), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="net.model"):
+            M.load_model(path)
 
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.model"
