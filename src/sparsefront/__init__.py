@@ -2,8 +2,15 @@
 
 __version__ = "0.1.0"
 
-from .transform import Basis, CoeffVector, forward, inverse, basis_vector, max_l1_norm
-from .frontend import FrontEndConfig, SparseCode, top_k, apply, support_of, check_high_snr
+from .transform import Basis, forward_batch, inverse_batch, max_l1_norm
+from .frontend import (
+    FrontEndConfig,
+    top_k_batch,
+    apply_batch,
+    support_batch,
+    frozen_adjoint,
+    check_high_snr,
+)
 from .models import (
     LinearModel,
     FeedforwardNetwork,
@@ -18,7 +25,6 @@ from .attacks import (
     LocallyLinearModel,
     AttackResult,
     AttackSpec,
-    projection,
     semi_white_linear,
     white_linear,
     distortion_linear,

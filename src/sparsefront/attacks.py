@@ -2,15 +2,18 @@
 
 Linear classifiers admit closed forms: a semi-white-box adversary (knows the
 classifier, not the defense) uses e = epsilon * sign(w); a white-box
-adversary (knows both) uses e = epsilon * sign(proj(w, x)), where proj(w, x)
-projects w onto the subspace spanned by the basis vectors the front end
-retains for x.
+adversary (knows both) uses e = epsilon * sign(F_S^T G_S^T w). With the
+support S retained for x frozen, the front end is the linear map G_S F_S
+(G synthesis, F analysis), so F_S^T G_S^T w is the weight vector the
+defended classifier applies to the input; ``frontend.frozen_adjoint``
+computes it for every white-box attack here.
 
 Networks are handled through their locally-linear model: freezing the relu
 and pool switches at an input x makes each logit exactly affine,
 y_i = w_eq_i . x - b_eq_i. The adversary forms the L-1 pairwise weight
 differences w_eq_i - w_eq_t, crafts a closed-form perturbation per pair, and
-spends its budget on the pair with the largest predicted attacked gap.
+spends its budget on the pair with the largest predicted attacked gap. In
+white mode the pair weights go through the same frozen-front-end adjoint.
 
 All perturbations satisfy ||e||_inf <= epsilon; sign(0) = 0, so zero
 coordinates of the steering vector are left unspent. Perturbed inputs are not
@@ -25,7 +28,6 @@ import numpy as np
 
 from . import frontend as frontend_mod
 from . import models as models_mod
-from . import transform
 from .frontend import FrontEndConfig
 from .models import FeedforwardNetwork, LinearModel, softmax
 
@@ -35,7 +37,6 @@ __all__ = [
     "AttackResult",
     "AttackSpec",
     "EvalReport",
-    "projection",
     "semi_white_linear",
     "white_linear",
     "distortion_linear",
@@ -113,26 +114,6 @@ class EvalReport:
     records: list = field(default_factory=list)
 
 
-def projection(w, support, basis=None) -> np.ndarray:
-    """Project w onto span{psi_k : k in support}.
-
-    With basis=None the basis is the identity and the projection just zeroes
-    coordinates outside the support. Otherwise psi_k are synthesis columns,
-    so the result is Psi_S (Psi_S^T w); for orthonormal bases this is the
-    orthogonal projector and is idempotent.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    support = np.asarray(support, dtype=np.int64)
-    if support.size and (support.min() < 0 or support.max() >= w.shape[0]):
-        raise IndexError("support index out of range")
-    if basis is None:
-        p = np.zeros_like(w)
-        p[support] = w[support]
-        return p
-    g_s = transform.synthesis_matrix(basis)[:, support]
-    return g_s @ (g_s.T @ w)
-
-
 def semi_white_linear(model: LinearModel, epsilon: float) -> Perturbation:
     """e = epsilon * sign(w): attack aligned with the classifier weights."""
     if epsilon < 0:
@@ -141,12 +122,11 @@ def semi_white_linear(model: LinearModel, epsilon: float) -> Perturbation:
 
 
 def white_linear(model: LinearModel, x, epsilon: float, fe: FrontEndConfig) -> Perturbation:
-    """e = epsilon * sign(proj(w, x)) with the support taken from the clean x."""
+    """e = epsilon * sign(F_S^T G_S^T w) with the support S taken from the clean x."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    support = frontend_mod.support_of(fe, x)
-    p = projection(model.w, support, fe.basis)
-    return Perturbation(epsilon * np.sign(p), epsilon)
+    p = frontend_mod.frozen_adjoint(fe, np.asarray(x, dtype=np.float64)[None, :], model.w[None, :])
+    return Perturbation(epsilon * np.sign(p[0]), epsilon)
 
 
 def distortion_linear(model: LinearModel, x, e, fe: FrontEndConfig | None = None) -> float:
@@ -154,18 +134,14 @@ def distortion_linear(model: LinearModel, x, e, fe: FrontEndConfig | None = None
     ev = e.e if isinstance(e, Perturbation) else np.asarray(e, dtype=np.float64)
     if fe is None:
         return float(abs(model.w @ ev))
-    defended = frontend_mod.apply(fe, np.asarray(x, dtype=np.float64) + ev)
-    clean = frontend_mod.apply(fe, x)
+    x = np.asarray(x, dtype=np.float64)
+    defended, clean = frontend_mod.apply_batch(fe, np.stack([x + ev, x]))
     return float(abs(model.w @ defended - model.w @ clean))
 
 
 # ---------------------------------------------------------------------------
 # Locally-linear extraction
 # ---------------------------------------------------------------------------
-
-
-def _frontend_matrices(fe: FrontEndConfig):
-    return transform.synthesis_matrix(fe.basis), transform.analysis_matrix(fe.basis)
 
 
 def extract_locally_linear(
@@ -184,12 +160,10 @@ def extract_locally_linear(
         w_eq = net.input_jacobian(x[None, :])[0]
         y = models_mod.logits(net, x)
     else:
-        support = frontend_mod.support_of(fe, x)
-        x_hat = frontend_mod.apply(fe, x)
-        w_net = net.input_jacobian(x_hat[None, :])[0]
-        g, f = _frontend_matrices(fe)
-        w_eq = (w_net @ g[:, support]) @ f[support, :]
-        y = models_mod.logits(net, x_hat)
+        x_hat = frontend_mod.apply_batch(fe, x[None, :])
+        w_net = net.input_jacobian(x_hat)
+        w_eq = frontend_mod.frozen_adjoint(fe, x[None, :], w_net)[0]
+        y = models_mod.logits(net, x_hat[0])
     b_eq = w_eq @ x - y
     return LocallyLinearModel(w_eq, b_eq, x.copy())
 
@@ -200,7 +174,8 @@ def _pairwise_batch(net, fe, x_batch, t_batch, epsilon, mode,
 
     Returns (e (B, N), i_star (B,), attacked gaps (B, L)). The adversary
     linearizes the bare network at the clean inputs; in white mode the pair
-    weights are additionally projected onto each input's retained support.
+    weights additionally go through the adjoint of the front end frozen at
+    each input's retained support.
 
     selection picks the worst-case pair either from the locally-linear
     prediction (clean gap plus epsilon times the steering vector's l1 norm)
@@ -216,20 +191,11 @@ def _pairwise_batch(net, fe, x_batch, t_batch, epsilon, mode,
     rows = np.arange(b)
     w_diff = jac - jac[rows, t_batch][:, None, :]  # (B, L, N)
     clean_gap = y - y[rows, t_batch][:, None]
-    if mode == "semiwhite":
-        steer = w_diff
-    elif mode == "white":
-        steer = np.empty_like(w_diff)
-        if fe is None:
-            steer[:] = w_diff
-        else:
-            g, _ = _frontend_matrices(fe)
-            supports = frontend_mod.support_batch(fe, x_batch)
-            for s in range(b):
-                g_s = g[:, supports[s]]
-                steer[s] = (w_diff[s] @ g_s) @ g_s.T
-    else:
+    if mode not in ("semiwhite", "white"):
         raise ValueError(f"unknown pairwise mode {mode!r}")
+    steer = w_diff
+    if mode == "white" and fe is not None:
+        steer = frontend_mod.frozen_adjoint(fe, x_batch, w_diff)
     candidates = epsilon * np.sign(steer)  # (B, L, N)
     if selection == "predicted":
         gaps = clean_gap + epsilon * np.abs(steer).sum(axis=2)
@@ -279,23 +245,13 @@ def pairwise_attack(
 def _fgsm_batch(net, fe, x_batch, t_batch, epsilon, through_frontend=False):
     x_batch = np.asarray(x_batch, dtype=np.float64)
     b = x_batch.shape[0]
-    if fe is None or not through_frontend:
-        point = x_batch
-    else:
-        point = frontend_mod.apply_batch(fe, x_batch)
+    through = fe is not None and through_frontend
+    point = frontend_mod.apply_batch(fe, x_batch) if through else x_batch
     y, caches = net.forward(point)
     g_out = softmax(y)
     g_out[np.arange(b), t_batch] -= 1.0  # d CE / d logits
     g_point, _ = net.backward(g_out, caches, param_grads=False)
-    if fe is None or not through_frontend:
-        g_x = g_point
-    else:
-        g, f = _frontend_matrices(fe)
-        supports = frontend_mod.support_batch(fe, x_batch)
-        g_x = np.empty_like(g_point)
-        for s in range(b):
-            sup = supports[s]
-            g_x[s] = f[sup, :].T @ (g[:, sup].T @ g_point[s])
+    g_x = frontend_mod.frozen_adjoint(fe, x_batch, g_point) if through else g_point
     return epsilon * np.sign(g_x), ~np.any(g_x, axis=1)
 
 
@@ -368,21 +324,15 @@ def _evaluate_svm(model, dataset, attack, fe):
         pred_dist = np.full(n, attack.epsilon * np.abs(model.w).sum())
     elif attack.kind == "white":
         if fe is None:
-            # no defense to project against: the white-box attack degenerates
+            # no defense to steer around: the white-box attack degenerates
             # to the semi-white one
             base = semi_white_linear(model, attack.epsilon).e
             e_rows = -labels[:, None] * base[None, :]
             pred_dist = np.full(n, attack.epsilon * np.abs(model.w).sum())
         else:
-            e_rows = np.empty_like(images)
-            pred_dist = np.empty(n)
-            g = transform.synthesis_matrix(fe.basis)
-            supports = frontend_mod.support_batch(fe, images)
-            for s in range(n):
-                g_s = g[:, supports[s]]
-                p = g_s @ (g_s.T @ model.w)
-                e_rows[s] = -labels[s] * attack.epsilon * np.sign(p)
-                pred_dist[s] = attack.epsilon * np.abs(p).sum()
+            p = frontend_mod.frozen_adjoint(fe, images, np.broadcast_to(model.w, images.shape))
+            e_rows = -labels[:, None] * attack.epsilon * np.sign(p)
+            pred_dist = attack.epsilon * np.abs(p).sum(axis=1)
     else:
         raise ValueError(f"attack kind {attack.kind!r} does not apply to a linear SVM")
 

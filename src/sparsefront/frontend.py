@@ -1,11 +1,16 @@
 """Sparsifying front end: keep the K largest-magnitude wavelet coefficients.
 
-The defended input is ``x_hat = synthesize(top_k(analyze(x)))``, a projection
-of the input onto the K-dimensional subspace spanned by the retained basis
-vectors. ``check_high_snr`` evaluates the sufficient condition under which an
-l-infinity perturbation of size epsilon cannot change the retained support:
-lambda / epsilon > 2 M, with lambda the smallest retained nonzero magnitude
-and M the largest l1 norm over basis columns.
+The functions work on (batch, N) stacks of flat images; only the
+certificate takes a single image. The defended input is
+``x_hat = G top_K(F x)``, with F the analysis and G the synthesis operator.
+Once the retained support S is frozen, the front end is the linear map
+``G_S F_S``; ``frozen_adjoint`` applies its adjoint ``F_S^T G_S^T``, which
+is what every white-box attack steers along.
+
+``check_high_snr`` certifies that no l-infinity perturbation of size epsilon
+can change the retained support: it requires the gap between the K-th and
+the (K+1)-th coefficient magnitudes to exceed 2 epsilon M, with M the
+largest l1 norm over analysis rows.
 """
 
 from __future__ import annotations
@@ -15,20 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transform
-from .transform import Basis, CoeffVector
+from .transform import Basis
 
 __all__ = [
     "FrontEndConfig",
-    "SparseCode",
     "CertificateReport",
-    "top_k",
     "top_k_batch",
-    "apply",
     "apply_batch",
-    "support_of",
     "support_batch",
+    "frozen_adjoint",
     "check_high_snr",
 ]
+
+# rows per forward/top-K/inverse pass in apply_batch, bounding its scratch memory
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -41,13 +46,10 @@ class FrontEndConfig:
 
     basis: Basis
     rho: float
-    tie_rule: str = "lowest_index"
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must be in (0, 1], got {self.rho}")
-        if self.tie_rule != "lowest_index":
-            raise ValueError(f"unsupported tie rule: {self.tie_rule!r}")
 
     @property
     def n(self) -> int:
@@ -58,105 +60,82 @@ class FrontEndConfig:
         return max(1, int(round(self.rho * self.basis.size)))
 
 
-@dataclass
-class SparseCode:
-    """Top-K coefficients: zeroed vector, retained support, and lambda.
-
-    support is sorted ascending and omits exact zeros, so it can be shorter
-    than K. lam is the smallest retained nonzero magnitude (0 for an empty
-    support).
-    """
-
-    coeffs: CoeffVector
-    support: np.ndarray
-    lam: float
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     certified: bool
-    lam: float
+    gap: float  # |c|_(K) - |c|_(K+1), with |c|_(N+1) = 0
     m: float
-    threshold: float  # 2*M, the bound lambda/epsilon must strictly exceed
+    threshold: float  # 2*M, the bound gap/epsilon must strictly exceed
     epsilon: float
 
 
-def _top_k_indices(values, k):
-    # stable sort on -|c| puts the lowest index first among tied magnitudes
-    order = np.argsort(-np.abs(values), axis=-1, kind="stable")
-    return order[..., :k]
-
-
-def top_k(c: CoeffVector, k: int) -> SparseCode:
-    """Retain the k largest-magnitude coefficients of c, zeroing the rest."""
-    n = c.values.shape[0]
+def top_k_batch(values, k):
+    """Keep the k largest-magnitude entries of each row of a (batch, N) array, zeroing the rest."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"K must be in [1, {n}], got {k}")
-    picked = _top_k_indices(c.values, k)
-    kept = np.zeros(n)
-    kept[picked] = c.values[picked]
-    support = np.sort(picked[c.values[picked] != 0.0])
-    lam = float(np.min(np.abs(c.values[support]))) if support.size else 0.0
-    return SparseCode(CoeffVector(kept, c.layout), support, lam)
-
-
-def top_k_batch(values, k):
-    """Vectorized top-K over rows of a (batch, N) coefficient array."""
-    values = np.asarray(values, dtype=np.float64)
-    picked = _top_k_indices(values, k)
+    # stable sort on -|c| puts the lowest index first among tied magnitudes
+    picked = np.argsort(-np.abs(values), axis=-1, kind="stable")[:, :k]
     kept = np.zeros_like(values)
     rows = np.arange(values.shape[0])[:, None]
     kept[rows, picked] = values[rows, picked]
     return kept
 
 
-def apply(config: FrontEndConfig, x) -> np.ndarray:
-    """Sparsify one flat image: analyze, keep top K, synthesize."""
-    code = top_k(transform.forward(config.basis, x), config.k)
-    return transform.inverse(config.basis, code.coeffs)
-
-
-def apply_batch(config: FrontEndConfig, images, chunk: int = 4096) -> np.ndarray:
-    """Sparsify a (batch, N) stack of flat images."""
+def apply_batch(config: FrontEndConfig, images) -> np.ndarray:
+    """Sparsify a (batch, N) stack of flat images: analyze, keep top K, synthesize."""
     images = np.asarray(images, dtype=np.float64)
     out = np.empty_like(images)
-    for start in range(0, images.shape[0], chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, images.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
         coeffs = transform.forward_batch(config.basis, images[sl])
         out[sl] = transform.inverse_batch(config.basis, top_k_batch(coeffs, config.k))
     return out
 
 
-def support_of(config: FrontEndConfig, x) -> np.ndarray:
-    """Indices of the coefficients the front end retains for x (sorted)."""
-    return top_k(transform.forward(config.basis, x), config.k).support
-
-
 def support_batch(config: FrontEndConfig, images) -> list:
-    """Per-row retained supports for a (batch, N) stack (each sorted)."""
-    coeffs = transform.forward_batch(config.basis, images)
-    picked = _top_k_indices(coeffs, config.k)
-    rows = np.arange(coeffs.shape[0])[:, None]
-    nonzero = coeffs[rows, picked] != 0.0
-    return [np.sort(picked[s][nonzero[s]]) for s in range(coeffs.shape[0])]
+    """Per-row retained supports for a (batch, N) stack.
+
+    Each support is sorted ascending and omits exact zeros, so it can be
+    shorter than K.
+    """
+    kept = top_k_batch(transform.forward_batch(config.basis, images), config.k)
+    return [np.flatnonzero(row) for row in kept]
+
+
+def frozen_adjoint(config: FrontEndConfig, x, v) -> np.ndarray:
+    """F_S^T (G_S^T v[s]) for each row s, with S the support retained at x[s].
+
+    x is a (B, N) stack of clean inputs; v is (B, N) or (B, L, N). This is
+    the gradient, with respect to the input, of v[s] . G_S F_S x: the
+    steering vector of a white-box attack on the frozen front end.
+    """
+    g = transform.synthesis_matrix(config.basis)
+    f = transform.analysis_matrix(config.basis)
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    # one small (N, |S|) gather per row; faster than batched masked forms
+    for s, support in enumerate(support_batch(config, x)):
+        out[s] = (v[s] @ g[:, support]) @ f[support, :]
+    return out
 
 
 def check_high_snr(config: FrontEndConfig, x, epsilon: float) -> CertificateReport:
-    """Sufficient-condition certificate that the support survives any ||e||_inf <= epsilon.
+    """Certificate that the support of one flat image survives any ||e||_inf <= epsilon.
 
-    Certified iff lambda/epsilon > 2M (strict). epsilon = 0 is always
-    certified; an all-zero input with epsilon > 0 is never certified (the
-    empty support carries no margin).
+    Each coefficient moves by at most epsilon * M, so the K retained ones
+    stay strictly above the rest when gap/epsilon > 2M (strict), with gap =
+    |c|_(K) - |c|_(K+1). For an exactly K-sparse input the gap is the
+    smallest retained magnitude. epsilon = 0 is always certified; an
+    all-zero input with epsilon > 0 never is.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    code = top_k(transform.forward(config.basis, x), config.k)
+    coeffs = transform.forward_batch(config.basis, np.asarray(x, dtype=np.float64)[None, :])[0]
+    mags = np.concatenate([np.sort(np.abs(coeffs))[::-1], [0.0]])
+    gap = float(mags[config.k - 1] - mags[config.k])
     m = transform.max_l1_norm(config.basis)
     threshold = 2.0 * m
-    if epsilon == 0.0:
-        certified = True
-    elif code.support.size == 0:
-        certified = False
-    else:
-        certified = code.lam / epsilon > threshold
-    return CertificateReport(certified, code.lam, m, threshold, epsilon)
+    certified = epsilon == 0.0 or gap / epsilon > threshold
+    return CertificateReport(certified, gap, m, threshold, epsilon)

@@ -154,9 +154,7 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
 # ---------------------------------------------------------------------------
 # Network layers. forward returns (output, cache); backward consumes the
 # cache and returns (input grad, [param grads]); the list is empty when
-# param_grads is False or the layer has no parameters. switch_of extracts the
-# piecewise-linear switch payload from a cache; forward_frozen replays the
-# layer with that payload fixed.
+# param_grads is False or the layer has no parameters.
 # ---------------------------------------------------------------------------
 
 
@@ -178,12 +176,6 @@ class Dense:
         x = cache
         return g @ self.w.T, ([x.T @ g, g.sum(axis=0)] if param_grads else [])
 
-    def switch_of(self, cache):
-        return None
-
-    def forward_frozen(self, x, switch):
-        return x @ self.w + self.b
-
 
 class Relu:
     def spec(self):
@@ -198,12 +190,6 @@ class Relu:
 
     def backward(self, g, cache, param_grads):
         return g * cache, []
-
-    def switch_of(self, cache):
-        return cache
-
-    def forward_frozen(self, x, switch):
-        return x * switch
 
 
 class Conv2d:
@@ -254,12 +240,6 @@ class Conv2d:
                 gx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
         return gx.transpose(0, 3, 1, 2), grads
 
-    def switch_of(self, cache):
-        return None
-
-    def forward_frozen(self, x, switch):
-        return self.forward(x)[0]
-
 
 class MaxPool2:
     """2x2 max pooling, stride 2; the argmax within each window is the switch."""
@@ -293,13 +273,6 @@ class MaxPool2:
         gx = dwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x_shape)
         return gx, []
 
-    def switch_of(self, cache):
-        return cache[0]
-
-    def forward_frozen(self, x, switch):
-        win = self._windows(x)
-        return np.take_along_axis(win, switch[..., None], axis=-1)[..., 0]
-
 
 class Dropout:
     """Inverted dropout; active only when train=True. No switch: inference is identity."""
@@ -323,12 +296,6 @@ class Dropout:
     def backward(self, g, cache, param_grads):
         return (g if cache is None else g * cache), []
 
-    def switch_of(self, cache):
-        return None
-
-    def forward_frozen(self, x, switch):
-        return x
-
 
 class Flatten:
     def spec(self):
@@ -342,12 +309,6 @@ class Flatten:
 
     def backward(self, g, cache, param_grads):
         return g.reshape(cache), []
-
-    def switch_of(self, cache):
-        return None
-
-    def forward_frozen(self, x, switch):
-        return x.reshape(x.shape[0], -1)
 
 
 # Architecture presets. PAPER_CNN is the full-scale topology; REDUCED_DENSE
@@ -384,14 +345,6 @@ REDUCED_DENSE = {
 }
 
 ARCH_PRESETS = {"paper_cnn": PAPER_CNN, "reduced_dense": REDUCED_DENSE}
-
-
-@dataclass
-class SwitchState:
-    """Per-layer switch payloads recorded at one input, plus the anchor logits."""
-
-    entries: list
-    logits: np.ndarray
 
 
 class FeedforwardNetwork:
@@ -451,19 +404,6 @@ class FeedforwardNetwork:
             g[:, i] = 1.0
             jac[:, i, :], _ = self.backward(g, caches, param_grads=False)
         return jac
-
-    def switch_state(self, x):
-        """Record relu masks and pool argmax choices at a single flat input."""
-        y, caches = self.forward(np.atleast_2d(x))
-        entries = [layer.switch_of(cache) for layer, cache in zip(self.layers, caches)]
-        return SwitchState(entries, y[0])
-
-    def forward_frozen(self, x, state: SwitchState):
-        """Replay the forward pass with all switches fixed; affine in x."""
-        h = self._shape_in(np.atleast_2d(x))
-        for layer, switch in zip(self.layers, state.entries):
-            h = layer.forward_frozen(h, switch)
-        return h
 
 
 def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNetwork:

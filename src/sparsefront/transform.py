@@ -22,21 +22,17 @@ the extents.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "Basis",
-    "CoeffVector",
     "SubbandLayout",
-    "forward",
-    "inverse",
     "forward_batch",
     "inverse_batch",
-    "basis_vector",
     "max_l1_norm",
     "analysis_matrix",
     "synthesis_matrix",
@@ -69,13 +65,10 @@ class Basis:
     height: int
     width: int
     levels: int = 1
-    boundary: str = "symmetric"
 
     def __post_init__(self):
         if self.kind not in ("haar_orthonormal", "cdf97_biorthogonal"):
             raise ValueError(f"unknown basis kind: {self.kind!r}")
-        if self.boundary != "symmetric":
-            raise ValueError(f"unsupported boundary mode: {self.boundary!r}")
         if self.height < 1 or self.width < 1:
             raise ValueError("image dimensions must be positive")
         max_levels = int(math.floor(math.log2(min(self.height, self.width))))
@@ -134,21 +127,6 @@ class SubbandLayout:
     @property
     def size(self) -> int:
         return self.height * self.width
-
-
-@dataclass
-class CoeffVector:
-    """Flat analysis coefficients plus the layout describing the subbands."""
-
-    values: np.ndarray
-    layout: SubbandLayout
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.layout.size,):
-            raise ValueError(
-                f"coefficient vector has {self.values.shape}, expected ({self.layout.size},)"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +259,13 @@ def _synthesize_axis(block, axis, kind):
 # Public API
 # ---------------------------------------------------------------------------
 
-# RLock: the matrix builders call back into subband_layout under the lock
-_layout_cache: dict = {}
-_matrix_cache: dict = {}
-_m_cache: dict = {}
-_cache_lock = threading.RLock()
+# The public builders stay plain functions and call these cached helpers, so
+# that a tracer patching the module's functions still sees every call.
+_layout = functools.cache(SubbandLayout.build)
 
 
 def subband_layout(basis: Basis) -> SubbandLayout:
-    key = (basis.height, basis.width, basis.levels)
-    with _cache_lock:
-        if key not in _layout_cache:
-            _layout_cache[key] = SubbandLayout.build(*key)
-        return _layout_cache[key]
+    return _layout(basis.height, basis.width, basis.levels)
 
 
 def _pyramid_to_flat(pyr, layout):
@@ -355,65 +327,28 @@ def inverse_batch(basis: Basis, coeffs) -> np.ndarray:
     return block.reshape(-1, basis.size)
 
 
-def forward(basis: Basis, x) -> CoeffVector:
-    """Analysis coefficients of one flat image vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (basis.size,):
-        raise ValueError(f"expected image of length {basis.size}, got shape {x.shape}")
-    values = forward_batch(basis, x[None, :])[0]
-    return CoeffVector(values, subband_layout(basis))
-
-
-def inverse(basis: Basis, c: CoeffVector) -> np.ndarray:
-    """Synthesis of a coefficient vector back to a flat image."""
-    layout = subband_layout(basis)
-    if c.layout != layout:
-        raise ValueError("coefficient layout does not match basis")
-    return inverse_batch(basis, c.values[None, :])[0]
-
-
-def basis_vector(basis: Basis, j: int) -> np.ndarray:
-    """Column j of the synthesis operator: the image of the j-th unit coefficient."""
-    if not 0 <= j < basis.size:
-        raise IndexError(f"coefficient index {j} out of range [0, {basis.size})")
-    e = np.zeros((1, basis.size))
-    e[0, j] = 1.0
-    return inverse_batch(basis, e)[0]
+@functools.cache
+def _operator(basis: Basis, side: str) -> np.ndarray:
+    build = inverse_batch if side == "synthesis" else forward_batch
+    mat = build(basis, np.eye(basis.size)).T.copy()
+    mat.flags.writeable = False  # one array is shared by every caller
+    return mat
 
 
 def synthesis_matrix(basis: Basis) -> np.ndarray:
-    """Dense N x N synthesis operator; column j is ``basis_vector(basis, j)``. Cached."""
-    key = (basis, "synthesis")
-    with _cache_lock:
-        if key not in _matrix_cache:
-            _matrix_cache[key] = inverse_batch(basis, np.eye(basis.size)).T.copy()
-        return _matrix_cache[key]
+    """Dense N x N synthesis operator; column j is the image of the j-th unit coefficient. Cached."""
+    return _operator(basis, "synthesis")
 
 
 def analysis_matrix(basis: Basis) -> np.ndarray:
     """Dense N x N analysis operator; row k maps an image to coefficient k. Cached."""
-    key = (basis, "analysis")
-    with _cache_lock:
-        if key not in _matrix_cache:
-            _matrix_cache[key] = forward_batch(basis, np.eye(basis.size)).T.copy()
-        return _matrix_cache[key]
+    return _operator(basis, "analysis")
 
 
-def max_l1_norm(basis: Basis, side: str = "synthesis") -> float:
-    """max_j of the l1 norm over basis columns.
+def max_l1_norm(basis: Basis) -> float:
+    """max_k of the l1 norm over analysis rows.
 
-    ``side`` selects synthesis columns (default; what the front end multiplies
-    by) or analysis rows. The two coincide for the orthonormal Haar basis.
+    Coefficient k moves by at most epsilon * ||a_k||_1 under a perturbation
+    with ||e||_inf <= epsilon, so this is the certificate's M.
     """
-    if side not in ("synthesis", "analysis"):
-        raise ValueError(f"side must be 'synthesis' or 'analysis', got {side!r}")
-    key = (basis, side)
-    with _cache_lock:
-        cached = _m_cache.get(key)
-    if cached is not None:
-        return cached
-    mat = synthesis_matrix(basis) if side == "synthesis" else analysis_matrix(basis).T
-    value = float(np.abs(mat).sum(axis=0).max())
-    with _cache_lock:
-        _m_cache[key] = value
-    return value
+    return float(np.abs(analysis_matrix(basis)).sum(axis=1).max())

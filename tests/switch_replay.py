@@ -1,0 +1,54 @@
+"""Switch-replay oracle for the piecewise-linear network.
+
+Records the relu masks and max-pool argmax choices ("switches") at one input
+and replays the forward pass with them fixed. The replayed map is affine in
+its input, so tests compare the network's Jacobian and its piecewise
+linearity against it.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from sparsefront import models as M
+
+
+@dataclass
+class SwitchState:
+    """Per-layer switch payloads recorded at one input, plus the anchor logits."""
+
+    entries: list
+    logits: np.ndarray
+
+
+def _switch_of(layer, cache):
+    if isinstance(layer, M.Relu):
+        return cache
+    if isinstance(layer, M.MaxPool2):
+        return cache[0]
+    return None
+
+
+def _forward_frozen(layer, x, switch):
+    if isinstance(layer, M.Relu):
+        return x * switch
+    if isinstance(layer, M.MaxPool2):
+        win = layer._windows(x)
+        return np.take_along_axis(win, switch[..., None], axis=-1)[..., 0]
+    # dense, conv, flatten and inference-mode dropout carry no switch
+    return layer.forward(x)[0]
+
+
+def switch_state(net, x):
+    """Record relu masks and pool argmax choices at a single flat input."""
+    y, caches = net.forward(np.atleast_2d(x))
+    entries = [_switch_of(layer, cache) for layer, cache in zip(net.layers, caches)]
+    return SwitchState(entries, y[0])
+
+
+def forward_frozen(net, x, state: SwitchState):
+    """Replay the forward pass with all switches fixed; affine in x."""
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64)).reshape((-1,) + net.input_shape)
+    for layer, switch in zip(net.layers, state.entries):
+        h = _forward_frozen(layer, h, switch)
+    return h

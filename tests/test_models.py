@@ -6,6 +6,7 @@ from sparsefront.frontend import FrontEndConfig
 from sparsefront.transform import Basis
 
 from conftest import needs_mnist
+from switch_replay import forward_frozen, switch_state
 
 TINY_CNN = {
     "input_shape": (1, 8, 8),
@@ -171,15 +172,15 @@ class TestPiecewiseLinearity:
     def test_switch_replay_exact(self, rng):
         net = M.build_network(TINY_CNN, seed=6)
         x = rng.standard_normal(64)
-        state = net.switch_state(x)
-        assert np.array_equal(net.forward_frozen(x[None, :], state)[0], state.logits)
+        state = switch_state(net, x)
+        assert np.array_equal(forward_frozen(net, x[None, :], state)[0], state.logits)
 
     def test_frozen_map_is_affine(self, rng):
         net = M.build_network(TINY_CNN, seed=7)
         x = rng.standard_normal(64)
-        state = net.switch_state(x)
+        state = switch_state(net, x)
         u, v = rng.standard_normal((2, 64))
-        f = lambda z: net.forward_frozen(z[None, :], state)[0]
+        f = lambda z: forward_frozen(net, z[None, :], state)[0]
         lhs = f(0.3 * u + 0.7 * v)
         rhs = 0.3 * f(u) + 0.7 * f(v)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -193,9 +194,9 @@ class TestPiecewiseLinearity:
         jac = net.input_jacobian(x)
         assert jac.shape == (4, net.n_classes, n)
         for row, xi in zip(jac, x):
-            state = net.switch_state(xi)
+            state = switch_state(net, xi)
             # column k of the frozen affine map is f(e_k) - f(0)
-            y = net.forward_frozen(np.vstack([np.zeros(n), np.eye(n)]), state)
+            y = forward_frozen(net, np.vstack([np.zeros(n), np.eye(n)]), state)
             assert np.max(np.abs(row - (y[1:] - y[0]).T)) < 1e-9
 
 

@@ -91,18 +91,18 @@ class TestPerfectReconstruction:
         again = T.forward_batch(basis, T.inverse_batch(basis, c))
         assert np.max(np.abs(again - c)) < 1e-9
 
-    def test_single_vector_roundtrip(self, rng):
+    def test_one_row_roundtrip(self, rng):
         basis = Basis("cdf97_biorthogonal", 28, 28, 2)
-        x = rng.random(784)
-        coeffs = T.forward(basis, x)
-        assert np.max(np.abs(T.inverse(basis, coeffs) - x)) < 1e-9
+        x = rng.random((1, 784))
+        coeffs = T.forward_batch(basis, x)
+        assert np.max(np.abs(T.inverse_batch(basis, coeffs) - x)) < 1e-9
 
 
 class TestHaar:
     def test_constant_image_one_level(self):
         basis = Basis("haar_orthonormal", 4, 4, 1)
-        c = T.forward(basis, np.ones(16))
-        pyr = pyramid_of(basis, c.values)
+        c = T.forward_batch(basis, np.ones((1, 16)))[0]
+        pyr = pyramid_of(basis, c)
         assert np.allclose(pyr[:2, :2], 2.0, atol=1e-12)  # 2x2 average = sum/2
         detail = pyr.copy()
         detail[:2, :2] = 0.0
@@ -124,14 +124,12 @@ class TestHaar:
         basis = Basis("haar_orthonormal", 2, 2, 1)
         e = np.zeros(4)
         e[0] = 1.0
-        x = T.inverse(basis, T.CoeffVector(e, T.subband_layout(basis)))
+        x = T.inverse_batch(basis, e[None, :])[0]
         assert np.allclose(x, 0.5, atol=1e-12)
 
     def test_2x2_columns_have_half_magnitude_entries(self):
         basis = Basis("haar_orthonormal", 2, 2, 1)
-        for j in range(4):
-            col = T.basis_vector(basis, j)
-            assert np.allclose(np.abs(col), 0.5, atol=1e-12)
+        assert np.allclose(np.abs(T.synthesis_matrix(basis)), 0.5, atol=1e-12)
 
     def test_odd_length_level_stays_orthonormal(self):
         # level 3 of 28x28 transforms 7-sample rows; the unpaired tail sample
@@ -145,14 +143,14 @@ class TestCdf97Oracle:
     def test_matches_direct_fir_8x8_two_levels(self, rng):
         img = rng.standard_normal((8, 8))
         basis = Basis("cdf97_biorthogonal", 8, 8, 2)
-        ours = pyramid_of(basis, T.forward(basis, img.ravel()).values)
+        ours = pyramid_of(basis, T.forward_batch(basis, img.reshape(1, -1))[0])
         oracle = fir_analyze_2d(img, 2)
         assert np.max(np.abs(ours - oracle)) < 1e-8
 
     def test_matches_direct_fir_28x28_odd_levels(self, rng):
         img = rng.random((28, 28))
         basis = Basis("cdf97_biorthogonal", 28, 28, 3)  # level 3 hits 7-sample edges
-        ours = pyramid_of(basis, T.forward(basis, img.ravel()).values)
+        ours = pyramid_of(basis, T.forward_batch(basis, img.reshape(1, -1))[0])
         oracle = fir_analyze_2d(img, 3)
         assert np.max(np.abs(ours - oracle)) < 1e-8
 
@@ -167,43 +165,36 @@ class TestLinearity:
     @pytest.mark.parametrize("kind", ["haar_orthonormal", "cdf97_biorthogonal"])
     def test_forward_linear(self, kind, rng):
         basis = Basis(kind, 28, 28, 2)
-        x, y = rng.standard_normal((2, 784))
+        x, y = rng.standard_normal((2, 1, 784))
         a, b = 0.7, -2.3
-        lhs = T.forward(basis, a * x + b * y).values
-        rhs = a * T.forward(basis, x).values + b * T.forward(basis, y).values
+        lhs = T.forward_batch(basis, a * x + b * y)
+        rhs = a * T.forward_batch(basis, x) + b * T.forward_batch(basis, y)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-class TestBasisVectorAndNorms:
-    def test_basis_vector_matches_synthesis_column(self, rng):
+class TestOperatorsAndNorms:
+    def test_synthesis_column_is_unit_coefficient_image(self, rng):
         basis = Basis("cdf97_biorthogonal", 8, 8, 1)
         g = T.synthesis_matrix(basis)
         for j in rng.choice(64, size=8, replace=False):
-            assert np.array_equal(T.basis_vector(basis, int(j)), g[:, int(j)])
-
-    def test_basis_vector_bounds(self):
-        basis = Basis("haar_orthonormal", 4, 4, 1)
-        with pytest.raises(IndexError):
-            T.basis_vector(basis, 16)
-        with pytest.raises(IndexError):
-            T.basis_vector(basis, -1)
+            unit = np.zeros((1, 64))
+            unit[0, j] = 1.0
+            assert np.array_equal(T.inverse_batch(basis, unit)[0], g[:, int(j)])
 
     def test_max_l1_norm_2x2(self):
         assert T.max_l1_norm(Basis("haar_orthonormal", 2, 2, 1)) == pytest.approx(2.0, abs=1e-12)
 
     def test_max_l1_norm_brute_force(self):
         basis = Basis("haar_orthonormal", 28, 28, 2)
-        brute = max(np.abs(T.basis_vector(basis, j)).sum() for j in range(784))
+        # a_k[j] is coefficient k of the unit image e_j
+        rows = np.stack([T.forward_batch(basis, np.eye(784)[j : j + 1])[0] for j in range(784)]).T
+        brute = max(np.abs(rows[k]).sum() for k in range(784))
         assert T.max_l1_norm(basis) == pytest.approx(brute, abs=1e-12)
 
     def test_max_l1_norm_nondecreasing_in_levels(self):
         values = [T.max_l1_norm(Basis("haar_orthonormal", 28, 28, lv)) for lv in (1, 2, 3, 4)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-12
-
-    def test_analysis_side_available(self):
-        basis = Basis("cdf97_biorthogonal", 28, 28, 2)
-        assert T.max_l1_norm(basis, side="analysis") != pytest.approx(T.max_l1_norm(basis))
 
 
 class TestValidation:
@@ -220,16 +211,11 @@ class TestValidation:
     def test_dimension_mismatch(self):
         basis = Basis("haar_orthonormal", 28, 28, 1)
         with pytest.raises(ValueError):
-            T.forward(basis, np.zeros(100))
+            T.forward_batch(basis, np.zeros(784))
         with pytest.raises(ValueError):
             T.forward_batch(basis, np.zeros((3, 100)))
-
-    def test_layout_mismatch(self):
-        b1 = Basis("haar_orthonormal", 28, 28, 1)
-        b2 = Basis("haar_orthonormal", 28, 28, 2)
-        c = T.forward(b1, np.zeros(784))
         with pytest.raises(ValueError):
-            T.inverse(b2, c)
+            T.inverse_batch(basis, np.zeros((3, 100)))
 
     def test_layout_tiles_grid(self):
         for basis in ALL_BASES:
@@ -239,5 +225,5 @@ class TestValidation:
 
     def test_zero_coeffs_synthesize_zero(self):
         basis = Basis("cdf97_biorthogonal", 28, 28, 2)
-        x = T.inverse(basis, T.CoeffVector(np.zeros(784), T.subband_layout(basis)))
+        x = T.inverse_batch(basis, np.zeros((1, 784)))
         assert np.max(np.abs(x)) == 0.0
