@@ -21,16 +21,13 @@ from .models import (
     softmax,
 )
 from .attacks import (
-    Perturbation,
-    LocallyLinearModel,
-    AttackResult,
     AttackSpec,
-    semi_white_linear,
-    white_linear,
-    distortion_linear,
+    EvalReport,
+    LocallyLinearModel,
+    linear_batch,
     extract_locally_linear,
-    pairwise_attack,
-    fgsm,
+    pairwise_batch,
+    fgsm_batch,
     evaluate,
 )
 from .attenuation import EnsembleConfig, AttenuationReport, run_ensemble

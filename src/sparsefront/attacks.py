@@ -1,5 +1,8 @@
 """Attack constructions and the locally-linear machinery.
 
+Every function works on a (B, N) stack of flat inputs, and each attack is one
+closed form applied per row.
+
 Linear classifiers admit closed forms: a semi-white-box adversary (knows the
 classifier, not the defense) uses e = epsilon * sign(w); a white-box
 adversary (knows both) uses e = epsilon * sign(F_S^T G_S^T w). With the
@@ -14,10 +17,13 @@ y_i = w_eq_i . x - b_eq_i. The adversary forms the L-1 pairwise weight
 differences w_eq_i - w_eq_t, crafts a closed-form perturbation per pair, and
 spends its budget on the pair with the largest predicted attacked gap. In
 white mode the pair weights go through the same frozen-front-end adjoint.
+FGSM always differentiates the bare network, whatever defense the model
+carries.
 
-All perturbations satisfy ||e||_inf <= epsilon; sign(0) = 0, so zero
-coordinates of the steering vector are left unspent. Perturbed inputs are not
-clipped to [0, 1] unless requested.
+sign(0) = 0, so zero coordinates of the steering vector are left unspent.
+``evaluate`` checks that every perturbation it applies satisfies
+||e||_inf <= epsilon. Perturbed inputs are not clipped to [0, 1] unless the
+attack spec asks for it.
 """
 
 from __future__ import annotations
@@ -28,57 +34,45 @@ import numpy as np
 
 from . import frontend as frontend_mod
 from . import models as models_mod
-from .frontend import FrontEndConfig
 from .models import FeedforwardNetwork, LinearModel, softmax
 
 __all__ = [
-    "Perturbation",
-    "LocallyLinearModel",
-    "AttackResult",
     "AttackSpec",
     "EvalReport",
-    "semi_white_linear",
-    "white_linear",
-    "distortion_linear",
+    "LocallyLinearModel",
+    "linear_batch",
     "extract_locally_linear",
-    "pairwise_attack",
-    "fgsm",
+    "pairwise_batch",
+    "fgsm_batch",
     "evaluate",
 ]
 
 BUDGET_SLACK = 1e-12
+EVAL_BATCH = 256  # rows per network attack pass in evaluate
 
 
-@dataclass
-class Perturbation:
-    e: np.ndarray
-    epsilon: float
-    zero_gradient: bool = False
+def _check_epsilon(epsilon):
+    # the chained comparison is false for nan as well
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
 
-    def __post_init__(self):
-        self.e = np.asarray(self.e, dtype=np.float64)
-        if self.e.size and np.max(np.abs(self.e)) > self.epsilon + BUDGET_SLACK:
-            raise ValueError("perturbation exceeds the l-infinity budget")
+
+def _check_mode(mode):
+    if mode not in ("semiwhite", "white"):
+        raise ValueError(f"unknown attack mode {mode!r}")
 
 
 @dataclass
 class LocallyLinearModel:
-    """Exact affine logit map at the anchor: y_i = w_eq[i] . x - b_eq[i]."""
+    """Exact affine logit maps at a stack of anchors: y[s, i] = w_eq[s, i] . x - b_eq[s, i]."""
 
-    w_eq: np.ndarray  # (L, N)
-    b_eq: np.ndarray  # (L,)
-    anchor: np.ndarray  # (N,)
+    w_eq: np.ndarray  # (B, L, N)
+    b_eq: np.ndarray  # (B, L)
+    anchor: np.ndarray  # (B, N)
 
     def logits(self, x):
-        return np.asarray(x) @ self.w_eq.T - self.b_eq
-
-
-@dataclass
-class AttackResult:
-    perturbation: Perturbation
-    pair_gaps: np.ndarray  # predicted attacked gap per class (-inf at the true class)
-    chosen: tuple  # (i_star, t)
-    kind: str
+        """(B, N) inputs -> (B, L) logits, row s through the map of anchor s."""
+        return (self.w_eq @ np.asarray(x)[:, :, None])[..., 0] - self.b_eq
 
 
 @dataclass(frozen=True)
@@ -93,15 +87,11 @@ class AttackSpec:
     kind: str  # "none" | "fgsm" | "semiwhite" | "white"
     epsilon: float
     clip: bool = False
-    selection: str = "predicted"  # pairwise worst-case rule: "predicted" | "achieved"
 
     def __post_init__(self):
         if self.kind not in ("none", "fgsm", "semiwhite", "white"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.selection not in ("predicted", "achieved"):
-            raise ValueError(f"unknown pair selection {self.selection!r}")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass
@@ -114,169 +104,92 @@ class EvalReport:
     records: list = field(default_factory=list)
 
 
-def semi_white_linear(model: LinearModel, epsilon: float) -> Perturbation:
-    """e = epsilon * sign(w): attack aligned with the classifier weights."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    return Perturbation(epsilon * np.sign(model.w), epsilon)
+def linear_batch(model: LinearModel, fe, x, epsilon, mode):
+    """Closed-form attacks on a linear classifier: (e (B, N), predicted (B,)).
 
-
-def white_linear(model: LinearModel, x, epsilon: float, fe: FrontEndConfig) -> Perturbation:
-    """e = epsilon * sign(F_S^T G_S^T w) with the support S taken from the clean x."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    p = frontend_mod.frozen_adjoint(fe, np.asarray(x, dtype=np.float64)[None, :], model.w[None, :])
-    return Perturbation(epsilon * np.sign(p[0]), epsilon)
-
-
-def distortion_linear(model: LinearModel, x, e, fe: FrontEndConfig | None = None) -> float:
-    """|w . x_hat(x+e) - w . x_hat(x)|, or |w . e| without a front end."""
-    ev = e.e if isinstance(e, Perturbation) else np.asarray(e, dtype=np.float64)
-    if fe is None:
-        return float(abs(model.w @ ev))
+    e[s] = epsilon * sign(p[s]) raises the score by predicted[s] =
+    epsilon * ||p[s]||_1, the distortion the linear model predicts. p = w in
+    semi-white mode, and in white mode without a front end; in white mode
+    with a front end p[s] = F_S^T G_S^T w with S the support retained at
+    x[s].
+    """
+    _check_epsilon(epsilon)
+    _check_mode(mode)
     x = np.asarray(x, dtype=np.float64)
-    defended, clean = frontend_mod.apply_batch(fe, np.stack([x + ev, x]))
-    return float(abs(model.w @ defended - model.w @ clean))
+    p = np.broadcast_to(model.w, x.shape)
+    if mode == "white" and fe is not None:
+        p = frontend_mod.frozen_adjoint(fe, x, p)
+    return epsilon * np.sign(p), epsilon * np.abs(p).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
-# Locally-linear extraction
+# Locally-linear extraction and network attacks
 # ---------------------------------------------------------------------------
 
 
-def extract_locally_linear(
-    net: FeedforwardNetwork, x, fe: FrontEndConfig | None = None
-) -> LocallyLinearModel:
-    """Equivalent weights and offsets of the logit map at x, switches frozen.
+def extract_locally_linear(net: FeedforwardNetwork, x, fe=None) -> LocallyLinearModel:
+    """Equivalent weights and offsets of the logit map at each row of x, switches frozen.
 
-    Without a front end, w_eq row i is the gradient of logit i at x. With a
-    front end the map is net(synthesize(mask_S(analyze(x)))) with the support
-    S frozen at the clean x, so w_eq picks up the front end's (linear) frozen
-    Jacobian as well. The reconstruction y_i = w_eq[i].x - b_eq[i] is exact at
-    the anchor.
+    Without a front end, w_eq[s, i] is the gradient of logit i at x[s]. With
+    a front end the map is net(synthesize(mask_S(analyze(x)))) with the
+    support S frozen at the clean x[s], so w_eq picks up the front end's
+    (linear) frozen Jacobian as well. The reconstruction
+    y[s, i] = w_eq[s, i] . x[s] - b_eq[s, i] is exact at each anchor.
     """
     x = np.asarray(x, dtype=np.float64)
     if fe is None:
-        w_eq = net.input_jacobian(x[None, :])[0]
+        w_eq = net.input_jacobian(x)
         y = models_mod.logits(net, x)
     else:
-        x_hat = frontend_mod.apply_batch(fe, x[None, :])
-        w_net = net.input_jacobian(x_hat)
-        w_eq = frontend_mod.frozen_adjoint(fe, x[None, :], w_net)[0]
-        y = models_mod.logits(net, x_hat[0])
-    b_eq = w_eq @ x - y
+        x_hat = frontend_mod.apply_batch(fe, x)
+        w_eq = frontend_mod.frozen_adjoint(fe, x, net.input_jacobian(x_hat))
+        y = models_mod.logits(net, x_hat)
+    b_eq = (w_eq @ x[:, :, None])[..., 0] - y
     return LocallyLinearModel(w_eq, b_eq, x.copy())
 
 
-def _pairwise_batch(net, fe, x_batch, t_batch, epsilon, mode,
-                    selection="predicted", clip=False):
-    """Closed-form pairwise attacks for a (B, N) batch.
+def pairwise_batch(net: FeedforwardNetwork, fe, x, t, epsilon, mode):
+    """Worst-case pairwise attacks on class-t inputs: (e (B, N), i_star (B,), gaps (B, L)).
 
-    Returns (e (B, N), i_star (B,), attacked gaps (B, L)). The adversary
-    linearizes the bare network at the clean inputs; in white mode the pair
-    weights additionally go through the adjoint of the front end frozen at
-    each input's retained support.
-
-    selection picks the worst-case pair either from the locally-linear
-    prediction (clean gap plus epsilon times the steering vector's l1 norm)
-    or, with "achieved", by running each candidate perturbation through the
-    network the adversary sees and taking the realized logit gap (clipped
-    candidates when clip is set).
+    The adversary linearizes the bare network at each clean x[s]. Pair i
+    steers along w_eq_i - w_eq_t, or in white mode with a front end along its
+    frozen-front-end adjoint, and its predicted attacked gap is the clean
+    logit gap plus epsilon times the steering vector's l1 norm (-inf at the
+    true class). The budget goes to the pair i_star with the largest gap.
     """
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    b, n = x_batch.shape
-    jac = net.input_jacobian(x_batch)  # (B, L, N)
-    y = models_mod.logits(net, x_batch)  # (B, L)
-    L = y.shape[1]
-    rows = np.arange(b)
-    w_diff = jac - jac[rows, t_batch][:, None, :]  # (B, L, N)
-    clean_gap = y - y[rows, t_batch][:, None]
-    if mode not in ("semiwhite", "white"):
-        raise ValueError(f"unknown pairwise mode {mode!r}")
-    steer = w_diff
-    if mode == "white" and fe is not None:
-        steer = frontend_mod.frozen_adjoint(fe, x_batch, w_diff)
-    candidates = epsilon * np.sign(steer)  # (B, L, N)
-    if selection == "predicted":
-        gaps = clean_gap + epsilon * np.abs(steer).sum(axis=2)
-    elif selection == "achieved":
-        adv = x_batch[:, None, :] + candidates
-        if clip:
-            adv = np.clip(adv, 0.0, 1.0)
-        y_adv = models_mod.logits(net, adv.reshape(b * L, n)).reshape(b, L, L)
-        gaps = y_adv[rows[:, None], np.arange(L)[None, :], np.arange(L)[None, :]] \
-            - y_adv[rows[:, None], np.arange(L)[None, :], t_batch[:, None]]
-    else:
-        raise ValueError(f"unknown pair selection {selection!r}")
-    gaps[rows, t_batch] = -np.inf
-    i_star = gaps.argmax(axis=1)
-    e = candidates[rows, i_star]
-    return e, i_star, gaps
-
-
-def pairwise_attack(
-    net: FeedforwardNetwork,
-    fe: FrontEndConfig | None,
-    x,
-    t: int,
-    epsilon: float,
-    mode: str = "semiwhite",
-    selection: str = "predicted",
-) -> AttackResult:
-    """Worst-case pairwise attack against the class-t input x.
-
-    For each i != t the pair weights w_eq_i - w_eq_t give a closed-form
-    perturbation; the budget goes to the pair maximizing the attacked gap,
-    estimated by the locally-linear prediction (clean gap plus predicted
-    distortion) or, with selection="achieved", measured by evaluating every
-    candidate on the network.
-    """
+    _check_epsilon(epsilon)
+    _check_mode(mode)
     if net.n_classes < 2:
         raise ValueError("pairwise attack needs at least 2 classes")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
-    e, i_star, gaps = _pairwise_batch(
-        net, fe, x[None, :], np.array([t]), epsilon, mode, selection
-    )
-    return AttackResult(Perturbation(e[0], epsilon), gaps[0], (int(i_star[0]), int(t)), mode)
+    rows = np.arange(x.shape[0])
+    jac = net.input_jacobian(x)  # (B, L, N)
+    y = models_mod.logits(net, x)  # (B, L)
+    steer = jac - jac[rows, t][:, None, :]
+    if mode == "white" and fe is not None:
+        steer = frontend_mod.frozen_adjoint(fe, x, steer)
+    gaps = y - y[rows, t][:, None] + epsilon * np.abs(steer).sum(axis=2)
+    gaps[rows, t] = -np.inf
+    i_star = gaps.argmax(axis=1)
+    return epsilon * np.sign(steer[rows, i_star]), i_star, gaps
 
 
-def _fgsm_batch(net, fe, x_batch, t_batch, epsilon, through_frontend=False):
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    b = x_batch.shape[0]
-    through = fe is not None and through_frontend
-    point = frontend_mod.apply_batch(fe, x_batch) if through else x_batch
-    y, caches = net.forward(point)
-    g_out = softmax(y)
-    g_out[np.arange(b), t_batch] -= 1.0  # d CE / d logits
-    g_point, _ = net.backward(g_out, caches, param_grads=False)
-    g_x = frontend_mod.frozen_adjoint(fe, x_batch, g_point) if through else g_point
-    return epsilon * np.sign(g_x), ~np.any(g_x, axis=1)
+def fgsm_batch(net: FeedforwardNetwork, x, t, epsilon):
+    """Fast gradient sign step on the cross-entropy at each x[s] (true label t[s]).
 
-
-def fgsm(
-    net: FeedforwardNetwork,
-    fe: FrontEndConfig | None,
-    x,
-    t: int,
-    epsilon: float,
-    through_frontend: bool = False,
-) -> Perturbation:
-    """Fast gradient sign step on the cross-entropy at x (true label t).
-
-    By default the gradient is taken on the bare network, like the semi-white
-    attacker's knowledge model; this keeps the binary-classification
-    equivalence with the semi-white attack regardless of any defense.
-    through_frontend=True instead differentiates through the defense with the
-    sparsity support frozen at the clean input's support. A vanishing
-    gradient yields e = 0 with the zero_gradient flag set.
+    Returns (e (B, N), zero_gradient (B,)). The gradient is taken on the bare
+    network, like the semi-white attacker's knowledge model; this keeps the
+    binary-classification equivalence with the semi-white attack regardless
+    of any defense. A vanishing gradient yields e[s] = 0 with zero_gradient[s]
+    set.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    _check_epsilon(epsilon)
     x = np.asarray(x, dtype=np.float64)
-    e, zero = _fgsm_batch(net, fe, x[None, :], np.array([t]), epsilon, through_frontend)
-    return Perturbation(e[0], epsilon, zero_gradient=bool(zero[0]))
+    y, caches = net.forward(x)
+    g_out = softmax(y)
+    g_out[np.arange(x.shape[0]), t] -= 1.0  # d CE / d logits
+    g_x, _ = net.backward(g_out, caches, param_grads=False)
+    return epsilon * np.sign(g_x), ~np.any(g_x, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,150 +197,117 @@ def fgsm(
 # ---------------------------------------------------------------------------
 
 
-def evaluate(model, dataset, attack: AttackSpec, front_end=None, batch=256) -> EvalReport:
+def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
     """Clean and attacked accuracy of a model over a dataset.
 
-    ``front_end`` defaults to the front end the model was trained with; pass
-    an explicit config (or leave the model undefended) to ablate. Perturbed
-    inputs are clipped to [0, 1] only when attack.clip is set.
+    The model is attacked through the front end it was trained with, if any.
+    Raises ValueError if an attack's perturbation exceeds its l-infinity
+    budget. Perturbed inputs are clipped to [0, 1] only when attack.clip is
+    set.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    fe = front_end if front_end is not None else getattr(model, "front_end", None)
     if isinstance(model, LinearModel):
-        return _evaluate_svm(model, dataset, attack, fe)
+        return _evaluate_svm(model, dataset, attack)
     if isinstance(model, FeedforwardNetwork):
-        return _evaluate_network(model, dataset, attack, fe, batch)
+        return _evaluate_network(model, dataset, attack)
     raise TypeError(f"cannot evaluate {type(model).__name__}")
 
 
-def _through_frontend(fe, images, clip=False):
+def _defend(fe, images, clip):
     if fe is None:
         return images
     out = frontend_mod.apply_batch(fe, images)
     return np.clip(out, 0.0, 1.0) if clip else out
 
 
-def _evaluate_svm(model, dataset, attack, fe):
-    images = dataset.images
-    labels = dataset.labels  # +1 / -1
-    n = len(dataset)
-    clean_scores = model.score(_through_frontend(fe, images, attack.clip))
-    clean_pred = np.where(clean_scores >= 0.0, 1, -1)
+def _perturbed(x, e, attack):
+    if np.max(np.abs(e)) > attack.epsilon + BUDGET_SLACK:
+        raise ValueError("perturbation exceeds the l-infinity budget")
+    adv = x + e
+    return np.clip(adv, 0.0, 1.0) if attack.clip else adv
 
-    if attack.kind == "none":
-        e_rows = np.zeros_like(images)
-        pred_dist = np.zeros(n)
-    elif attack.kind == "semiwhite":
-        base = semi_white_linear(model, attack.epsilon).e
-        e_rows = -labels[:, None] * base[None, :]
-        pred_dist = np.full(n, attack.epsilon * np.abs(model.w).sum())
-    elif attack.kind == "white":
-        if fe is None:
-            # no defense to steer around: the white-box attack degenerates
-            # to the semi-white one
-            base = semi_white_linear(model, attack.epsilon).e
-            e_rows = -labels[:, None] * base[None, :]
-            pred_dist = np.full(n, attack.epsilon * np.abs(model.w).sum())
-        else:
-            p = frontend_mod.frozen_adjoint(fe, images, np.broadcast_to(model.w, images.shape))
-            e_rows = -labels[:, None] * attack.epsilon * np.sign(p)
-            pred_dist = attack.epsilon * np.abs(p).sum(axis=1)
-    else:
-        raise ValueError(f"attack kind {attack.kind!r} does not apply to a linear SVM")
 
-    adv = images + e_rows
-    if attack.clip:
-        adv = np.clip(adv, 0.0, 1.0)
-    adv_scores = model.score(_through_frontend(fe, adv, attack.clip))
-    adv_pred = np.where(adv_scores >= 0.0, 1, -1)
-    distortion = np.abs(adv_scores - clean_scores)
-
-    records = [
+def _records(start, labels, clean_pred, adv_pred, pair_i, predicted, achieved):
+    return [
         {
-            "sample": s,
+            "sample": start + s,
             "label": int(labels[s]),
             "clean_prediction": int(clean_pred[s]),
             "attacked_prediction": int(adv_pred[s]),
-            "chosen_pair": [int(-labels[s]), int(labels[s])],
-            "predicted_gap": float(pred_dist[s]),
-            "achieved_gap": float(distortion[s]),
+            "chosen_pair": [int(pair_i[s]), int(labels[s])],
+            "predicted_gap": float(predicted[s]),
+            "achieved_gap": float(achieved[s]),
         }
-        for s in range(n)
+        for s in range(len(labels))
     ]
+
+
+def _evaluate_svm(model, dataset, attack):
+    fe = model.front_end
+    x = dataset.images
+    labels = dataset.labels  # +1 / -1
+    clean_scores = model.score(_defend(fe, x, attack.clip))
+    if attack.kind == "none":
+        adv_scores, predicted = clean_scores, np.zeros(len(dataset))
+    else:
+        e, predicted = linear_batch(model, fe, x, attack.epsilon, attack.kind)
+        # each sample is pushed toward the other class
+        adv = _perturbed(x, -labels[:, None] * e, attack)
+        adv_scores = model.score(_defend(fe, adv, attack.clip))
+    clean_pred = np.where(clean_scores >= 0.0, 1, -1)
+    adv_pred = np.where(adv_scores >= 0.0, 1, -1)
+    distortion = np.abs(adv_scores - clean_scores)
     return EvalReport(
         clean_accuracy=float((clean_pred == labels).mean()),
         attacked_accuracy=float((adv_pred == labels).mean()),
         mean_distortion=float(distortion.mean()),
-        n=n,
+        n=len(dataset),
         attack=attack,
-        records=records,
+        records=_records(0, labels, clean_pred, adv_pred, -labels, predicted, distortion),
     )
 
 
-def _evaluate_network(net, dataset, attack, fe, batch):
+def _evaluate_network(net, dataset, attack):
+    fe = net.front_end
     n = len(dataset)
     correct_clean = 0
     correct_adv = 0
     distortion_sum = 0.0
     records = []
-    for start in range(0, n, batch):
-        sl = slice(start, min(start + batch, n))
-        x = dataset.images[sl]
-        t = dataset.labels[sl]
-        b = x.shape[0]
-        rows = np.arange(b)
-        y_clean = models_mod.logits(net, _through_frontend(fe, x, attack.clip))
-        clean_pred = y_clean.argmax(axis=1)
-
+    for start in range(0, n, EVAL_BATCH):
+        x = dataset.images[start : start + EVAL_BATCH]
+        t = dataset.labels[start : start + EVAL_BATCH]
+        rows = np.arange(x.shape[0])
+        y_clean = models_mod.logits(net, _defend(fe, x, attack.clip))
+        i_star = None
         if attack.kind == "none":
-            e = np.zeros_like(x)
-            i_star = None
-            gaps = None
-        elif attack.kind == "fgsm":
-            e, _ = _fgsm_batch(net, fe, x, t, attack.epsilon)
-            i_star = None
-            gaps = None
+            y_adv = y_clean
         else:
-            e, i_star, gaps = _pairwise_batch(
-                net, fe, x, t, attack.epsilon, attack.kind,
-                attack.selection, attack.clip,
-            )
-
-        adv = x + e
-        if attack.clip:
-            adv = np.clip(adv, 0.0, 1.0)
-        y_adv = models_mod.logits(net, _through_frontend(fe, adv, attack.clip))
-        adv_pred = y_adv.argmax(axis=1)
+            if attack.kind == "fgsm":
+                e, _ = fgsm_batch(net, x, t, attack.epsilon)
+            else:
+                e, i_star, gaps = pairwise_batch(net, fe, x, t, attack.epsilon, attack.kind)
+            y_adv = models_mod.logits(net, _defend(fe, _perturbed(x, e, attack), attack.clip))
 
         if i_star is None:
             # no designated pair: report against the strongest wrong class
             masked = y_adv.copy()
             masked[rows, t] = -np.inf
             i_rec = masked.argmax(axis=1)
-            pred_gap = np.zeros(b)
+            predicted = np.zeros(x.shape[0])
         else:
             i_rec = i_star
-            pred_gap = gaps[rows, i_star]
+            predicted = gaps[rows, i_star]
         achieved = (y_adv[rows, i_rec] - y_adv[rows, t]) - (
             y_clean[rows, i_rec] - y_clean[rows, t]
         )
-
+        clean_pred = y_clean.argmax(axis=1)
+        adv_pred = y_adv.argmax(axis=1)
         correct_clean += int((clean_pred == t).sum())
         correct_adv += int((adv_pred == t).sum())
         distortion_sum += float(np.abs(achieved).sum())
-        for s in range(b):
-            records.append(
-                {
-                    "sample": start + s,
-                    "label": int(t[s]),
-                    "clean_prediction": int(clean_pred[s]),
-                    "attacked_prediction": int(adv_pred[s]),
-                    "chosen_pair": [int(i_rec[s]), int(t[s])],
-                    "predicted_gap": float(pred_gap[s]),
-                    "achieved_gap": float(achieved[s]),
-                }
-            )
+        records += _records(start, t, clean_pred, adv_pred, i_rec, predicted, achieved)
     return EvalReport(
         clean_accuracy=correct_clean / n,
         attacked_accuracy=correct_adv / n,

@@ -33,7 +33,6 @@ class EnsembleConfig:
     mode: str = "semiwhite"  # "semiwhite" | "white"
     seed: int = 0
     levels: int = 1  # haar only
-    keep_samples: bool = False
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
@@ -55,7 +54,7 @@ class AttenuationReport:
     mean_ratio: float
     stderr: float
     config: EnsembleConfig
-    samples: np.ndarray | None = None  # per-trial ratios when keep_samples
+    samples: np.ndarray  # per-trial ratios
 
 
 def _haar_basis(config):
@@ -99,5 +98,5 @@ def run_ensemble(config: EnsembleConfig) -> AttenuationReport:
         mean_ratio=mean,
         stderr=stderr,
         config=config,
-        samples=ratios if config.keep_samples else None,
+        samples=ratios,
     )

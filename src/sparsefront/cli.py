@@ -218,10 +218,12 @@ def cmd_train_net(args):
 
 
 def cmd_attack(args):
+    spec = AttackSpec(args.attack, args.epsilon, clip=args.clip)
+    if args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = models_mod.load_model(args.model)
-    spec = AttackSpec(args.attack, args.epsilon, clip=args.clip)
     if isinstance(model, models_mod.LinearModel):
         a, b = args.digits
         test = data_mod.filter_pair(_load_dataset(args, "test"), a, b)

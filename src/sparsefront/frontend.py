@@ -52,10 +52,6 @@ class FrontEndConfig:
             raise ValueError(f"rho must be in (0, 1], got {self.rho}")
 
     @property
-    def n(self) -> int:
-        return self.basis.size
-
-    @property
     def k(self) -> int:
         return max(1, int(round(self.rho * self.basis.size)))
 

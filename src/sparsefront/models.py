@@ -159,9 +159,8 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
 
 
 class Dense:
-    def __init__(self, n_in, n_out, rng):
-        self.w = rng.standard_normal((n_in, n_out)) * np.sqrt(2.0 / n_in)
-        self.b = np.zeros(n_out)
+    def __init__(self, w, b):
+        self.w, self.b = w, b  # (n_in, n_out), (n_out,)
 
     def spec(self):
         return ("dense", self.w.shape[1])
@@ -195,11 +194,9 @@ class Relu:
 class Conv2d:
     """Valid-padding stride-1 convolution over (B, C, H, W) activations."""
 
-    def __init__(self, in_ch, out_ch, kh, kw, rng):
-        fan_in = in_ch * kh * kw
-        self.w = rng.standard_normal((out_ch, in_ch, kh, kw)) * np.sqrt(2.0 / fan_in)
-        self.b = np.zeros(out_ch)
-        self.kh, self.kw = kh, kw
+    def __init__(self, w, b):
+        self.w, self.b = w, b  # (out_ch, in_ch, kh, kw), (out_ch,)
+        self.kh, self.kw = w.shape[2:]
 
     def spec(self):
         return ("conv", self.w.shape[0], self.kh, self.kw)
@@ -395,7 +392,7 @@ class FeedforwardNetwork:
 
     def input_jacobian(self, x):
         """(B, N) inputs -> (B, L, N) Jacobian of the logits at each input."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
         b = x.shape[0]
         _, caches = self.forward(x)
         jac = np.empty((b, self.n_classes, x.shape[1]))
@@ -406,9 +403,12 @@ class FeedforwardNetwork:
         return jac
 
 
-def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNetwork:
-    """Instantiate an architecture spec with seeded He initialization."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7]))
+def _assemble(arch, dropout_rate, front_end, weight):
+    """Layer stack of an architecture spec.
+
+    weight(shape, fan_in) supplies each weight array, in layer order; biases
+    start at zero.
+    """
     input_shape = tuple(arch["input_shape"])
     layers = []
     shape = input_shape
@@ -417,7 +417,7 @@ def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNe
         if kind == "conv":
             _, out_ch, kh, kw = entry
             c, h, w = shape
-            layers.append(Conv2d(c, out_ch, kh, kw, rng))
+            layers.append(Conv2d(weight((out_ch, c, kh, kw), c * kh * kw), np.zeros(out_ch)))
             shape = (out_ch, h - kh + 1, w - kw + 1)
         elif kind == "relu":
             layers.append(Relu())
@@ -435,19 +435,24 @@ def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNe
             if len(shape) > 1:
                 layers.append(Flatten())
                 shape = (int(np.prod(shape)),)
-            layers.append(Dense(shape[0], entry[1], rng))
+            layers.append(Dense(weight((shape[0], entry[1]), shape[0]), np.zeros(entry[1])))
             shape = (entry[1],)
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
     return FeedforwardNetwork(layers, input_shape, front_end)
 
 
+def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNetwork:
+    """Instantiate an architecture spec with seeded He initialization."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7]))
+    return _assemble(arch, dropout_rate, front_end,
+                     lambda shape, fan_in: rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
+
+
 def logits(net: FeedforwardNetwork, x) -> np.ndarray:
-    """Deterministic forward pass with dropout disabled; accepts (N,) or (B, N)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    y, _ = net.forward(np.atleast_2d(x))
-    return y[0] if single else y
+    """Deterministic forward pass with dropout disabled: (B, N) -> (B, L)."""
+    y, _ = net.forward(x)
+    return y
 
 
 def _xent_and_grad(y, labels):
@@ -571,11 +576,9 @@ def load_model(path):
         model = LinearModel(np.empty(header["dim"]), header["b"], fe)
         arrays = [model.w]
     elif header["model"] == "feedforward":
-        model = build_network(
-            {"input_shape": header["input_shape"], "layers": header["layers"]},
-            seed=0,
-            front_end=fe,
-        )
+        arch = {"input_shape": header["input_shape"], "layers": header["layers"]}
+        # every saved dropout spec carries its rate, so the default is unused
+        model = _assemble(arch, 0.5, fe, lambda shape, fan_in: np.empty(shape))
         arrays = model.params()
     else:
         raise ValueError(f"{path}: unknown model type {header['model']!r}")

@@ -39,7 +39,7 @@ class TestRunEnsemble:
     def test_identity_small_case_brute_force(self):
         # N small enough to verify one trial against direct arithmetic
         config = EnsembleConfig(n=8, k=3, trials=200, basis_kind="identity",
-                                mode="semiwhite", seed=7, keep_samples=True)
+                                mode="semiwhite", seed=7)
         report = run_ensemble(config)
         rng = np.random.default_rng(np.random.SeedSequence([7, 0]))
         w = rng.standard_normal(8)
@@ -48,8 +48,7 @@ class TestRunEnsemble:
         assert report.samples[0] == pytest.approx(expected0, rel=1e-12)
 
     def test_white_at_least_semiwhite_paired(self):
-        base = dict(n=256, k=16, trials=500, basis_kind="haar", levels=2, seed=11,
-                    keep_samples=True)
+        base = dict(n=256, k=16, trials=500, basis_kind="haar", levels=2, seed=11)
         semi = run_ensemble(EnsembleConfig(mode="semiwhite", **base))
         white = run_ensemble(EnsembleConfig(mode="white", **base))
         # identical seeds draw identical (w, S): paired comparison is valid
@@ -65,8 +64,7 @@ class TestRunEnsemble:
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_deterministic_given_seed(self):
-        config = EnsembleConfig(n=128, k=8, trials=100, mode="white", seed=9,
-                                keep_samples=True)
+        config = EnsembleConfig(n=128, k=8, trials=100, mode="white", seed=9)
         a = run_ensemble(config)
         b = run_ensemble(config)
         assert a.mean_ratio == b.mean_ratio
@@ -77,7 +75,3 @@ class TestRunEnsemble:
                                              basis_kind="haar", levels=2,
                                              mode="white", seed=2))
         assert 0.0 <= report.mean_ratio <= 1.0 + 1e-9
-
-    def test_samples_omitted_by_default(self):
-        report = run_ensemble(EnsembleConfig(n=64, k=4, trials=10, seed=1))
-        assert report.samples is None

@@ -1,4 +1,8 @@
+import importlib.util
 import json
+from pathlib import Path
+
+import pytest
 
 from sparsefront import cli
 from sparsefront import models as M
@@ -8,6 +12,84 @@ from conftest import needs_mnist
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def _load_synth():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def synth_data(tmp_path_factory):
+    """A small synthetic-digit IDX split (coverage only, never a paper number)."""
+    return _load_synth().write_split(tmp_path_factory.mktemp("synth"), 3, 1000, 300)
+
+
+# model name -> (train argv, model file, attacks run against it)
+MODELS = {
+    "svm_plain": (["train-svm", "--epochs", 20, "--no-defense"],
+                  "svm_3v7_plain.model", ("none", "semiwhite", "white")),
+    "svm_defended": (["train-svm", "--epochs", 20, "--clip"],
+                     "svm_3v7_sparse_rho0.02.model", ("none", "semiwhite", "white")),
+    "net_defended": (["train-net", "--arch", "reduced_dense", "--epochs", 1, "--clip"],
+                     "net_reduced_dense_sparse_rho0.03.model",
+                     ("none", "fgsm", "semiwhite", "white")),
+}
+
+
+@pytest.fixture(scope="module")
+def trained(synth_data, tmp_path_factory):
+    root = tmp_path_factory.mktemp("models")
+    paths = {}
+    for name, (argv, model_file, _) in MODELS.items():
+        assert run_cli(*argv, "--data", synth_data, "--seed", 0, "--out", root / name) == 0
+        paths[name] = root / name / model_file
+    return paths
+
+
+class TestSyntheticAttack:
+    @pytest.mark.parametrize("model,attack", [
+        (name, attack) for name, (_, _, attacks) in MODELS.items() for attack in attacks
+    ])
+    def test_reports_repeat(self, model, attack, trained, synth_data, tmp_path):
+        blobs = []
+        for name in ("a1", "a2"):
+            out = tmp_path / name
+            assert run_cli("attack", "--data", synth_data, "--model", trained[model],
+                           "--attack", attack, "--epsilon", 0.2, "--clip", "--out", out) == 0
+            blobs.append(((out / "report.csv").read_bytes(),
+                          (out / "report.json").read_bytes()))
+        assert blobs[0] == blobs[1]
+        report = json.loads(blobs[0][1])
+        assert report["summary"]["samples"] == len(report["records"]) > 0
+        if attack == "none":
+            assert report["summary"]["attacked_accuracy"] == report["summary"]["clean_accuracy"]
+            assert all(r["predicted_gap"] == r["achieved_gap"] == 0.0
+                       for r in report["records"])
+
+    @pytest.mark.parametrize("epsilon,limit", [("nan", 0), ("inf", 0), (0.1, -5)])
+    def test_bad_input_exits_2(self, epsilon, limit, trained, synth_data, tmp_path, capsys):
+        rc = run_cli("attack", "--data", synth_data, "--model", trained["svm_plain"],
+                     "--attack", "semiwhite", "--epsilon", epsilon, "--limit", limit,
+                     "--out", tmp_path / "x")
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+
+
+class TestMissingInputs:
+    def test_missing_model_errors(self, tmp_path, capsys):
+        rc = run_cli("attack", "--model", tmp_path / "nope.model",
+                     "--attack", "white", "--epsilon", "0.1", "--out", tmp_path / "x")
+        assert rc != 0
+
+    def test_missing_data_dir_names_fetch_command(self, tmp_path, capsys):
+        rc = run_cli("train-svm", "--digits", "3,7", "--data", tmp_path / "empty",
+                     "--out", tmp_path / "o")
+        assert rc != 0
+        assert "fetch-data" in capsys.readouterr().err
 
 
 class TestAttenuationCommand:
@@ -116,17 +198,6 @@ class TestTrainAndAttack:
                        "--digits", "3,7", "--out", atk) == 0
         summary = json.loads((atk / "report.json").read_text())["summary"]
         assert summary["attacked_accuracy"] == summary["clean_accuracy"]
-
-    def test_missing_model_errors(self, tmp_path, capsys):
-        rc = run_cli("attack", "--model", tmp_path / "nope.model",
-                     "--attack", "white", "--epsilon", "0.1", "--out", tmp_path / "x")
-        assert rc != 0
-
-    def test_missing_data_dir_names_fetch_command(self, tmp_path, capsys):
-        rc = run_cli("train-svm", "--digits", "3,7", "--data", tmp_path / "empty",
-                     "--out", tmp_path / "o")
-        assert rc != 0
-        assert "fetch-data" in capsys.readouterr().err
 
 
 @needs_mnist

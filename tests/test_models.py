@@ -165,7 +165,7 @@ class TestPiecewiseLinearity:
         d /= np.linalg.norm(d)
         # tiny interval around x: with probability ~1 no switch flips inside
         ts = np.linspace(-1e-4, 1e-4, 9)
-        ys = np.array([M.logits(net, x + t * d) for t in ts])
+        ys = M.logits(net, x + ts[:, None] * d)
         second = ys[:-2] - 2 * ys[1:-1] + ys[2:]
         assert np.max(np.abs(second)) < 1e-8
 
@@ -310,11 +310,11 @@ class TestLogitsOp:
         net = M.build_network(TINY_DENSE, seed=0)
         for p in net.params():
             p[...] = 0.0
-        assert np.array_equal(M.logits(net, np.ones(16)), np.zeros(3))
+        assert np.array_equal(M.logits(net, np.ones((2, 16))), np.zeros((2, 3)))
 
     def test_bias_shift_moves_logits_not_softmax(self, rng):
         net = M.build_network(TINY_DENSE, seed=2)
-        x = rng.standard_normal(16)
+        x = rng.standard_normal((2, 16))
         y0 = M.logits(net, x)
         net.layers[-1].b += 3.25
         y1 = M.logits(net, x)
@@ -324,7 +324,7 @@ class TestLogitsOp:
     def test_shape_mismatch(self):
         net = M.build_network(TINY_DENSE, seed=0)
         with pytest.raises(ValueError):
-            M.logits(net, np.zeros(17))
+            M.logits(net, np.zeros((1, 17)))
 
 
 class TestSerialization:
