@@ -9,10 +9,8 @@ existing directory (flag or SPARSEFRONT_DATA_DIR) skips any network use.
 from __future__ import annotations
 
 import gzip
-import hashlib
 import os
 import struct
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,6 +169,9 @@ def fetch_mnist(directory=None, base_url=DEFAULT_BASE_URL, verbose=True) -> Path
 
     Files already present with a matching checksum are kept as-is.
     """
+    # imported here so that no other command loads the http/ssl stack
+    import urllib.request
+
     directory = data_dir(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, (size, md5) in MNIST_ARCHIVES.items():
@@ -192,6 +193,8 @@ def fetch_mnist(directory=None, base_url=DEFAULT_BASE_URL, verbose=True) -> Path
 
 
 def _checksum_ok(path, size, md5):
+    import hashlib
+
     if path.stat().st_size != size:
         return False
     digest = hashlib.md5(path.read_bytes()).hexdigest()

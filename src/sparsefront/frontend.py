@@ -66,17 +66,26 @@ class CertificateReport:
 
 
 def top_k_batch(values, k):
-    """Keep the k largest-magnitude entries of each row of a (batch, N) array, zeroing the rest."""
+    """Keep the k largest-magnitude entries of each row of a (batch, N) array, zeroing the rest.
+
+    Ties at the K-th magnitude go to the lowest indices. Non-finite values
+    raise ValueError.
+    """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"K must be in [1, {n}], got {k}")
-    # stable sort on -|c| puts the lowest index first among tied magnitudes
-    picked = np.argsort(-np.abs(values), axis=-1, kind="stable")[:, :k]
-    kept = np.zeros_like(values)
-    rows = np.arange(values.shape[0])[:, None]
-    kept[rows, picked] = values[rows, picked]
-    return kept
+    if not np.isfinite(values).all():
+        raise ValueError("top-K needs finite values")
+    mags = np.abs(values)
+    kth = np.partition(mags, n - k, axis=-1)[:, n - k, None]
+    above = mags > kth
+    tied = mags == kth
+    # slots left after every magnitude strictly above the K-th, filled from
+    # the ties in index order
+    room = k - np.count_nonzero(above, axis=-1, keepdims=True)
+    keep = above | (tied & (np.cumsum(tied, axis=-1) <= room))
+    return np.where(keep, values, 0.0)
 
 
 def apply_batch(config: FrontEndConfig, images) -> np.ndarray:

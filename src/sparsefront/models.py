@@ -14,6 +14,7 @@ iteration order).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,8 +66,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
+        if not (math.isfinite(self.lr_decay_factor) and self.lr_decay_factor > 0):
+            raise ValueError(
+                f"lr_decay_factor must be finite and positive, got {self.lr_decay_factor}"
+            )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
 
@@ -265,10 +272,18 @@ class MaxPool2:
     def backward(self, g, cache, param_grads):
         idx, x_shape = cache
         b, c, h, w = x_shape
-        dwin = np.zeros((b, c, h // 2, w // 2, 4))
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        gx = dwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x_shape)
-        return gx, []
+        # Flat position in x of each window's argmax. Slot 2*dy + dx of the
+        # window at `corner` is x's entry corner + w*dy + dx, which is
+        # corner + (w - 2)*dy + slot.
+        corner = (
+            (h * w) * np.arange(b * c).reshape(b, c, 1, 1)
+            + (2 * w) * np.arange(h // 2)[:, None]
+            + 2 * np.arange(w // 2)
+        )
+        pos = corner + (w - 2) * (idx // 2) + idx
+        gx = np.zeros(b * c * h * w)
+        gx[pos.ravel()] = g.ravel()
+        return gx.reshape(x_shape), []
 
 
 class Dropout:

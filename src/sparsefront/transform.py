@@ -50,9 +50,11 @@ CDF97_ZETA = 1.149604398860241
 
 _SQRT2 = math.sqrt(2.0)
 
-# Padding widths (in samples) for the boundary extension. Each of the four
-# lifting steps widens the influence of a boundary by one subband sample, so
-# half of _FWD_PAD must exceed 4; both values carry slack.
+# Padding widths (in samples) for the boundary extension. The lifting steps
+# leave the outermost padded samples un-updated; each of the four steps
+# widens the reach of a boundary by one subband sample, so half of _FWD_PAD
+# and all of _INV_PAD must exceed 4 for the retained samples to be exact.
+# Both values carry slack.
 _FWD_PAD = 12
 _INV_PAD = 6
 
@@ -130,48 +132,49 @@ class SubbandLayout:
 
 
 # ---------------------------------------------------------------------------
-# 1D lifting kernels. All kernels act on the last axis of a 2D (batch, n)
-# array; s is the even-indexed (low) phase, d the odd-indexed (high) phase.
+# 1D kernels. All kernels act on the last axis of an array; s is the
+# even-indexed (low) phase, d the odd-indexed (high) phase. A transformed
+# axis is laid out [low ceil(n/2) | high floor(n/2)].
 # ---------------------------------------------------------------------------
 
 
 def _lift_predict(d, s, c):
-    # d[i] += c*(s[i] + s[i+1]); the clamped tail only touches pad samples
-    nd = d.shape[-1]
-    if s.shape[-1] > nd:
-        s_next = s[:, 1 : nd + 1]
-    else:
-        s_next = np.concatenate([s[:, 1:], s[:, -1:]], axis=-1)
-    d += c * (s[:, :nd] + s_next)
+    # d[i] += c*(s[i] + s[i+1]) wherever s[i+1] exists; a last d sample
+    # without a right neighbour lies in the padding and is left as is
+    m = min(d.shape[-1], s.shape[-1] - 1)
+    d[..., :m] += c * (s[..., :m] + s[..., 1 : m + 1])
 
 
 def _lift_update(s, d, c):
-    # s[i] += c*(d[i-1] + d[i]); clamped ends only touch pad samples
-    ns = s.shape[-1]
-    d_prev = np.concatenate([d[:, :1], d[:, :-1]], axis=-1)
-    if d.shape[-1] < ns:
-        d_cur = np.concatenate([d, d[:, -1:]], axis=-1)
-        d_prev = np.concatenate([d_prev, d[:, -1:]], axis=-1)
-    else:
-        d_cur = d
-    s += c * (d_prev[:, :ns] + d_cur[:, :ns])
+    # s[i] += c*(d[i-1] + d[i]) for 1 <= i < len(d); s[0] and a last s
+    # sample past the end of d lie in the padding and are left as is
+    m = d.shape[-1]
+    s[..., 1:m] += c * (d[..., : m - 1] + d[..., 1:m])
+
+
+@functools.cache
+def _analysis_index(n):
+    """Even and odd phases of the whole-sample symmetric extension of 0..n-1."""
+    ext = np.pad(np.arange(n), _FWD_PAD, mode="reflect")
+    ext.flags.writeable = False  # shared by every caller
+    return ext[0::2], ext[1::2]
 
 
 def _cdf97_analyze(x):
-    """(batch, n) -> (low (batch, ceil(n/2)), high (batch, floor(n/2)))."""
     n = x.shape[-1]
-    ext = np.pad(x, [(0, 0), (_FWD_PAD, _FWD_PAD)], mode="reflect")
-    s = ext[:, 0::2].copy()
-    d = ext[:, 1::2].copy()
+    even, odd = _analysis_index(n)
+    s = x[..., even]
+    d = x[..., odd]
     _lift_predict(d, s, CDF97_ALPHA)
     _lift_update(s, d, CDF97_BETA)
     _lift_predict(d, s, CDF97_GAMMA)
     _lift_update(s, d, CDF97_DELTA)
     p = _FWD_PAD // 2
-    return (
-        CDF97_ZETA * s[:, p : p + (n + 1) // 2],
-        (1.0 / CDF97_ZETA) * d[:, p : p + n // 2],
-    )
+    ns = (n + 1) // 2
+    out = np.empty(x.shape)
+    out[..., :ns] = CDF97_ZETA * s[..., p : p + ns]
+    out[..., ns:] = (1.0 / CDF97_ZETA) * d[..., p : p + n - ns]
+    return out
 
 
 def _reflect_index(p, length, dup_left, dup_right):
@@ -185,49 +188,63 @@ def _reflect_index(p, length, dup_left, dup_right):
     return p
 
 
-def _cdf97_synthesize(s, d, n):
-    """Inverse of :func:`_cdf97_analyze` for an original length n."""
-    s = s / CDF97_ZETA
-    d = d * CDF97_ZETA
-    ns, nd = s.shape[-1], d.shape[-1]
+@functools.cache
+def _synthesis_index(n):
+    """Padded index lists into the low and high subbands of a length-n signal.
+
+    Whole-sample (ws) reflection omits the edge sample, half-sample (dup)
+    repeats it; the rules below are exactly those induced on the even/odd
+    phases by whole-sample extension of the original signal.
+    """
+    ns, nd = (n + 1) // 2, n // 2
     odd = n % 2 == 1
-    # Symmetric extension of the deinterleaved subbands. Whole-sample (ws)
-    # reflection omits the edge sample, half-sample (dup) repeats it; the
-    # rules below are exactly those induced on the even/odd phases by
-    # whole-sample extension of the original signal.
     sidx = [_reflect_index(i - _INV_PAD, ns, False, not odd) for i in range(ns + 2 * _INV_PAD)]
     didx = [_reflect_index(i - _INV_PAD, nd, True, odd) for i in range(nd + 2 * _INV_PAD)]
-    sP = s[:, sidx]
-    dP = d[:, didx]
+    sidx, didx = np.array(sidx), np.array(didx)
+    sidx.flags.writeable = didx.flags.writeable = False  # shared by every caller
+    return sidx, didx
+
+
+def _cdf97_synthesize(c):
+    """Inverse of :func:`_cdf97_analyze`."""
+    n = c.shape[-1]
+    ns = (n + 1) // 2
+    sidx, didx = _synthesis_index(n)
+    sP = c[..., :ns][..., sidx] / CDF97_ZETA
+    dP = c[..., ns:][..., didx] * CDF97_ZETA
     _lift_update(sP, dP, -CDF97_DELTA)
     _lift_predict(dP, sP, -CDF97_GAMMA)
     _lift_update(sP, dP, -CDF97_BETA)
     _lift_predict(dP, sP, -CDF97_ALPHA)
-    x = np.empty(s.shape[:-1] + (n,))
-    x[:, 0::2] = sP[:, _INV_PAD : _INV_PAD + (n + 1) // 2]
-    x[:, 1::2] = dP[:, _INV_PAD : _INV_PAD + n // 2]
+    x = np.empty(c.shape)
+    x[..., 0::2] = sP[..., _INV_PAD : _INV_PAD + ns]
+    x[..., 1::2] = dP[..., _INV_PAD : _INV_PAD + n - ns]
     return x
 
 
 def _haar_analyze(x):
     n = x.shape[-1]
     m = n // 2
-    a = x[:, 0 : 2 * m : 2]
-    b = x[:, 1 : 2 * m : 2]
-    s = (a + b) / _SQRT2
-    d = (a - b) / _SQRT2
+    a = x[..., 0 : 2 * m : 2]
+    b = x[..., 1 : 2 * m : 2]
+    out = np.empty(x.shape)
+    out[..., :m] = (a + b) / _SQRT2
+    out[..., n - m :] = (a - b) / _SQRT2
     if n % 2 == 1:
-        s = np.concatenate([s, x[:, -1:]], axis=-1)  # unpaired sample passes through
-    return s, d
+        out[..., m] = x[..., -1]  # unpaired sample passes through
+    return out
 
 
-def _haar_synthesize(s, d, n):
+def _haar_synthesize(c):
+    n = c.shape[-1]
     m = n // 2
-    x = np.empty(s.shape[:-1] + (n,))
-    x[:, 0 : 2 * m : 2] = (s[:, :m] + d[:, :m]) / _SQRT2
-    x[:, 1 : 2 * m : 2] = (s[:, :m] - d[:, :m]) / _SQRT2
+    s = c[..., :m]
+    d = c[..., n - m :]
+    x = np.empty(c.shape)
+    x[..., 0 : 2 * m : 2] = (s + d) / _SQRT2
+    x[..., 1 : 2 * m : 2] = (s - d) / _SQRT2
     if n % 2 == 1:
-        x[:, -1] = s[:, -1]
+        x[..., -1] = c[..., m]
     return x
 
 
@@ -235,24 +252,9 @@ _ANALYZE = {"haar_orthonormal": _haar_analyze, "cdf97_biorthogonal": _cdf97_anal
 _SYNTHESIZE = {"haar_orthonormal": _haar_synthesize, "cdf97_biorthogonal": _cdf97_synthesize}
 
 
-def _analyze_axis(block, axis, kind):
-    """Apply the 1D analysis along ``axis`` of a (batch, h, w) stack, in place layout [s|d]."""
-    moved = np.moveaxis(block, axis, -1)
-    shape = moved.shape
-    flat = moved.reshape(-1, shape[-1])
-    s, d = _ANALYZE[kind](flat)
-    out = np.concatenate([s, d], axis=-1).reshape(shape)
-    return np.moveaxis(out, -1, axis)
-
-
-def _synthesize_axis(block, axis, kind):
-    moved = np.moveaxis(block, axis, -1)
-    shape = moved.shape
-    flat = moved.reshape(-1, shape[-1])
-    n = shape[-1]
-    ns = (n + 1) // 2
-    x = _SYNTHESIZE[kind](flat[:, :ns], flat[:, ns:], n)
-    return np.moveaxis(x.reshape(shape), -1, axis)
+def _along_axis(fn, block, axis):
+    """Apply a 1D transform along ``axis`` of a (batch, h, w) stack."""
+    return np.moveaxis(fn(np.moveaxis(block, axis, -1)), -1, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +301,8 @@ def forward_batch(basis: Basis, images) -> np.ndarray:
     h, w = basis.height, basis.width
     for _ in range(basis.levels):
         sub = block[:, :h, :w]
-        sub = _analyze_axis(sub, 2, basis.kind)
-        sub = _analyze_axis(sub, 1, basis.kind)
+        sub = _along_axis(_ANALYZE[basis.kind], sub, 2)
+        sub = _along_axis(_ANALYZE[basis.kind], sub, 1)
         block[:, :h, :w] = sub
         h, w = (h + 1) // 2, (w + 1) // 2
     return _pyramid_to_flat(block, subband_layout(basis))
@@ -321,8 +323,8 @@ def inverse_batch(basis: Basis, coeffs) -> np.ndarray:
     for lev in range(basis.levels, 0, -1):
         h, w = dims[lev - 1]
         sub = block[:, :h, :w]
-        sub = _synthesize_axis(sub, 1, basis.kind)
-        sub = _synthesize_axis(sub, 2, basis.kind)
+        sub = _along_axis(_SYNTHESIZE[basis.kind], sub, 1)
+        sub = _along_axis(_SYNTHESIZE[basis.kind], sub, 2)
         block[:, :h, :w] = sub
     return block.reshape(-1, basis.size)
 

@@ -79,6 +79,21 @@ class TestSyntheticAttack:
         assert "error" in capsys.readouterr().err
 
 
+class TestBadTrainingSettings:
+    @pytest.mark.parametrize("command", [["train-svm"], ["train-net", "--arch", "reduced_dense"]])
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+        ("--weight-decay", "-1", "weight_decay"),
+        ("--weight-decay", "inf", "weight_decay"),
+    ])
+    def test_exits_2(self, command, flag, value, field, synth_data, tmp_path, capsys):
+        rc = run_cli(*command, flag, value, "--epochs", 1, "--data", synth_data,
+                     "--out", tmp_path / "x")
+        assert rc == 2
+        assert f"error: {field}" in capsys.readouterr().err
+
+
 class TestMissingInputs:
     def test_missing_model_errors(self, tmp_path, capsys):
         rc = run_cli("attack", "--model", tmp_path / "nope.model",

@@ -1,5 +1,9 @@
 import gzip
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,3 +143,20 @@ class TestChecksums:
         out = D.fetch_mnist(directory, base_url="http://unreachable.invalid")
         assert out == directory
         assert capsys.readouterr().out.count("checksum OK") == 4
+
+
+class TestNetworkStack:
+    def test_cli_import_leaves_network_stack_unloaded(self):
+        # only fetch-data needs urllib.request and the http/ssl modules behind it
+        code = ("import sys, sparsefront.cli; "
+                "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(D.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
+    def test_fetch_from_empty_file_url_raises_oserror(self, tmp_path):
+        source = tmp_path / "empty"
+        source.mkdir()
+        with pytest.raises(OSError):
+            D.fetch_mnist(tmp_path / "dest", base_url=source.as_uri(), verbose=False)

@@ -49,6 +49,26 @@ class TestTopK:
     def test_zero_vector(self):
         assert not np.any(top_k_row(np.zeros(8), 3))
 
+    @pytest.mark.parametrize("k", [1, 16, 784])
+    def test_against_sort_oracle(self, k, rng):
+        random_rows = rng.standard_normal((20, 784))
+        rounded = np.round(random_rows, 1)  # many ties at the K-th magnitude
+        blocky = np.kron(rng.integers(0, 3, (10, 7, 7)), np.ones((4, 4))).reshape(10, 784)
+        sparse = T.forward_batch(HAAR_28, blocky)  # exact zeros, repeated magnitudes
+        batch = np.concatenate([random_rows, rounded, sparse, np.zeros((1, 784))])
+        oracle = np.zeros_like(batch)
+        for s, row in enumerate(batch):
+            keep = sorted(range(784), key=lambda j: (-abs(row[j]), j))[:k]
+            oracle[s, keep] = row[keep]
+        assert np.array_equal(F.top_k_batch(batch, k), oracle)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        values = np.ones((2, 8))
+        values[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            F.top_k_batch(values, 3)
+
 
 class TestApply:
     def test_k_equals_n_is_identity(self, rng):

@@ -157,6 +157,26 @@ class TestBackpropOracle:
         assert abs((lp - lm) / (2 * h) - grads[0][2, 3]) < 1e-4
 
 
+class TestMaxPoolBackward:
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 6), (64, 20, 24, 24), (1, 1, 2, 2)])
+    def test_matches_window_scatter(self, shape, rng):
+        # reference: route each window's gradient to its argmax slot in a
+        # (..., 4) window buffer, then undo the window layout
+        pool = M.MaxPool2()
+        x = np.round(rng.standard_normal(shape), 1)  # ties inside windows
+        y, cache = pool.forward(x)
+        g = rng.standard_normal(y.shape)
+        g.flat[::5] = -0.0
+        b, c, h, w = shape
+        dwin = np.zeros((b, c, h // 2, w // 2, 4))
+        np.put_along_axis(dwin, cache[0][..., None], g[..., None], axis=-1)
+        ref = dwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(shape)
+        gx, grads = pool.backward(g, cache, True)
+        assert grads == []
+        assert gx.shape == shape
+        assert gx.tobytes() == ref.tobytes()
+
+
 class TestPiecewiseLinearity:
     def test_second_differences_vanish_between_switches(self, rng):
         net = M.build_network(TINY_CNN, seed=5)
@@ -262,6 +282,22 @@ class TestTrainingBehavior:
         net = M.train_network(x, t, cfg, arch)
         acc = (M.logits(net, x).argmax(axis=1) == t).mean()
         assert acc > 0.90
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", 0.0), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("learning_rate", -float("inf")),
+        ("weight_decay", -1.0), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("lr_decay_factor", 0.0), ("lr_decay_factor", -0.5),
+        ("lr_decay_factor", float("nan")), ("lr_decay_factor", float("inf")),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            M.TrainConfig(**{field: value})
+
+    def test_zero_weight_decay_accepted(self):
+        assert M.TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
 
 class TestLinearSvm:

@@ -76,6 +76,12 @@ ALL_BASES = [
     Basis("cdf97_biorthogonal", 2, 4, 1),
     Basis("cdf97_biorthogonal", 7, 7, 2),
 ]
+# non-square and odd sizes at their maximum levels exercise the edge steps
+ALL_BASES += [
+    Basis(kind, h, w, levels)
+    for kind in ("haar_orthonormal", "cdf97_biorthogonal")
+    for h, w, levels in ((7, 13, 2), (16, 5, 2), (3, 9, 1))
+]
 
 
 class TestPerfectReconstruction:
@@ -152,6 +158,14 @@ class TestCdf97Oracle:
         basis = Basis("cdf97_biorthogonal", 28, 28, 3)  # level 3 hits 7-sample edges
         ours = pyramid_of(basis, T.forward_batch(basis, img.reshape(1, -1))[0])
         oracle = fir_analyze_2d(img, 3)
+        assert np.max(np.abs(ours - oracle)) < 1e-8
+
+    @pytest.mark.parametrize("h,w,levels", [(7, 13, 2), (16, 5, 2), (3, 9, 1), (2, 3, 1)])
+    def test_matches_direct_fir_odd_and_non_square(self, h, w, levels, rng):
+        img = rng.standard_normal((h, w))
+        basis = Basis("cdf97_biorthogonal", h, w, levels)
+        ours = pyramid_of(basis, T.forward_batch(basis, img.reshape(1, -1))[0])
+        oracle = fir_analyze_2d(img, levels)
         assert np.max(np.abs(ours - oracle)) < 1e-8
 
     def test_biorthogonal_duality(self):
