@@ -1,14 +1,17 @@
 """Experiment orchestration: train models, run attacks, sweeps, and reports.
 
-Every command writes a manifest.json (full configuration, seeds, package
-version) next to its outputs; re-running with the same manifest reproduces
-the reports byte for byte. Reports are CSV for tables and JSON for
-per-sample records. Files are written atomically so a crashed run never
-leaves a partial file where a complete one stood.
+Every command but fetch-data writes a manifest.json (its command, every
+setting, package version) next to its outputs. `--config manifest.json`
+replays a run: the manifest's settings become the command's defaults and
+explicit flags win. Its `out` is never inherited, so a replay writes to
+`--out` (or the default output directory) and reproduces the run's model and
+report files byte for byte. The manifest is the only config format. Reports
+are CSV for tables and JSON for per-sample records. Files are written
+atomically so a crashed run never leaves a partial file where a complete one
+stood.
 
 Subcommands: fetch-data, train-svm, train-net, attack, sweep, attenuation,
-table1. A plain-text key=value config file can seed any command's defaults;
-explicit flags win.
+table1.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ PAPER_TABLE = {
     ("cnn", "white", "sparse"): 84.04,
 }
 
-SVM_DEFAULTS = dict(epochs=200, learning_rate=0.1, batch_size=64, weight_decay=1e-4)
+SVM_DEFAULTS = dict(epochs=200, learning_rate=0.1, batch_size=64, weight_decay=1e-4,
+                    dropout_rate=0.0)
 NET_DEFAULTS = {
     "reduced_dense": dict(epochs=10, learning_rate=0.1, batch_size=64,
                           lr_decay_every=4, lr_decay_factor=0.5,
@@ -80,10 +84,15 @@ def write_csv(path, header, rows):
     _atomic_write(Path(path), buf.getvalue().encode())
 
 
-def write_manifest(out_dir, command, config):
-    write_json(Path(out_dir) / "manifest.json", {
-        "command": command,
-        "config": config,
+def _args_config(args):
+    """The settings a manifest records for `args`, and all that a replay may set."""
+    return {key: value for key, value in vars(args).items() if key not in ("func", "config")}
+
+
+def write_manifest(args):
+    write_json(Path(args.out) / "manifest.json", {
+        "command": args.command,
+        "config": _args_config(args),
         "package": "sparsefront",
         "version": __version__,
     })
@@ -93,17 +102,30 @@ def _fmt(x):
     return format(float(x), ".10g")
 
 
-def _front_end_from_args(args):
-    basis = Basis(BASIS_KINDS[args.basis], 28, 28, args.levels)
-    return FrontEndConfig(basis, args.rho)
+def _choice(table, key, flag):
+    if key not in table:
+        raise ValueError(f"{flag} must be one of {', '.join(sorted(table))}, got {key!r}")
+    return table[key]
 
 
-def _model_path(out_dir, name):
-    return Path(out_dir) / f"{name}.model"
+def _basis(args):
+    return Basis(_choice(BASIS_KINDS, args.basis, "--basis"), 28, 28, args.levels)
 
 
-def _load_dataset(args, split):
-    return data_mod.load_mnist(args.data, split)
+def _front_end(args):
+    return None if args.no_defense else FrontEndConfig(_basis(args), args.rho)
+
+
+def _finish_training(args, model, prefix, test, summary):
+    """Save a trained model, evaluate it clean on `test`, write report and manifest."""
+    name = prefix + ("plain" if model.front_end is None else f"sparse_rho{args.rho:g}")
+    models_mod.save_model(model, Path(args.out) / f"{name}.model")
+    clean = attacks_mod.evaluate(model, test, AttackSpec("none", 0.0, clip=args.clip))
+    summary.update(model_file=f"{name}.model", clean_accuracy=clean.clean_accuracy)
+    write_json(Path(args.out) / "report.json", {"summary": summary})
+    write_manifest(args)
+    print(f"{name}: clean test accuracy {100 * clean.clean_accuracy:.2f}%")
+    return 0
 
 
 def _report_attack(out_dir, report, extra):
@@ -135,63 +157,37 @@ def _report_attack(out_dir, report, extra):
 
 
 def cmd_fetch_data(args):
-    data_mod.fetch_mnist(args.data, args.base_url or data_mod.DEFAULT_BASE_URL)
+    data_mod.fetch_mnist(args.data, args.base_url)
     return 0
 
 
 def cmd_train_svm(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fe = None if args.no_defense else _front_end_from_args(args)
-    config = TrainConfig(
-        seed=args.seed,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        dropout_rate=0.0,
-        front_end=fe,
-        clip_recon=args.clip,
-    )
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    settings = dict(SVM_DEFAULTS, epochs=args.epochs, batch_size=args.batch_size,
+                    learning_rate=args.lr, weight_decay=args.weight_decay)
+    config = TrainConfig(seed=args.seed, front_end=_front_end(args), clip_recon=args.clip,
+                         **settings)
     a, b = args.digits
-    train = data_mod.filter_pair(_load_dataset(args, "train"), a, b)
-    test = data_mod.filter_pair(_load_dataset(args, "test"), a, b)
+    train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
+    test = data_mod.filter_pair(data_mod.load_mnist(args.data, "test"), a, b)
     model = models_mod.train_linear_svm(train.images, train.labels, config)
-    name = f"svm_{a}v{b}_" + ("plain" if fe is None else f"sparse_rho{args.rho:g}")
-    models_mod.save_model(model, _model_path(out, name))
-    clean = attacks_mod.evaluate(model, test, AttackSpec("none", 0.0, clip=args.clip))
-    summary = {
-        "model_file": f"{name}.model",
+    return _finish_training(args, model, f"svm_{a}v{b}_", test, {
         "digits": [a, b],
         "train_samples": len(train),
         "test_samples": len(test),
-        "clean_accuracy": clean.clean_accuracy,
-    }
-    write_json(out / "report.json", {"summary": summary})
-    write_manifest(out, "train-svm", _args_config(args))
-    print(f"{name}: clean test accuracy {100 * clean.clean_accuracy:.2f}%")
-    return 0
+    })
 
 
 def cmd_train_net(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fe = None if args.no_defense else _front_end_from_args(args)
-    defaults = NET_DEFAULTS[args.arch]
-    config = TrainConfig(
-        seed=args.seed,
-        epochs=args.epochs if args.epochs is not None else defaults["epochs"],
-        batch_size=args.batch_size if args.batch_size is not None else defaults["batch_size"],
-        learning_rate=args.lr if args.lr is not None else defaults["learning_rate"],
-        lr_decay_every=defaults["lr_decay_every"],
-        lr_decay_factor=defaults["lr_decay_factor"],
-        weight_decay=args.weight_decay if args.weight_decay is not None else defaults["weight_decay"],
-        dropout_rate=args.dropout if args.dropout is not None else defaults["dropout_rate"],
-        front_end=fe,
-        clip_recon=args.clip,
-    )
-    train = _load_dataset(args, "train")
-    test = _load_dataset(args, "test")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    flags = dict(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
+                 weight_decay=args.weight_decay, dropout_rate=args.dropout)
+    settings = dict(_choice(NET_DEFAULTS, args.arch, "--arch"))
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    config = TrainConfig(seed=args.seed, front_end=_front_end(args), clip_recon=args.clip,
+                         **settings)
+    train = data_mod.load_mnist(args.data, "train")
+    test = data_mod.load_mnist(args.data, "test")
     log_lines = []
 
     def log(epoch, loss):
@@ -202,33 +198,23 @@ def cmd_train_net(args):
     net = models_mod.train_network(
         train.images, train.labels, config, models_mod.ARCH_PRESETS[args.arch], log=log
     )
-    name = f"net_{args.arch}_" + ("plain" if fe is None else f"sparse_rho{args.rho:g}")
-    models_mod.save_model(net, _model_path(out, name))
-    clean = attacks_mod.evaluate(net, test, AttackSpec("none", 0.0, clip=args.clip))
-    summary = {
-        "model_file": f"{name}.model",
-        "arch": args.arch,
-        "clean_accuracy": clean.clean_accuracy,
-        "training_log": log_lines,
-    }
-    write_json(out / "report.json", {"summary": summary})
-    write_manifest(out, "train-net", _args_config(args))
-    print(f"{name}: clean test accuracy {100 * clean.clean_accuracy:.2f}%")
-    return 0
+    return _finish_training(args, net, f"net_{args.arch}_", test,
+                            {"arch": args.arch, "training_log": log_lines})
 
 
 def cmd_attack(args):
+    missing = [f"--{key}" for key in ("model", "attack", "epsilon") if getattr(args, key) is None]
+    if missing:
+        raise ValueError(f"attack needs {', '.join(missing)} (or --config with an attack manifest)")
     spec = AttackSpec(args.attack, args.epsilon, clip=args.clip)
     if args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = models_mod.load_model(args.model)
+    test = data_mod.load_mnist(args.data, "test")
     if isinstance(model, models_mod.LinearModel):
-        a, b = args.digits
-        test = data_mod.filter_pair(_load_dataset(args, "test"), a, b)
-    else:
-        test = _load_dataset(args, "test")
+        test = data_mod.filter_pair(test, *args.digits)
     if args.limit:
         test = data_mod.Dataset(test.images[: args.limit], test.labels[: args.limit], test.split)
     report = attacks_mod.evaluate(model, test, spec)
@@ -238,7 +224,7 @@ def cmd_attack(args):
         "epsilon": args.epsilon,
         "clip": args.clip,
     })
-    write_manifest(out, "attack", _args_config(args))
+    write_manifest(args)
     print(
         f"{args.attack} eps={args.epsilon:g}: clean {100 * summary['clean_accuracy']:.2f}% "
         f"-> attacked {100 * summary['attacked_accuracy']:.2f}%"
@@ -252,17 +238,14 @@ def cmd_sweep(args):
     if not args.rhos or not args.epsilons:
         raise ValueError("sweep needs nonempty --rhos and --epsilons")
     a, b = args.digits
-    train = data_mod.filter_pair(_load_dataset(args, "train"), a, b)
-    test = data_mod.filter_pair(_load_dataset(args, "test"), a, b)
+    train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
+    test = data_mod.filter_pair(data_mod.load_mnist(args.data, "test"), a, b)
+    basis = _basis(args)
     rows = []
     acc = {}
     for rho in args.rhos:
-        basis = Basis(BASIS_KINDS[args.basis], 28, 28, args.levels)
-        fe = FrontEndConfig(basis, rho)
-        config = TrainConfig(
-            seed=args.seed, front_end=fe, dropout_rate=0.0, clip_recon=args.clip,
-            **SVM_DEFAULTS,
-        )
+        config = TrainConfig(seed=args.seed, front_end=FrontEndConfig(basis, rho),
+                             clip_recon=args.clip, **SVM_DEFAULTS)
         model = models_mod.train_linear_svm(train.images, train.labels, config)
         for eps in args.epsilons:
             report = attacks_mod.evaluate(model, test, AttackSpec(args.attack, eps, clip=args.clip))
@@ -273,7 +256,7 @@ def cmd_sweep(args):
             rows.append([_fmt(rho), _fmt(eps), _fmt(acc[(rho, eps)]),
                          "best" if rho == best_rho else ""])
     write_csv(out / "report.csv", ["rho", "epsilon", "attacked_accuracy", "note"], rows)
-    write_manifest(out, "sweep", _args_config(args))
+    write_manifest(args)
     for row in rows:
         print(",".join(str(c) for c in row))
     return 0
@@ -298,7 +281,7 @@ def cmd_attenuation(args):
         )
     write_csv(out / "report.csv",
               ["n", "k", "basis", "mode", "mean_ratio", "stderr", "trials", "seed"], rows)
-    write_manifest(out, "attenuation", _args_config(args))
+    write_manifest(args)
     return 0
 
 
@@ -306,21 +289,20 @@ def cmd_table1(args):
     """Train all four models and reproduce the headline accuracy table."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    train = _load_dataset(args, "train")
-    test = _load_dataset(args, "test")
+    train = data_mod.load_mnist(args.data, "train")
+    test = data_mod.load_mnist(args.data, "test")
     pair_train = data_mod.filter_pair(train, 3, 7)
     pair_test = data_mod.filter_pair(test, 3, 7)
-    basis = Basis(BASIS_KINDS[args.basis], 28, 28, args.levels)
+    basis = _basis(args)
+    net_settings = _choice(NET_DEFAULTS, args.arch, "--arch")
     clip = args.clip
 
     def svm_model(fe):
-        config = TrainConfig(seed=args.seed, front_end=fe, dropout_rate=0.0,
-                             clip_recon=clip, **SVM_DEFAULTS)
+        config = TrainConfig(seed=args.seed, front_end=fe, clip_recon=clip, **SVM_DEFAULTS)
         return models_mod.train_linear_svm(pair_train.images, pair_train.labels, config)
 
     def net_model(fe):
-        defaults = NET_DEFAULTS[args.arch]
-        config = TrainConfig(seed=args.seed, front_end=fe, clip_recon=clip, **defaults)
+        config = TrainConfig(seed=args.seed, front_end=fe, clip_recon=clip, **net_settings)
         return models_mod.train_network(train.images, train.labels, config,
                                         models_mod.ARCH_PRESETS[args.arch])
 
@@ -366,7 +348,7 @@ def cmd_table1(args):
     write_csv(out / "report.csv",
               ["task", "attack", "defense", "measured", "paper", "delta"], rows)
     write_csv(out / "clean.csv", ["model", "clean_accuracy"], clean_rows)
-    write_manifest(out, "table1", _args_config(args))
+    write_manifest(args)
 
     ordered = (
         results[("cnn", "white", "sparse")]
@@ -382,28 +364,26 @@ def cmd_table1(args):
 # ---------------------------------------------------------------------------
 
 
-def _args_config(args):
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "config"):
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        config[key] = value
-    return config
-
-
 def _add_common(p):
     p.add_argument("--data", default=None, help="MNIST directory (default: $SPARSEFRONT_DATA_DIR)")
     p.add_argument("--out", default="runs/out", help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="key=value config file with flag defaults")
+    _add_config_flag(p)
+
+
+def _add_config_flag(p):
+    p.add_argument("--config", default=None,
+                   help="replay a manifest.json of this command; explicit flags win")
+
+
+def _add_basis_flags(p):
+    p.add_argument("--basis", choices=sorted(BASIS_KINDS), default="cdf97")
+    p.add_argument("--levels", type=int, default=1, help="wavelet decomposition levels")
 
 
 def _add_frontend_flags(p, rho):
     p.add_argument("--rho", type=float, default=rho, help="sparsity fraction K/N")
-    p.add_argument("--basis", choices=sorted(BASIS_KINDS), default="cdf97")
-    p.add_argument("--levels", type=int, default=1, help="wavelet decomposition levels")
+    _add_basis_flags(p)
     p.add_argument("--no-defense", action="store_true", help="train without the front end")
     p.add_argument("--clip", action="store_true",
                    help="physical pipeline: clamp images and reconstructions to [0,1]")
@@ -420,7 +400,8 @@ def _float_list(text):
     return [float(p) for p in text.split(",") if p]
 
 
-def build_parser():
+def build_parser(defaults=None):
+    """The CLI parser; `defaults` maps a subcommand to settings that replace its defaults."""
     parser = argparse.ArgumentParser(
         prog="sparsefront",
         description="Sparsifying front-end defenses and locally-linear attacks on MNIST",
@@ -430,7 +411,7 @@ def build_parser():
 
     p = sub.add_parser("fetch-data", help="download and checksum the MNIST archives")
     p.add_argument("--data", default=None)
-    p.add_argument("--base-url", default=None)
+    p.add_argument("--base-url", default=data_mod.DEFAULT_BASE_URL)
     p.set_defaults(func=cmd_fetch_data)
 
     p = sub.add_parser("train-svm", help="train the binary linear SVM")
@@ -454,11 +435,12 @@ def build_parser():
     p.add_argument("--dropout", type=float, default=None)
     p.set_defaults(func=cmd_train_net)
 
+    # --model, --attack and --epsilon are required unless --config supplies them
     p = sub.add_parser("attack", help="attack a trained model over the test split")
     _add_common(p)
-    p.add_argument("--model", required=True, help="model file from train-svm/train-net")
-    p.add_argument("--attack", choices=["none", "fgsm", "semiwhite", "white"], required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--model", help="model file from train-svm/train-net")
+    p.add_argument("--attack", choices=["none", "fgsm", "semiwhite", "white"])
+    p.add_argument("--epsilon", type=float)
     p.add_argument("--digits", type=_digits, default=[3, 7], help="digit pair for SVM models")
     p.add_argument("--clip", action="store_true")
     p.add_argument("--limit", type=int, default=0, help="evaluate only the first N samples")
@@ -470,14 +452,13 @@ def build_parser():
     p.add_argument("--rhos", type=_float_list, default=[0.01, 0.02, 0.03, 0.04, 0.05])
     p.add_argument("--epsilons", type=_float_list, default=[0.12])
     p.add_argument("--attack", choices=["semiwhite", "white"], default="white")
-    p.add_argument("--basis", choices=sorted(BASIS_KINDS), default="cdf97")
-    p.add_argument("--levels", type=int, default=1)
+    _add_basis_flags(p)
     p.add_argument("--clip", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("attenuation", help="Monte Carlo attenuation-ratio study")
     p.add_argument("--out", default="runs/attenuation")
-    p.add_argument("--config", default=None)
+    _add_config_flag(p)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--k", type=int, default=32)
     p.add_argument("--trials", type=int, default=2000)
@@ -490,8 +471,7 @@ def build_parser():
     p = sub.add_parser("table1", help="full reproduction of the headline table")
     _add_common(p)
     p.add_argument("--arch", choices=sorted(models_mod.ARCH_PRESETS), default="paper_cnn")
-    p.add_argument("--basis", choices=sorted(BASIS_KINDS), default="cdf97")
-    p.add_argument("--levels", type=int, default=1)
+    _add_basis_flags(p)
     p.add_argument("--svm-epsilon", type=float, default=0.12)
     p.add_argument("--svm-rho", type=float, default=0.02)
     p.add_argument("--cnn-epsilon", type=float, default=0.25)
@@ -501,51 +481,35 @@ def build_parser():
     p.add_argument("--no-clip", dest="clip", action="store_false")
     p.set_defaults(func=cmd_table1)
 
+    for command, settings in (defaults or {}).items():
+        sub.choices[command].set_defaults(**settings)
     return parser
 
 
-def _apply_config_file(parser, argv):
-    # pre-scan for --config and install its key=value pairs as defaults
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
-    defaults = {}
-    for line in Path(known.config).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    for action in parser._subparsers._group_actions:
-        for sub_parser in action.choices.values():
-            usable = {a.dest for a in sub_parser._actions}
-            typed = {}
-            for key, value in defaults.items():
-                if key not in usable:
-                    continue
-                for a in sub_parser._actions:
-                    if a.dest == key:
-                        if a.type is not None:
-                            typed[key] = a.type(value)
-                        elif isinstance(a.default, bool) or a.const is True:
-                            typed[key] = value.lower() in ("1", "true", "yes")
-                        elif isinstance(a.default, int):
-                            typed[key] = int(value)
-                        elif isinstance(a.default, float):
-                            typed[key] = float(value)
-                        else:
-                            typed[key] = value
-            sub_parser.set_defaults(**typed)
+def _replay_settings(args):
+    """The settings of the manifest at `args.config`, checked against `args`' command."""
+    try:
+        manifest = json.loads(Path(args.config).read_text())
+        command, settings = manifest["command"], dict(manifest["config"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{args.config}: not a sparsefront manifest ({exc})") from None
+    if command != args.command:
+        raise ValueError(f"{args.config}: manifest of {command!r}, not of {args.command!r}")
+    # the subcommand is the one given, and the output directory comes from the flags
+    settings.pop("command", None)
+    settings.pop("out", None)
+    unknown = sorted(set(settings) - set(_args_config(args)))
+    if unknown:
+        raise ValueError(f"{args.config}: {command} has no setting {', '.join(unknown)}")
+    return settings
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            args = build_parser({args.command: _replay_settings(args)}).parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, data_mod.IdxFormatError, models_mod.TrainingDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)

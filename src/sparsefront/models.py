@@ -574,29 +574,33 @@ def save_model(model, path):
 def load_model(path):
     """Inverse of save_model; round-trip is exact.
 
-    Raises ValueError when the file is not a model file, or when its payload
-    is shorter or longer than the header's parameter shapes imply.
+    Raises ValueError when the file is not a model file, when its header is
+    truncated or lacks a field, or when its payload is shorter or longer than
+    the header's parameter shapes imply.
     """
     raw = Path(path).read_bytes()
-    if not raw.startswith(MODEL_MAGIC):
-        raise ValueError(f"{path}: not a sparsefront model file")
     off = len(MODEL_MAGIC)
-    (hlen,) = struct.unpack(">I", raw[off : off + 4])
+    if not raw.startswith(MODEL_MAGIC) or len(raw) < off + 4:
+        raise ValueError(f"{path}: not a sparsefront model file")
+    (hlen,) = struct.unpack_from(">I", raw, off)
     off += 4
-    header = json.loads(raw[off : off + hlen])
+    try:
+        header = json.loads(raw[off : off + hlen])
+        fe = _front_end_from_json(header["front_end"])
+        kind = header["model"]
+        if kind == "linear_svm":
+            model = LinearModel(np.empty(header["dim"]), header["b"], fe)
+            arrays = [model.w]
+        elif kind == "feedforward":
+            arch = {"input_shape": header["input_shape"], "layers": header["layers"]}
+            # every saved dropout spec carries its rate, so the default is unused
+            model = _assemble(arch, 0.5, fe, lambda shape, fan_in: np.empty(shape))
+            arrays = model.params()
+        else:
+            raise ValueError(f"unknown model type {kind!r}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from None
     off += hlen
-
-    fe = _front_end_from_json(header["front_end"])
-    if header["model"] == "linear_svm":
-        model = LinearModel(np.empty(header["dim"]), header["b"], fe)
-        arrays = [model.w]
-    elif header["model"] == "feedforward":
-        arch = {"input_shape": header["input_shape"], "layers": header["layers"]}
-        # every saved dropout spec carries its rate, so the default is unused
-        model = _assemble(arch, 0.5, fe, lambda shape, fan_in: np.empty(shape))
-        arrays = model.params()
-    else:
-        raise ValueError(f"{path}: unknown model type {header['model']!r}")
     expected = 8 * sum(a.size for a in arrays)
     if len(raw) - off != expected:
         raise ValueError(f"{path}: payload is {len(raw) - off} bytes, header implies {expected}")

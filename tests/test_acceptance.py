@@ -487,39 +487,28 @@ class TestCriterion14:
     def test_reports_reproduce_byte_for_byte(self, tmp_path):
         from sparsefront import cli
 
-        outputs = []
-        for name in ("run1", "run2"):
-            out = tmp_path / name
-            rc = cli.main([
-                "attenuation", "--n", "256", "--k", "8", "--trials", "300",
-                "--mode", "both", "--seed", "17", "--out", str(out),
-            ])
-            assert rc == 0
-            outputs.append((out / "report.csv").read_bytes())
-        models = []
-        for name in ("t1", "t2"):
-            out = tmp_path / name
-            rc = cli.main([
-                "train-svm", "--digits", "3,7", "--epochs", "3", "--lr", "0.3",
-                "--no-defense", "--seed", "5", "--out", str(out),
-            ])
-            assert rc == 0
-            models.append((out / "svm_3v7_plain.model").read_bytes())
-        atk = []
-        model_file = tmp_path / "t1" / "svm_3v7_plain.model"
-        for name in ("a1", "a2"):
-            out = tmp_path / name
-            rc = cli.main([
-                "attack", "--model", str(model_file), "--attack", "semiwhite",
-                "--epsilon", "0.12", "--digits", "3,7", "--limit", "150",
-                "--out", str(out),
-            ])
-            assert rc == 0
-            atk.append((out / "report.csv").read_bytes()
-                       + (out / "report.json").read_bytes())
+        def run_and_replay(argv, name):
+            """Run argv into `<name>1`, then replay its manifest into `<name>2`."""
+            first, second = tmp_path / f"{name}1", tmp_path / f"{name}2"
+            assert cli.main([*argv, "--out", str(first)]) == 0
+            assert cli.main([argv[0], "--config", str(first / "manifest.json"),
+                             "--out", str(second)]) == 0
+            return first, second
+
+        runs = run_and_replay(["attenuation", "--n", "256", "--k", "8", "--trials", "300",
+                               "--mode", "both", "--seed", "17"], "run")
+        trains = run_and_replay(["train-svm", "--digits", "3,7", "--epochs", "3", "--lr", "0.3",
+                                 "--no-defense", "--seed", "5"], "t")
+        model_file = trains[0] / "svm_3v7_plain.model"
+        attacks = run_and_replay(["attack", "--model", str(model_file), "--attack", "semiwhite",
+                                  "--epsilon", "0.12", "--digits", "3,7", "--limit", "150"], "a")
+        outputs = [(out / "report.csv").read_bytes() for out in runs]
+        models = [(out / "svm_3v7_plain.model").read_bytes() for out in trains]
+        atk = [(out / "report.csv").read_bytes() + (out / "report.json").read_bytes()
+               for out in attacks]
         check(
             "C14",
             outputs[0] == outputs[1] and models[0] == models[1] and atk[0] == atk[1],
             "attenuation reports, model files and attack reports reproduce "
-            "byte-for-byte under identical manifests",
+            "byte-for-byte when replayed from their manifests",
         )

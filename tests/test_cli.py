@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -139,20 +140,115 @@ class TestAttenuationCommand:
         assert "error" in capsys.readouterr().err
 
 
+def _attenuation_manifest(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("attenuation", "--n", 64, "--k", 4, "--trials", 50,
+                   "--mode", "semiwhite", "--seed", 2, "--out", out) == 0
+    return out / "manifest.json"
+
+
 class TestConfigFile:
     def test_config_file_sets_defaults_flags_win(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("n = 64\nk = 4\ntrials = 50\nmode = semiwhite\nseed = 2\n")
+        manifest = _attenuation_manifest(tmp_path)
         out1 = tmp_path / "o1"
-        rc = run_cli("attenuation", "--config", cfg, "--out", out1)
-        assert rc == 0
+        assert run_cli("attenuation", "--config", manifest, "--out", out1) == 0
         rows = (out1 / "report.csv").read_text().splitlines()
         assert rows[1].startswith("64,4,identity,semiwhite")
         out2 = tmp_path / "o2"
-        rc = run_cli("attenuation", "--config", cfg, "--k", 8, "--out", out2)
-        assert rc == 0
+        assert run_cli("attenuation", "--config", manifest, "--k", 8, "--out", out2) == 0
         rows = (out2 / "report.csv").read_text().splitlines()
         assert rows[1].startswith("64,8,identity,semiwhite")
+        assert json.loads((out2 / "manifest.json").read_text())["config"]["k"] == 8
+
+    def test_out_not_inherited(self, tmp_path, monkeypatch):
+        manifest = _attenuation_manifest(tmp_path)
+        before = (tmp_path / "run" / "report.csv").read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("attenuation", "--config", manifest, "--k", 8) == 0
+        assert (tmp_path / "runs" / "attenuation" / "report.csv").exists()
+        assert (tmp_path / "run" / "report.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("case", ["missing", "not_json", "not_a_manifest",
+                                      "wrong_command", "unknown_key", "bad_basis"])
+    def test_malformed_manifest_exits_2(self, case, synth_data, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        config = {"command": "train-svm", "out": "x", "epochs": 1}
+        content = {
+            "not_json": "epochs = 1\n",
+            "not_a_manifest": json.dumps(config),
+            "wrong_command": json.dumps({"command": "attack", "config": config}),
+            "unknown_key": json.dumps({"command": "train-svm",
+                                       "config": {**config, "trails": 7}}),
+            "bad_basis": json.dumps({"command": "train-svm",
+                                     "config": {**config, "basis": "foo"}}),
+        }
+        if case in content:
+            path.write_text(content[case])
+        capsys.readouterr()
+        # these flags alone make a valid run, so ignoring the manifest would exit 0
+        rc = run_cli("train-svm", "--config", path, "--data", synth_data, "--epochs", 1,
+                     "--out", tmp_path / "o")
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omitted", ["--model", "--attack", "--epsilon"])
+    def test_attack_without_config_needs_its_flags(self, omitted, trained, synth_data,
+                                                   tmp_path, capsys):
+        flags = {"--model": trained["svm_plain"], "--attack": "none", "--epsilon": 0.1}
+        flags.pop(omitted)
+        rc = run_cli("attack", "--data", synth_data, *(x for kv in flags.items() for x in kv),
+                     "--out", tmp_path / "o")
+        assert rc == 2
+        assert omitted in capsys.readouterr().err
+
+
+def _runs(data, models):
+    """Every manifest-writing run of this module: name -> argv without --out."""
+    runs = {name: [*argv, "--data", data, "--seed", 0] for name, (argv, _, _) in MODELS.items()}
+    for name, (_, _, attacks) in MODELS.items():
+        for attack in attacks:
+            runs[f"attack-{name}-{attack}"] = [
+                "attack", "--data", data, "--model", models[name], "--attack", attack,
+                "--epsilon", 0.2, "--clip"]
+    runs["attenuation"] = ["attenuation", "--n", 256, "--k", 8, "--trials", 200,
+                           "--basis-kind", "haar", "--mode", "both", "--seed", 3]
+    runs["sweep"] = ["sweep", "--data", data, "--rhos", "0.02,0.04", "--epsilons", "0.1,0.2",
+                     "--clip"]
+    runs["table1"] = ["table1", "--data", data, "--arch", "reduced_dense"]
+    return runs
+
+
+RUN_ARGV = _runs("", dict.fromkeys(MODELS, ""))
+
+
+class TestReplay:
+    """Re-running from a manifest reproduces the run's outputs byte for byte."""
+
+    def test_every_manifest_command_replayed(self):
+        parser = cli.build_parser()
+        usage = parser.format_usage()
+        commands = re.search(r"\{(.*?)\}", usage).group(1).split(",")
+        with_config = {c for c in commands
+                       if not parser.parse_known_args([c, "--config", "m.json"])[1]}
+        assert with_config == {argv[0] for argv in RUN_ARGV.values()}
+
+    @pytest.mark.parametrize("name", list(RUN_ARGV))
+    def test_replay_matches(self, name, synth_data, trained, tmp_path):
+        argv = _runs(synth_data, trained)[name]
+        run, replay = tmp_path / "run", tmp_path / "replay"
+        assert run_cli(*argv, "--out", run) == 0
+        assert run_cli(argv[0], "--config", run / "manifest.json", "--out", replay) == 0
+        files = sorted(p.name for p in run.iterdir())
+        assert files == sorted(p.name for p in replay.iterdir())
+        assert "manifest.json" in files and len(files) > 1
+        for file in files:
+            if file == "manifest.json":
+                first, second = (json.loads((d / file).read_text()) for d in (run, replay))
+                assert first["config"].pop("out") == str(run)
+                assert second["config"].pop("out") == str(replay)
+                assert first == second
+            else:
+                assert (run / file).read_bytes() == (replay / file).read_bytes(), file
 
 
 @needs_mnist
@@ -215,8 +311,8 @@ class TestTrainAndAttack:
         assert summary["attacked_accuracy"] == summary["clean_accuracy"]
 
 
-@needs_mnist
 class TestSweep:
+    @needs_mnist
     def test_single_point_matches_attack(self, tmp_path):
         out = tmp_path / "sweep"
         rc = run_cli("sweep", "--digits", "3,7", "--rhos", "0.02",

@@ -403,8 +403,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="net.model"):
             M.load_model(path)
 
-    def test_bad_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("blob", [
+        b"not a model",
+        M.MODEL_MAGIC + b"\x00\x00",
+        M.MODEL_MAGIC + (2).to_bytes(4, "big") + b"{}",
+    ], ids=["no_magic", "short_header_length", "header_without_fields"])
+    def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
-        path.write_bytes(b"not a model")
-        with pytest.raises(ValueError):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="junk.model"):
             M.load_model(path)
