@@ -112,6 +112,12 @@ def _basis(args):
     return Basis(_choice(BASIS_KINDS, args.basis, "--basis"), 28, 28, args.levels)
 
 
+def _digit_pair(digits):
+    if not (isinstance(digits, list) and len(digits) == 2):
+        raise ValueError(f"--digits must be two digits like 3,7, got {digits!r}")
+    return digits
+
+
 def _front_end(args):
     return None if args.no_defense else FrontEndConfig(_basis(args), args.rho)
 
@@ -167,7 +173,7 @@ def cmd_train_svm(args):
                     learning_rate=args.lr, weight_decay=args.weight_decay)
     config = TrainConfig(seed=args.seed, front_end=_front_end(args), clip_recon=args.clip,
                          **settings)
-    a, b = args.digits
+    a, b = _digit_pair(args.digits)
     train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
     test = data_mod.filter_pair(data_mod.load_mnist(args.data, "test"), a, b)
     model = models_mod.train_linear_svm(train.images, train.labels, config)
@@ -214,7 +220,7 @@ def cmd_attack(args):
     model = models_mod.load_model(args.model)
     test = data_mod.load_mnist(args.data, "test")
     if isinstance(model, models_mod.LinearModel):
-        test = data_mod.filter_pair(test, *args.digits)
+        test = data_mod.filter_pair(test, *_digit_pair(args.digits))
     if args.limit:
         test = data_mod.Dataset(test.images[: args.limit], test.labels[: args.limit], test.split)
     report = attacks_mod.evaluate(model, test, spec)
@@ -237,7 +243,7 @@ def cmd_sweep(args):
     out.mkdir(parents=True, exist_ok=True)
     if not args.rhos or not args.epsilons:
         raise ValueError("sweep needs nonempty --rhos and --epsilons")
-    a, b = args.digits
+    a, b = _digit_pair(args.digits)
     train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
     test = data_mod.filter_pair(data_mod.load_mnist(args.data, "test"), a, b)
     basis = _basis(args)
@@ -315,6 +321,7 @@ def cmd_table1(args):
 
     rows = []
     results = {}
+    clean = {}  # clean accuracy in percent, by model name
 
     def run(task, model, attack, defense, epsilon):
         report = attacks_mod.evaluate(
@@ -327,6 +334,9 @@ def cmd_table1(args):
         rows.append([task, attack, defense, _fmt(measured), _fmt(paper),
                      _fmt(measured - paper)])
         results[(task, attack, defense)] = measured
+        # every report measures clean accuracy on the same split with the same clip
+        clean.setdefault(task + ("_defended" if defense == "sparse" else ""),
+                         100 * report.clean_accuracy)
         print(f"{task:>4} {attack:>10} {defense:>7}: measured {measured:6.2f}  paper {paper:6.2f}")
 
     for attack in ("semiwhite", "white"):
@@ -338,16 +348,13 @@ def cmd_table1(args):
     for attack in ("fgsm", "semiwhite", "white"):
         run("cnn", net_def, attack, "sparse", args.cnn_epsilon)
 
-    clean_rows = []
-    for task, model, ds in (("svm", svm_plain, pair_test), ("svm_defended", svm_def, pair_test),
-                            ("cnn", net_plain, test), ("cnn_defended", net_def, test)):
-        r = attacks_mod.evaluate(model, ds, AttackSpec("none", 0.0, clip=clip))
-        clean_rows.append([task, _fmt(100 * r.clean_accuracy)])
-        print(f"clean {task}: {100 * r.clean_accuracy:.2f}")
+    for task, accuracy in clean.items():
+        print(f"clean {task}: {accuracy:.2f}")
 
     write_csv(out / "report.csv",
               ["task", "attack", "defense", "measured", "paper", "delta"], rows)
-    write_csv(out / "clean.csv", ["model", "clean_accuracy"], clean_rows)
+    write_csv(out / "clean.csv", ["model", "clean_accuracy"],
+              [[task, _fmt(accuracy)] for task, accuracy in clean.items()])
     write_manifest(args)
 
     ordered = (
@@ -390,10 +397,7 @@ def _add_frontend_flags(p, rho):
 
 
 def _digits(text):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two digits like 3,7")
-    return parts
+    return _digit_pair([int(p) for p in text.split(",")])
 
 
 def _float_list(text):
@@ -486,8 +490,22 @@ def build_parser(defaults=None):
     return parser
 
 
+def _same_json_type(value, plain):
+    """Whether a manifest value has the type of the plain parse's value; int passes as float."""
+    if isinstance(plain, float):
+        return type(value) in (int, float)
+    if isinstance(plain, list) and plain:
+        return isinstance(value, list) and all(_same_json_type(v, plain[0]) for v in value)
+    return type(value) is type(plain)
+
+
 def _replay_settings(args):
-    """The settings of the manifest at `args.config`, checked against `args`' command."""
+    """The settings of the manifest at `args.config`, checked against `args`' command.
+
+    A manifest value becomes a parser default, which argparse never converts
+    or checks, so each must have the type of the command's own default; a
+    setting whose own default is None is left to the command.
+    """
     try:
         manifest = json.loads(Path(args.config).read_text())
         command, settings = manifest["command"], dict(manifest["config"])
@@ -498,9 +516,16 @@ def _replay_settings(args):
     # the subcommand is the one given, and the output directory comes from the flags
     settings.pop("command", None)
     settings.pop("out", None)
-    unknown = sorted(set(settings) - set(_args_config(args)))
+    # the command's own defaults: the flags given must not stand in for them
+    own = _args_config(build_parser().parse_args([command]))
+    unknown = sorted(set(settings) - set(own))
     if unknown:
         raise ValueError(f"{args.config}: {command} has no setting {', '.join(unknown)}")
+    for key, value in settings.items():
+        plain = own[key]
+        if plain is not None and not _same_json_type(value, plain):
+            raise ValueError(f"{args.config}: {key} must be {type(plain).__name__} like "
+                             f"{json.dumps(plain)}, got {json.dumps(value)}")
     return settings
 
 

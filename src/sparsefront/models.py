@@ -64,8 +64,10 @@ class TrainConfig:
     clip_recon: bool = False  # clamp sparsified training inputs to [0, 1]
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
@@ -448,8 +450,7 @@ def _assemble(arch, dropout_rate, front_end, weight):
             shape = (int(np.prod(shape)),)
         elif kind == "dense":
             if len(shape) > 1:
-                layers.append(Flatten())
-                shape = (int(np.prod(shape)),)
+                raise ValueError(f"dense layer on a {shape} input needs a ('flatten',) before it")
             layers.append(Dense(weight((shape[0], entry[1]), shape[0]), np.zeros(entry[1])))
             shape = (entry[1],)
         else:

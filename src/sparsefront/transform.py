@@ -7,9 +7,12 @@ Two bases are provided:
   orthonormality at every level.
 * ``cdf97_biorthogonal`` -- the Cohen-Daubechies-Feauveau 9/7 biorthogonal
   transform, computed with the standard four-step lifting factorization plus
-  a final scaling. Boundaries use whole-sample symmetric extension (the
-  JPEG2000 convention), so odd lengths are handled exactly and the output
-  agrees with direct FIR filtering of the symmetrically extended signal.
+  a final scaling; synthesis runs the same steps in reverse with negated
+  constants. Boundaries use whole-sample symmetric extension (the JPEG2000
+  convention), applied without padding: at each edge a lifting step lacks at
+  most one neighbour, and uses the mirrored sample it already has in its
+  place. Odd lengths are handled exactly and the output agrees with direct
+  FIR filtering of the symmetrically extended signal.
 
 Normalization: the analysis lowpass has DC gain sqrt(2) for both bases, so a
 constant image gains a factor of 2 per 2D level.
@@ -49,14 +52,6 @@ CDF97_DELTA = 0.443506852043971
 CDF97_ZETA = 1.149604398860241
 
 _SQRT2 = math.sqrt(2.0)
-
-# Padding widths (in samples) for the boundary extension. The lifting steps
-# leave the outermost padded samples un-updated; each of the four steps
-# widens the reach of a boundary by one subband sample, so half of _FWD_PAD
-# and all of _INV_PAD must exceed 4 for the retained samples to be exact.
-# Both values carry slack.
-_FWD_PAD = 12
-_INV_PAD = 6
 
 
 @dataclass(frozen=True)
@@ -104,10 +99,7 @@ class SubbandLayout:
 
     @staticmethod
     def build(height, width, levels) -> "SubbandLayout":
-        dims = [(height, width)]
-        for _ in range(levels):
-            h, w = dims[-1]
-            dims.append(((h + 1) // 2, (w + 1) // 2))
+        dims = _level_extents(height, width, levels)
         bands = []
         offset = 0
         hL, wL = dims[levels]
@@ -131,6 +123,15 @@ class SubbandLayout:
         return self.height * self.width
 
 
+def _level_extents(height, width, levels):
+    """[(h, w)] of the block each level transforms, then the final LL extent."""
+    dims = [(height, width)]
+    for _ in range(levels):
+        h, w = dims[-1]
+        dims.append(((h + 1) // 2, (w + 1) // 2))
+    return dims
+
+
 # ---------------------------------------------------------------------------
 # 1D kernels. All kernels act on the last axis of an array; s is the
 # even-indexed (low) phase, d the odd-indexed (high) phase. A transformed
@@ -139,86 +140,48 @@ class SubbandLayout:
 
 
 def _lift_predict(d, s, c):
-    # d[i] += c*(s[i] + s[i+1]) wherever s[i+1] exists; a last d sample
-    # without a right neighbour lies in the padding and is left as is
-    m = min(d.shape[-1], s.shape[-1] - 1)
-    d[..., :m] += c * (s[..., :m] + s[..., 1 : m + 1])
+    # d[i] += c*(s[i] + s[i+1])
+    m = s.shape[-1] - 1
+    d[..., :m] += c * (s[..., :m] + s[..., 1:])
+    if d.shape[-1] > m:  # even length: s[m+1] mirrors s[m]
+        d[..., m] += c * (s[..., m] + s[..., m])
 
 
 def _lift_update(s, d, c):
-    # s[i] += c*(d[i-1] + d[i]) for 1 <= i < len(d); s[0] and a last s
-    # sample past the end of d lie in the padding and are left as is
-    m = d.shape[-1]
-    s[..., 1:m] += c * (d[..., : m - 1] + d[..., 1:m])
-
-
-@functools.cache
-def _analysis_index(n):
-    """Even and odd phases of the whole-sample symmetric extension of 0..n-1."""
-    ext = np.pad(np.arange(n), _FWD_PAD, mode="reflect")
-    ext.flags.writeable = False  # shared by every caller
-    return ext[0::2], ext[1::2]
+    # s[i] += c*(d[i-1] + d[i])
+    nd = d.shape[-1]
+    s[..., 0] += c * (d[..., 0] + d[..., 0])  # d[-1] mirrors d[0]
+    s[..., 1:nd] += c * (d[..., : nd - 1] + d[..., 1:])
+    if s.shape[-1] > nd:  # odd length: d[nd] mirrors d[nd-1]
+        s[..., nd] += c * (d[..., nd - 1] + d[..., nd - 1])
 
 
 def _cdf97_analyze(x):
-    n = x.shape[-1]
-    even, odd = _analysis_index(n)
-    s = x[..., even]
-    d = x[..., odd]
+    s = x[..., 0::2].copy()
+    d = x[..., 1::2].copy()
     _lift_predict(d, s, CDF97_ALPHA)
     _lift_update(s, d, CDF97_BETA)
     _lift_predict(d, s, CDF97_GAMMA)
     _lift_update(s, d, CDF97_DELTA)
-    p = _FWD_PAD // 2
-    ns = (n + 1) // 2
+    ns = s.shape[-1]
     out = np.empty(x.shape)
-    out[..., :ns] = CDF97_ZETA * s[..., p : p + ns]
-    out[..., ns:] = (1.0 / CDF97_ZETA) * d[..., p : p + n - ns]
+    out[..., :ns] = CDF97_ZETA * s
+    out[..., ns:] = (1.0 / CDF97_ZETA) * d
     return out
-
-
-def _reflect_index(p, length, dup_left, dup_right):
-    if length == 1:
-        return 0
-    while p < 0 or p >= length:
-        if p < 0:
-            p = -p - 1 if dup_left else -p
-        else:
-            p = 2 * length - 1 - p if dup_right else 2 * length - 2 - p
-    return p
-
-
-@functools.cache
-def _synthesis_index(n):
-    """Padded index lists into the low and high subbands of a length-n signal.
-
-    Whole-sample (ws) reflection omits the edge sample, half-sample (dup)
-    repeats it; the rules below are exactly those induced on the even/odd
-    phases by whole-sample extension of the original signal.
-    """
-    ns, nd = (n + 1) // 2, n // 2
-    odd = n % 2 == 1
-    sidx = [_reflect_index(i - _INV_PAD, ns, False, not odd) for i in range(ns + 2 * _INV_PAD)]
-    didx = [_reflect_index(i - _INV_PAD, nd, True, odd) for i in range(nd + 2 * _INV_PAD)]
-    sidx, didx = np.array(sidx), np.array(didx)
-    sidx.flags.writeable = didx.flags.writeable = False  # shared by every caller
-    return sidx, didx
 
 
 def _cdf97_synthesize(c):
     """Inverse of :func:`_cdf97_analyze`."""
-    n = c.shape[-1]
-    ns = (n + 1) // 2
-    sidx, didx = _synthesis_index(n)
-    sP = c[..., :ns][..., sidx] / CDF97_ZETA
-    dP = c[..., ns:][..., didx] * CDF97_ZETA
-    _lift_update(sP, dP, -CDF97_DELTA)
-    _lift_predict(dP, sP, -CDF97_GAMMA)
-    _lift_update(sP, dP, -CDF97_BETA)
-    _lift_predict(dP, sP, -CDF97_ALPHA)
+    ns = (c.shape[-1] + 1) // 2
+    s = c[..., :ns] / CDF97_ZETA
+    d = c[..., ns:] * CDF97_ZETA
+    _lift_update(s, d, -CDF97_DELTA)
+    _lift_predict(d, s, -CDF97_GAMMA)
+    _lift_update(s, d, -CDF97_BETA)
+    _lift_predict(d, s, -CDF97_ALPHA)
     x = np.empty(c.shape)
-    x[..., 0::2] = sP[..., _INV_PAD : _INV_PAD + ns]
-    x[..., 1::2] = dP[..., _INV_PAD : _INV_PAD + n - ns]
+    x[..., 0::2] = s
+    x[..., 1::2] = d
     return x
 
 
@@ -298,13 +261,11 @@ def forward_batch(basis: Basis, images) -> np.ndarray:
             f"{basis.height}x{basis.width} basis, got {images.shape}"
         )
     block = images.reshape(-1, basis.height, basis.width).copy()
-    h, w = basis.height, basis.width
-    for _ in range(basis.levels):
+    for h, w in _level_extents(basis.height, basis.width, basis.levels)[:-1]:
         sub = block[:, :h, :w]
         sub = _along_axis(_ANALYZE[basis.kind], sub, 2)
         sub = _along_axis(_ANALYZE[basis.kind], sub, 1)
         block[:, :h, :w] = sub
-        h, w = (h + 1) // 2, (w + 1) // 2
     return _pyramid_to_flat(block, subband_layout(basis))
 
 
@@ -316,12 +277,7 @@ def inverse_batch(basis: Basis, coeffs) -> np.ndarray:
             f"expected (batch, {basis.size}) coefficient vectors, got {coeffs.shape}"
         )
     block = _flat_to_pyramid(coeffs, subband_layout(basis))
-    dims = [(basis.height, basis.width)]
-    for _ in range(basis.levels):
-        h, w = dims[-1]
-        dims.append(((h + 1) // 2, (w + 1) // 2))
-    for lev in range(basis.levels, 0, -1):
-        h, w = dims[lev - 1]
+    for h, w in reversed(_level_extents(basis.height, basis.width, basis.levels)[:-1]):
         sub = block[:, :h, :w]
         sub = _along_axis(_SYNTHESIZE[basis.kind], sub, 1)
         sub = _along_axis(_SYNTHESIZE[basis.kind], sub, 2)

@@ -168,28 +168,70 @@ class TestConfigFile:
         assert (tmp_path / "runs" / "attenuation" / "report.csv").exists()
         assert (tmp_path / "run" / "report.csv").read_bytes() == before
 
-    @pytest.mark.parametrize("case", ["missing", "not_json", "not_a_manifest",
-                                      "wrong_command", "unknown_key", "bad_basis"])
-    def test_malformed_manifest_exits_2(self, case, synth_data, tmp_path, capsys):
+    # case -> the command replayed and the setting its error line must name
+    MALFORMED = {
+        "missing": ("train-svm", ""), "not_json": ("train-svm", ""),
+        "not_a_manifest": ("train-svm", ""), "wrong_command": ("train-svm", ""),
+        "unknown_key": ("train-svm", "trails"), "bad_basis": ("train-svm", "basis"),
+        "float_epochs": ("train-svm", "epochs"), "string_clip": ("train-svm", "clip"),
+        "one_digit": ("train-svm", "digits"), "net_float_epochs": ("train-net", "epochs"),
+        "attack_one_digit": ("attack", "digits"),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_manifest_exits_2(self, case, synth_data, trained, tmp_path, capsys):
+        command, setting = self.MALFORMED[case]
         path = tmp_path / "manifest.json"
         config = {"command": "train-svm", "out": "x", "epochs": 1}
+
+        def manifest(**settings):
+            return json.dumps({"command": command,
+                               "config": {"command": command, "out": "x", **settings}})
+
         content = {
             "not_json": "epochs = 1\n",
             "not_a_manifest": json.dumps(config),
             "wrong_command": json.dumps({"command": "attack", "config": config}),
-            "unknown_key": json.dumps({"command": "train-svm",
-                                       "config": {**config, "trails": 7}}),
-            "bad_basis": json.dumps({"command": "train-svm",
-                                     "config": {**config, "basis": "foo"}}),
+            "unknown_key": manifest(epochs=1, trails=7),
+            "bad_basis": manifest(epochs=1, basis="foo"),
+            "float_epochs": manifest(epochs=1.5),
+            "string_clip": manifest(clip="no"),
+            "one_digit": manifest(digits=[3]),
+            "net_float_epochs": manifest(epochs=1.5),
+            "attack_one_digit": manifest(digits=[3]),
         }
         if case in content:
             path.write_text(content[case])
         capsys.readouterr()
         # these flags alone make a valid run, so ignoring the manifest would exit 0
-        rc = run_cli("train-svm", "--config", path, "--data", synth_data, "--epochs", 1,
+        flags = {
+            "train-svm": ["--epochs", 1],
+            "train-net": [],
+            "attack": ["--model", trained["svm_plain"], "--attack", "none", "--epsilon", 0.1],
+        }[command]
+        rc = run_cli(command, "--config", path, "--data", synth_data, *flags,
                      "--out", tmp_path / "o")
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and setting in err
+
+    # a manifest records null for a setting left to its default; a flag may still fill it
+    @pytest.mark.parametrize("command,setting,flags", [
+        ("train-net", "epochs", ["--arch", "reduced_dense", "--epochs", 1]),
+        ("train-svm", "data", ["--epochs", 1]),
+    ])
+    def test_flag_fills_null_setting(self, command, setting, flags, synth_data, tmp_path):
+        nulls = {"train-net": dict(epochs=None, lr=None, batch_size=None,
+                                   weight_decay=None, dropout=None, data=None),
+                 "train-svm": dict(data=None)}[command]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": command,
+                                    "config": {"command": command, "out": "x", **nulls}}))
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", path, "--data", synth_data, *flags,
+                       "--out", out) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["config"]
+        assert recorded[setting] == {"epochs": 1, "data": str(synth_data)}[setting]
 
     @pytest.mark.parametrize("omitted", ["--model", "--attack", "--epsilon"])
     def test_attack_without_config_needs_its_flags(self, omitted, trained, synth_data,

@@ -291,6 +291,7 @@ class TestTrainConfig:
         ("weight_decay", -1.0), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("lr_decay_factor", 0.0), ("lr_decay_factor", -0.5),
         ("lr_decay_factor", float("nan")), ("lr_decay_factor", float("inf")),
+        ("epochs", 0), ("epochs", 1.5), ("batch_size", 0), ("batch_size", 64.0),
     ])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -361,6 +362,11 @@ class TestLogitsOp:
         net = M.build_network(TINY_DENSE, seed=0)
         with pytest.raises(ValueError):
             M.logits(net, np.zeros((1, 17)))
+
+    def test_dense_on_unflattened_input_rejected(self):
+        arch = {"input_shape": (1, 8, 8), "layers": [("conv", 3, 3, 3), ("dense", 4)]}
+        with pytest.raises(ValueError, match="flatten"):
+            M.build_network(arch, seed=0)
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -160,7 +161,9 @@ class TestCdf97Oracle:
         oracle = fir_analyze_2d(img, 3)
         assert np.max(np.abs(ours - oracle)) < 1e-8
 
-    @pytest.mark.parametrize("h,w,levels", [(7, 13, 2), (16, 5, 2), (3, 9, 1), (2, 3, 1)])
+    # (2, n, 1) covers both parities down to rows shorter than the 9-tap filter
+    @pytest.mark.parametrize("h,w,levels", [(7, 13, 2), (16, 5, 2), (3, 9, 1), (2, 3, 1)]
+                             + [(2, n, 1) for n in range(2, 18)])
     def test_matches_direct_fir_odd_and_non_square(self, h, w, levels, rng):
         img = rng.standard_normal((h, w))
         basis = Basis("cdf97_biorthogonal", h, w, levels)
@@ -173,6 +176,54 @@ class TestCdf97Oracle:
         f = T.analysis_matrix(basis)
         g = T.synthesis_matrix(basis)
         assert np.max(np.abs(f @ g - np.eye(64))) < 1e-9
+
+
+# SHA-256 of forward_batch and inverse_batch bytes on the arithmetic input
+# below; any change to the order of floating-point operations shows here.
+DIGESTS = [
+    ("haar_orthonormal", 28, 28, 1,
+     "ad2f200a33973138ded51edebf03319b7524b82224e28c0145f584ccf75d328c",
+     "a32388b5220d9f9bbf710251537154a9c7d00d2b85caafd149c63a5a1e8fb667"),
+    ("haar_orthonormal", 28, 28, 2,
+     "360bea6e6879d49bff2f3c354db4be60287e5c26b9f42e93ff9c95d4b061536c",
+     "4520c2c51668e6275ec3955f4c5a67d967c0859034875fba230bf76cc3444f86"),
+    ("haar_orthonormal", 28, 28, 3,
+     "c4c0d3540409faabf0d3b4a93a8226317b3f608e626a53a514d39dcb2a0a7d00",
+     "cdeb61cbd034baf388f8810fde422a9fb36660b85520135f7defb88b59067a2b"),
+    ("haar_orthonormal", 7, 13, 2,
+     "9ead5d19cc7da80119365176554df10811d75d7388e250661143a81538903356",
+     "ae4ae5d0a13af388440e9e62c0f10519a7bf71ab88dce7f2d6ae265b506cfe88"),
+    ("haar_orthonormal", 2, 3, 1,
+     "30ca4fb995fc061e36b0caf36a59f2f4e2cf696bf3a69baec6368f0aa9ef5da6",
+     "79eab5a9e71301c202ad56436f2748ba28ee14f212768cbcbd31420f09ad774a"),
+    ("cdf97_biorthogonal", 28, 28, 1,
+     "0f6d09460f4581023220d587338fd7b67ea348b4ddbcf65a38217687d4efcd64",
+     "03d173e7a34b131ecd01800bb14dc51573645f73df90b980cbcb4625354b52a3"),
+    ("cdf97_biorthogonal", 28, 28, 2,
+     "7691f0ae3bc0cb3a43983236b4d3156d8d44915ecca3894444d5e950fb1fc45e",
+     "9b6975183061dc08ce43304deca7a9ee86c97ab8442fdf4ed5f5cb9d9e4a03a2"),
+    ("cdf97_biorthogonal", 28, 28, 3,
+     "e5ed68340ec34903f2e4c7653f4cb18b3e62afa59d9623aa61bb8a75e4ee61bb",
+     "fb4f575287743444b4de1c92a29d44c417a26d48bcdd882dccad28b0943ec258"),
+    ("cdf97_biorthogonal", 7, 13, 2,
+     "1b93ca668bd8ab67bf84237ca096c811b59f63b7710d8ba87e9c903be9171aa5",
+     "0371664eda9185f4f91bff8fa9154ccc68932bee14a6325a9d4ea3c07df903ce"),
+    ("cdf97_biorthogonal", 2, 3, 1,
+     "cbbde9ebc5025c8d4a9dd0849b0afbf03e6e656397026da98ef2cc3f6545f663",
+     "dacda523fa66d5dfb356a1f9c59f76b51234579be9d58d54749d6f4ef4e7c5d2"),
+]
+
+
+class TestReproducibility:
+    """Every report inherits the transform's exact bits, so they are pinned."""
+
+    @pytest.mark.parametrize("kind,h,w,levels,forward,inverse", DIGESTS,
+                             ids=[f"{d[0]}-{d[1]}x{d[2]}-L{d[3]}" for d in DIGESTS])
+    def test_output_bytes_pinned(self, kind, h, w, levels, forward, inverse):
+        basis = Basis(kind, h, w, levels)
+        x = (np.arange(3 * basis.size) * 7919 % 256).reshape(3, basis.size) / 255
+        assert hashlib.sha256(T.forward_batch(basis, x).tobytes()).hexdigest() == forward
+        assert hashlib.sha256(T.inverse_batch(basis, x).tobytes()).hexdigest() == inverse
 
 
 class TestLinearity:
