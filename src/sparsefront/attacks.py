@@ -138,12 +138,10 @@ def extract_locally_linear(net: FeedforwardNetwork, x, fe=None) -> LocallyLinear
     """
     x = np.asarray(x, dtype=np.float64)
     if fe is None:
-        w_eq = net.input_jacobian(x)
-        y = models_mod.logits(net, x)
+        y, w_eq = net.linearize(x)
     else:
-        x_hat = frontend_mod.apply_batch(fe, x)
-        w_eq = frontend_mod.frozen_adjoint(fe, x, net.input_jacobian(x_hat))
-        y = models_mod.logits(net, x_hat)
+        y, jac = net.linearize(frontend_mod.apply_batch(fe, x))
+        w_eq = frontend_mod.frozen_adjoint(fe, x, jac)
     b_eq = (w_eq @ x[:, :, None])[..., 0] - y
     return LocallyLinearModel(w_eq, b_eq, x.copy())
 
@@ -163,8 +161,7 @@ def pairwise_batch(net: FeedforwardNetwork, fe, x, t, epsilon, mode):
         raise ValueError("pairwise attack needs at least 2 classes")
     x = np.asarray(x, dtype=np.float64)
     rows = np.arange(x.shape[0])
-    jac = net.input_jacobian(x)  # (B, L, N)
-    y = models_mod.logits(net, x)  # (B, L)
+    y, jac = net.linearize(x)  # (B, L), (B, L, N)
     steer = jac - jac[rows, t][:, None, :]
     if mode == "white" and fe is not None:
         steer = frontend_mod.frozen_adjoint(fe, x, steer)

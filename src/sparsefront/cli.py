@@ -502,9 +502,10 @@ def _same_json_type(value, plain):
 def _replay_settings(args):
     """The settings of the manifest at `args.config`, checked against `args`' command.
 
-    A manifest value becomes a parser default, which argparse never converts
-    or checks, so each must have the type of the command's own default; a
-    setting whose own default is None is left to the command.
+    A manifest value becomes a parser default, which argparse converts only
+    when it is a string. So each must have the type of the command's own
+    default. Where that default is None, a string or number is installed as
+    its string form, which argparse runs through the flag's own type.
     """
     try:
         manifest = json.loads(Path(args.config).read_text())
@@ -523,7 +524,12 @@ def _replay_settings(args):
         raise ValueError(f"{args.config}: {command} has no setting {', '.join(unknown)}")
     for key, value in settings.items():
         plain = own[key]
-        if plain is not None and not _same_json_type(value, plain):
+        if plain is None and value is not None:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(f"{args.config}: {key} must be a string or a number, "
+                                 f"got {json.dumps(value)}")
+            settings[key] = str(value)
+        elif plain is not None and not _same_json_type(value, plain):
             raise ValueError(f"{args.config}: {key} must be {type(plain).__name__} like "
                              f"{json.dumps(plain)}, got {json.dumps(value)}")
     return settings

@@ -114,16 +114,24 @@ def frozen_adjoint(config: FrontEndConfig, x, v) -> np.ndarray:
 
     x is a (B, N) stack of clean inputs; v is (B, N) or (B, L, N). This is
     the gradient, with respect to the input, of v[s] . G_S F_S x: the
-    steering vector of a white-box attack on the frozen front end.
+    steering vector of a white-box attack on the frozen front end. Each atom
+    is an outer product of 1-D atoms (``transform.atom_tables``), so both
+    G_S^T and F_S^T act on v as an h x w image without a dense operator.
     """
-    g = transform.synthesis_matrix(config.basis)
-    f = transform.analysis_matrix(config.basis)
+    fy, fx, gy, gx = transform.atom_tables(config.basis)
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    # one small (N, |S|) gather per row; faster than batched masked forms
-    for s, support in enumerate(support_batch(config, x)):
-        out[s] = (v[s] @ g[:, support]) @ f[support, :]
-    return out
+    supports = support_batch(config, x)
+    # each support padded to K entries; the padding gets zero weight
+    kept = np.arange(config.k) < np.array([s.size for s in supports])[:, None]
+    idx = np.zeros(kept.shape, dtype=np.intp)
+    idx[kept] = np.concatenate(supports)
+    images = v.reshape(v.shape[0], -1, config.basis.height, config.basis.width)  # (B, L, h, w)
+    # G_S^T v: c[s, l, k] = gy_k^T V[s, l] gx_k, with g_k = gy_k (x) gx_k
+    c = ((gy[idx][:, None] @ images) * gx[idx][:, None]).sum(axis=-1)  # (B, L, K)
+    c *= kept[:, None, :]
+    # F_S^T c: sum_k c[s, l, k] fy_k (x) fx_k
+    out = (fy[idx].transpose(0, 2, 1)[:, None] * c[:, :, None, :]) @ fx[idx][:, None]
+    return out.reshape(v.shape)
 
 
 def check_high_snr(config: FrontEndConfig, x, epsilon: float) -> CertificateReport:

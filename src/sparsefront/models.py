@@ -223,8 +223,10 @@ class Conv2d:
     def forward(self, x, train=False, rng=None):
         cols, oh, ow = self._cols(x)
         wmat = self.w.reshape(self.w.shape[0], -1)
-        out = cols @ wmat.T + self.b
-        out = out.transpose(0, 2, 1).reshape(x.shape[0], self.w.shape[0], oh, ow)
+        out = cols @ wmat.T
+        out += self.b
+        # channel-first memory, so the relu and pool that follow run unstrided
+        out = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(x.shape[0], -1, oh, ow)
         return out, (cols, x.shape, oh, ow)
 
     def backward(self, g, cache, param_grads):
@@ -256,19 +258,20 @@ class MaxPool2:
     def params(self):
         return []
 
-    @staticmethod
-    def _windows(x):
+    def forward(self, x, train=False, rng=None):
         b, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"max pool needs even spatial dims, got {h}x{w}")
-        return x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, c, h // 2, w // 2, 4
-        )
-
-    def forward(self, x, train=False, rng=None):
-        win = self._windows(x)
-        idx = win.argmax(axis=-1)
-        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        # Slot 2*dy + dx of each window is the strided view x[:, :, dy::2, dx::2].
+        # A later slot wins only when strictly greater, the first-max rule of
+        # argmax; np.maximum would not do, since it turns max(-0.0, +0.0) into +0.0.
+        views = [x[:, :, dy::2, dx::2] for dy in (0, 1) for dx in (0, 1)]
+        out = views[0]
+        idx = np.zeros(out.shape, dtype=np.intp)
+        for slot in (1, 2, 3):
+            greater = views[slot] > out
+            out = np.where(greater, views[slot], out)
+            idx = np.where(greater, slot, idx)
         return out, (idx, x.shape)
 
     def backward(self, g, cache, param_grads):
@@ -407,17 +410,21 @@ class FeedforwardNetwork:
             grads[:0] = pg
         return g.reshape(g.shape[0], -1), grads
 
-    def input_jacobian(self, x):
-        """(B, N) inputs -> (B, L, N) Jacobian of the logits at each input."""
+    def linearize(self, x):
+        """(B, N) inputs -> ((B, L) logits, (B, L, N) Jacobian) from one forward pass."""
         x = np.asarray(x, dtype=np.float64)
         b = x.shape[0]
-        _, caches = self.forward(x)
+        y, caches = self.forward(x)
         jac = np.empty((b, self.n_classes, x.shape[1]))
         for i in range(self.n_classes):
             g = np.zeros((b, self.n_classes))
             g[:, i] = 1.0
             jac[:, i, :], _ = self.backward(g, caches, param_grads=False)
-        return jac
+        return y, jac
+
+    def input_jacobian(self, x):
+        """(B, N) inputs -> (B, L, N) Jacobian of the logits at each input."""
+        return self.linearize(x)[1]
 
 
 def _assemble(arch, dropout_rate, front_end, weight):

@@ -37,6 +37,7 @@ __all__ = [
     "forward_batch",
     "inverse_batch",
     "max_l1_norm",
+    "atom_tables",
     "analysis_matrix",
     "synthesis_matrix",
     "subband_layout",
@@ -285,6 +286,61 @@ def inverse_batch(basis: Basis, coeffs) -> np.ndarray:
     return block.reshape(-1, basis.size)
 
 
+def _atoms_1d(kind, extents):
+    """Rows of the 1-D l-level analysis operators and columns of their inverses.
+
+    ``extents`` is one axis's per-level lengths, as ``_level_extents`` gives
+    them. Returns (analysis, synthesis), each (levels, n, n): analysis[l - 1, p]
+    is row p of the l-level analysis operator, synthesis[l - 1, p] column p of
+    the l-level synthesis operator. Unit vectors go through the 1-D lifting
+    kernels, so the kernels stay the one definition of the transform.
+    """
+    n, levels = extents[0], len(extents) - 1
+    analysis = np.empty((levels, n, n))
+    synthesis = np.empty((levels, n, n))
+    block = np.eye(n)  # row i: the image of unit sample i
+    for lev, m in enumerate(extents[:-1]):
+        block[:, :m] = _ANALYZE[kind](block[:, :m])
+        analysis[lev] = block.T
+    for lev in range(levels):
+        block = np.eye(n)  # row p: the synthesis of unit coefficient p
+        for m in reversed(extents[: lev + 1]):
+            block[:, :m] = _SYNTHESIZE[kind](block[:, :m])
+        synthesis[lev] = block
+    return analysis, synthesis
+
+
+@functools.cache
+def _atoms(basis: Basis):
+    dims = _level_extents(basis.height, basis.width, basis.levels)
+    fh, gh = _atoms_1d(basis.kind, [h for h, _ in dims])
+    fw, gw = _atoms_1d(basis.kind, [w for _, w in dims])
+    # level, pyramid row and pyramid column of each flat coefficient
+    lev, p, q = [], [], []
+    for _, level, rows, cols, _ in subband_layout(basis).bands:
+        pp, qq = np.meshgrid(np.arange(*rows), np.arange(*cols), indexing="ij")
+        lev.append(np.full(pp.size, level - 1))
+        p.append(pp.ravel())
+        q.append(qq.ravel())
+    lev, p, q = (np.concatenate(a) for a in (lev, p, q))
+    tables = (fh[lev, p], fw[lev, q], gh[lev, p], gw[lev, q])
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def atom_tables(basis: Basis):
+    """Separable atoms of every coefficient: (fy (N, h), fx (N, w), gy (N, h), gx (N, w)).
+
+    Every wavelet atom has rank one. Row k of the analysis operator, as an
+    h x w image, is the outer product of fy[k] and fx[k]; column k of the
+    synthesis operator is that of gy[k] and gx[k]. For a coefficient of a
+    level-l band at pyramid position (p, q), fy[k] is row p of the l-level
+    1-D analysis operator along the height, and so on. Cached.
+    """
+    return _atoms(basis)
+
+
 @functools.cache
 def _operator(basis: Basis, side: str) -> np.ndarray:
     build = inverse_batch if side == "synthesis" else forward_batch
@@ -309,4 +365,6 @@ def max_l1_norm(basis: Basis) -> float:
     Coefficient k moves by at most epsilon * ||a_k||_1 under a perturbation
     with ||e||_inf <= epsilon, so this is the certificate's M.
     """
-    return float(np.abs(analysis_matrix(basis)).sum(axis=1).max())
+    fy, fx, _, _ = atom_tables(basis)
+    # the l1 norm of an outer product is the product of the factors' l1 norms
+    return float((np.abs(fy).sum(axis=1) * np.abs(fx).sum(axis=1)).max())

@@ -29,11 +29,19 @@ def _switch_of(layer, cache):
     return None
 
 
+def pool_windows(x):
+    """(B, C, H, W) -> (B, C, H/2, W/2, 4): each 2x2 window, slot 2*dy + dx."""
+    b, c, h, w = x.shape
+    return x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        b, c, h // 2, w // 2, 4
+    )
+
+
 def _forward_frozen(layer, x, switch):
     if isinstance(layer, M.Relu):
         return x * switch
     if isinstance(layer, M.MaxPool2):
-        win = layer._windows(x)
+        win = pool_windows(x)
         return np.take_along_axis(win, switch[..., None], axis=-1)[..., 0]
     # dense, conv, flatten and inference-mode dropout carry no switch
     return layer.forward(x)[0]

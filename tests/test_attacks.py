@@ -180,7 +180,7 @@ class TestInputChecks:
 
     def test_unknown_mode_rejected_before_jacobian(self, rng):
         net = M.build_network(TINY_CNN, seed=19)
-        net.input_jacobian = None  # calling it would raise TypeError
+        net.linearize = None  # calling it would raise TypeError
         with pytest.raises(ValueError):
             A.pairwise_batch(net, None, rng.random((1, 64)), np.array([0]), 0.1, "fgsm")
         with pytest.raises(ValueError):

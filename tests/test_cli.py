@@ -7,12 +7,17 @@ import pytest
 
 from sparsefront import cli
 from sparsefront import models as M
+from sparsefront import transform as T
 
 from conftest import needs_mnist
 
 
 def run_cli(*argv):
-    return cli.main([str(a) for a in argv])
+    """The exit status of the CLI process, including argparse's own exit 2."""
+    try:
+        return cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
 
 
 def _load_synth():
@@ -70,6 +75,17 @@ class TestSyntheticAttack:
             assert report["summary"]["attacked_accuracy"] == report["summary"]["clean_accuracy"]
             assert all(r["predicted_gap"] == r["achieved_gap"] == 0.0
                        for r in report["records"])
+
+    @pytest.mark.parametrize("model", ["svm_defended", "net_defended"])
+    def test_white_attack_builds_no_dense_operator(self, model, trained, synth_data, tmp_path,
+                                                   monkeypatch):
+        # the frozen adjoint comes from the separable atom tables
+        def refuse(*args):
+            raise AssertionError("dense operator built")
+
+        monkeypatch.setattr(T, "_operator", refuse)
+        assert run_cli("attack", "--data", synth_data, "--model", trained[model],
+                       "--attack", "white", "--epsilon", 0.2, "--out", tmp_path) == 0
 
     @pytest.mark.parametrize("epsilon,limit", [("nan", 0), ("inf", 0), (0.1, -5)])
     def test_bad_input_exits_2(self, epsilon, limit, trained, synth_data, tmp_path, capsys):
@@ -168,14 +184,16 @@ class TestConfigFile:
         assert (tmp_path / "runs" / "attenuation" / "report.csv").exists()
         assert (tmp_path / "run" / "report.csv").read_bytes() == before
 
-    # case -> the command replayed and the setting its error line must name
+    # case -> the command replayed and the setting its error line must name; a
+    # number given for a path names the missing file instead
     MALFORMED = {
         "missing": ("train-svm", ""), "not_json": ("train-svm", ""),
         "not_a_manifest": ("train-svm", ""), "wrong_command": ("train-svm", ""),
         "unknown_key": ("train-svm", "trails"), "bad_basis": ("train-svm", "basis"),
         "float_epochs": ("train-svm", "epochs"), "string_clip": ("train-svm", "clip"),
         "one_digit": ("train-svm", "digits"), "net_float_epochs": ("train-net", "epochs"),
-        "attack_one_digit": ("attack", "digits"),
+        "attack_one_digit": ("attack", "digits"), "attack_number_model": ("attack", "'5'"),
+        "attack_list_epsilon": ("attack", "epsilon"), "net_bool_lr": ("train-net", "lr"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -199,6 +217,9 @@ class TestConfigFile:
             "one_digit": manifest(digits=[3]),
             "net_float_epochs": manifest(epochs=1.5),
             "attack_one_digit": manifest(digits=[3]),
+            "attack_number_model": manifest(model=5),
+            "attack_list_epsilon": manifest(epsilon=[0.1]),
+            "net_bool_lr": manifest(lr=True),
         }
         if case in content:
             path.write_text(content[case])
@@ -209,6 +230,9 @@ class TestConfigFile:
             "train-net": [],
             "attack": ["--model", trained["svm_plain"], "--attack", "none", "--epsilon", 0.1],
         }[command]
+        # a flag would win over the manifest's value
+        flags = {"attack_number_model": flags[2:],
+                 "attack_list_epsilon": flags[:-2]}.get(case, flags)
         rc = run_cli(command, "--config", path, "--data", synth_data, *flags,
                      "--out", tmp_path / "o")
         assert rc == 2

@@ -180,23 +180,31 @@ class TestFrozenAdjoint:
         assert np.max(np.abs(F.frozen_adjoint(config, x[None, :], v[None, :])[0] - oracle)) < 1e-9
 
     @pytest.mark.parametrize("basis", [Basis("cdf97_biorthogonal", 8, 8, 1),
-                                       Basis("haar_orthonormal", 4, 4, 1)], ids=str)
+                                       Basis("haar_orthonormal", 4, 4, 1)]
+                             + [Basis(kind, h, w, levels)
+                                for kind in ("haar_orthonormal", "cdf97_biorthogonal")
+                                for h, w, levels in [(28, 28, 1), (28, 28, 2), (28, 28, 3),
+                                                     (13, 19, 2), (7, 9, 2)]], ids=str)
     def test_against_dense_frozen_map(self, basis, rng):
         # the frozen front end as a dense matrix, one unit image at a time:
         # column j is G mask_S(F e_j); the adjoint applies its transpose
         n = basis.size
         config = FrontEndConfig(basis, rho=3 / n)
         supports = [np.sort(rng.choice(n, size=3, replace=False)) for _ in range(2)]
-        x = np.stack([k_sparse_input(basis, s, rng) for s in supports])
-        v = rng.standard_normal((2, 4, n))
+        # the all-zero image keeps no coefficient, a support shorter than K
+        x = np.stack([k_sparse_input(basis, s, rng) for s in supports] + [np.zeros(n)])
+        v = rng.standard_normal((3, 4, n))
         got = F.frozen_adjoint(config, x, v)
-        assert got.shape == v.shape
+        flat = F.frozen_adjoint(config, x, v[:, 0])
+        assert got.shape == v.shape and flat.shape == v[:, 0].shape
+        assert not got[2].any() and not flat[2].any()
         coeffs = T.forward_batch(basis, np.eye(n))
         for row, support in enumerate(supports):
             masked = np.zeros_like(coeffs)
             masked[:, support] = coeffs[:, support]
             frozen = T.inverse_batch(basis, masked).T  # (N, N): x -> G_S F_S x
             assert np.max(np.abs(got[row] - v[row] @ frozen)) < 1e-12
+            assert np.max(np.abs(flat[row] - v[row, 0] @ frozen)) < 1e-12
 
 
 class TestConfig:

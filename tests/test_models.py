@@ -6,7 +6,7 @@ from sparsefront.frontend import FrontEndConfig
 from sparsefront.transform import Basis
 
 from conftest import needs_mnist
-from switch_replay import forward_frozen, switch_state
+from switch_replay import forward_frozen, pool_windows, switch_state
 
 TINY_CNN = {
     "input_shape": (1, 8, 8),
@@ -155,6 +155,36 @@ class TestBackpropOracle:
         lm = loss_with_mask()
         w[2, 3] = old
         assert abs((lp - lm) / (2 * h) - grads[0][2, 3]) < 1e-4
+
+
+def tied_pool_input(kind, shape, rng):
+    if kind == "rounded":
+        return np.round(rng.standard_normal(shape), 1)
+    b, c, h, w = shape
+    if kind == "equal_windows":
+        return np.repeat(np.repeat(rng.standard_normal((b, c, h // 2, w // 2)), 2, 2), 2, 3)
+    # relu outputs hold both signed zeros, and argmax keeps whichever comes first
+    x = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    x[rng.random(shape) < 0.2] = 1.0
+    return x
+
+
+class TestMaxPoolForward:
+    @pytest.mark.parametrize("kind", ["rounded", "equal_windows", "signed_zeros"])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 6), (64, 20, 24, 24), (1, 1, 2, 2)])
+    def test_matches_window_argmax(self, shape, kind, rng):
+        x = tied_pool_input(kind, shape, rng)
+        win = pool_windows(x)
+        ref_idx = win.argmax(axis=-1)
+        ref = np.take_along_axis(win, ref_idx[..., None], axis=-1)[..., 0]
+        y, (idx, x_shape) = M.MaxPool2().forward(x)
+        assert x_shape == shape
+        assert y.tobytes() == ref.tobytes()
+        assert idx.dtype == ref_idx.dtype and idx.tobytes() == ref_idx.tobytes()
+
+    def test_odd_dims_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            M.MaxPool2().forward(np.zeros((1, 1, 3, 4)))
 
 
 class TestMaxPoolBackward:
@@ -357,6 +387,14 @@ class TestLogitsOp:
         y1 = M.logits(net, x)
         assert np.allclose(y1 - y0, 3.25, atol=1e-12)
         assert np.allclose(M.softmax(y0), M.softmax(y1), atol=1e-12)
+
+    @pytest.mark.parametrize("arch", [TINY_CNN, M.PAPER_CNN], ids=["tiny_cnn", "paper_cnn"])
+    def test_linearize_logits_are_the_forward_logits(self, arch, rng):
+        net = M.build_network(arch, seed=4)
+        x = rng.random((3, net.n_inputs))
+        y, jac = net.linearize(x)
+        assert y.tobytes() == M.logits(net, x).tobytes()
+        assert jac.tobytes() == net.input_jacobian(x).tobytes()
 
     def test_shape_mismatch(self):
         net = M.build_network(TINY_DENSE, seed=0)
