@@ -118,7 +118,7 @@ def linear_batch(model: LinearModel, fe, x, epsilon, mode):
     x = np.asarray(x, dtype=np.float64)
     p = np.broadcast_to(model.w, x.shape)
     if mode == "white" and fe is not None:
-        p = frontend_mod.frozen_adjoint(fe, x, p)
+        p = frontend_mod.frozen_adjoint(fe.basis, frontend_mod.support_batch(fe, x), p)
     return epsilon * np.sign(p), epsilon * np.abs(p).sum(axis=1)
 
 
@@ -141,19 +141,20 @@ def extract_locally_linear(net: FeedforwardNetwork, x, fe=None) -> LocallyLinear
         y, w_eq = net.linearize(x)
     else:
         y, jac = net.linearize(frontend_mod.apply_batch(fe, x))
-        w_eq = frontend_mod.frozen_adjoint(fe, x, jac)
+        w_eq = frontend_mod.frozen_adjoint(fe.basis, frontend_mod.support_batch(fe, x), jac)
     b_eq = (w_eq @ x[:, :, None])[..., 0] - y
     return LocallyLinearModel(w_eq, b_eq, x.copy())
 
 
 def pairwise_batch(net: FeedforwardNetwork, fe, x, t, epsilon, mode):
-    """Worst-case pairwise attacks on class-t inputs: (e (B, N), i_star (B,), gaps (B, L)).
+    """Worst-case pairwise attacks on class-t inputs: (e (B, N), i_star (B,), gaps, y).
 
     The adversary linearizes the bare network at each clean x[s]. Pair i
     steers along w_eq_i - w_eq_t, or in white mode with a front end along its
     frozen-front-end adjoint, and its predicted attacked gap is the clean
     logit gap plus epsilon times the steering vector's l1 norm (-inf at the
     true class). The budget goes to the pair i_star with the largest gap.
+    gaps and the bare network's clean logits y are (B, L).
     """
     _check_epsilon(epsilon)
     _check_mode(mode)
@@ -164,21 +165,21 @@ def pairwise_batch(net: FeedforwardNetwork, fe, x, t, epsilon, mode):
     y, jac = net.linearize(x)  # (B, L), (B, L, N)
     steer = jac - jac[rows, t][:, None, :]
     if mode == "white" and fe is not None:
-        steer = frontend_mod.frozen_adjoint(fe, x, steer)
+        steer = frontend_mod.frozen_adjoint(fe.basis, frontend_mod.support_batch(fe, x), steer)
     gaps = y - y[rows, t][:, None] + epsilon * np.abs(steer).sum(axis=2)
     gaps[rows, t] = -np.inf
     i_star = gaps.argmax(axis=1)
-    return epsilon * np.sign(steer[rows, i_star]), i_star, gaps
+    return epsilon * np.sign(steer[rows, i_star]), i_star, gaps, y
 
 
 def fgsm_batch(net: FeedforwardNetwork, x, t, epsilon):
     """Fast gradient sign step on the cross-entropy at each x[s] (true label t[s]).
 
-    Returns (e (B, N), zero_gradient (B,)). The gradient is taken on the bare
-    network, like the semi-white attacker's knowledge model; this keeps the
-    binary-classification equivalence with the semi-white attack regardless
-    of any defense. A vanishing gradient yields e[s] = 0 with zero_gradient[s]
-    set.
+    Returns (e (B, N), zero_gradient (B,), clean logits y (B, L)). The
+    gradient is taken on the bare network, like the semi-white attacker's
+    knowledge model; this keeps the binary-classification equivalence with
+    the semi-white attack regardless of any defense. A vanishing gradient
+    yields e[s] = 0 with zero_gradient[s] set.
     """
     _check_epsilon(epsilon)
     x = np.asarray(x, dtype=np.float64)
@@ -186,7 +187,7 @@ def fgsm_batch(net: FeedforwardNetwork, x, t, epsilon):
     g_out = softmax(y)
     g_out[np.arange(x.shape[0]), t] -= 1.0  # d CE / d logits
     g_x, _ = net.backward(g_out, caches, param_grads=False)
-    return epsilon * np.sign(g_x), ~np.any(g_x, axis=1)
+    return epsilon * np.sign(g_x), ~np.any(g_x, axis=1), y
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +277,16 @@ def _evaluate_network(net, dataset, attack):
         x = dataset.images[start : start + EVAL_BATCH]
         t = dataset.labels[start : start + EVAL_BATCH]
         rows = np.arange(x.shape[0])
-        y_clean = models_mod.logits(net, _defend(fe, x, attack.clip))
         i_star = None
         if attack.kind == "none":
-            y_adv = y_clean
+            y_clean = y_adv = models_mod.logits(net, _defend(fe, x, attack.clip))
         else:
             if attack.kind == "fgsm":
-                e, _ = fgsm_batch(net, x, t, attack.epsilon)
+                e, _, y_bare = fgsm_batch(net, x, t, attack.epsilon)
             else:
-                e, i_star, gaps = pairwise_batch(net, fe, x, t, attack.epsilon, attack.kind)
+                e, i_star, gaps, y_bare = pairwise_batch(net, fe, x, t, attack.epsilon, attack.kind)
+            # an undefended network's clean logits come from the attack's own forward pass
+            y_clean = y_bare if fe is None else models_mod.logits(net, _defend(fe, x, attack.clip))
             y_adv = models_mod.logits(net, _defend(fe, _perturbed(x, e, attack), attack.clip))
 
         if i_star is None:

@@ -2,10 +2,13 @@
 
 For randomly drawn classifiers w (iid standard normal) and uniformly random
 size-K supports S, compare the defended distortion against the undefended
-distortion epsilon*||w||_1. For the identity basis the semi-white-box ratio
-has expectation exactly K/N; the white-box ratio is larger and its growth
-with N at fixed K traces the K*polylog(N)/N shape. epsilon cancels in the
-ratio and is fixed at 1.
+distortion epsilon*||w||_1. With S frozen the defended classifier applies
+p = F_S^T G_S^T w, from ``frontend.frozen_adjoint`` (for the identity basis,
+w masked to S): e = epsilon*sign(w) moves its score by epsilon*|sign(w).p|
+(semi-white box), e = epsilon*sign(p) by epsilon*||p||_1 (white box). For
+the identity basis the semi-white-box ratio has expectation exactly K/N;
+the white-box ratio is larger and its growth with N at fixed K traces the
+K*polylog(N)/N shape. epsilon cancels in the ratio and is fixed at 1.
 
 Trials derive independent seeds from (seed, trial index), so results are
 reproducible regardless of how trials are scheduled.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import transform
+from . import frontend
 from .transform import Basis
 
 __all__ = ["EnsembleConfig", "AttenuationReport", "run_ensemble"]
@@ -57,11 +60,6 @@ class AttenuationReport:
     samples: np.ndarray  # per-trial ratios
 
 
-def _haar_basis(config):
-    side = math.isqrt(config.n)
-    return Basis("haar_orthonormal", side, side, config.levels)
-
-
 def run_ensemble(config: EnsembleConfig) -> AttenuationReport:
     """Mean defended/undefended distortion ratio over the random ensemble."""
     n, k = config.n, config.k
@@ -74,23 +72,18 @@ def run_ensemble(config: EnsembleConfig) -> AttenuationReport:
 
     if config.basis_kind == "identity":
         rows = np.arange(config.trials)[:, None]
-        proj = np.zeros_like(weights)
-        proj[rows, supports] = weights[rows, supports]
+        p = np.zeros_like(weights)
+        p[rows, supports] = weights[rows, supports]
     else:
-        basis = _haar_basis(config)
-        coeffs = transform.forward_batch(basis, weights)
-        mask = np.zeros_like(coeffs)
-        rows = np.arange(config.trials)[:, None]
-        mask[rows, supports] = coeffs[rows, supports]
-        # orthonormal basis: analysis is the transpose of synthesis, so this
-        # is exactly Psi_S Psi_S^T w
-        proj = transform.inverse_batch(basis, mask)
+        side = math.isqrt(n)
+        basis = Basis("haar_orthonormal", side, side, config.levels)
+        p = frontend.frozen_adjoint(basis, supports, weights)
 
     undefended = np.abs(weights).sum(axis=1)
     if config.mode == "semiwhite":
-        defended = np.abs(np.einsum("tn,tn->t", np.sign(weights), proj))
+        defended = np.abs(np.einsum("tn,tn->t", np.sign(weights), p))
     else:
-        defended = np.abs(proj).sum(axis=1)
+        defended = np.abs(p).sum(axis=1)
     ratios = defended / undefended
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0

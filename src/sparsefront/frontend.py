@@ -5,7 +5,7 @@ certificate takes a single image. The defended input is
 ``x_hat = G top_K(F x)``, with F the analysis and G the synthesis operator.
 Once the retained support S is frozen, the front end is the linear map
 ``G_S F_S``; ``frozen_adjoint`` applies its adjoint ``F_S^T G_S^T``, which
-is what every white-box attack steers along.
+every white-box attack steers along and the attenuation lab measures.
 
 ``check_high_snr`` certifies that no l-infinity perturbation of size epsilon
 can change the retained support: it requires the gap between the K-th and
@@ -109,23 +109,24 @@ def support_batch(config: FrontEndConfig, images) -> list:
     return [np.flatnonzero(row) for row in kept]
 
 
-def frozen_adjoint(config: FrontEndConfig, x, v) -> np.ndarray:
-    """F_S^T (G_S^T v[s]) for each row s, with S the support retained at x[s].
+def frozen_adjoint(basis: Basis, supports, v) -> np.ndarray:
+    """F_S^T (G_S^T v[s]) for each row s, with S the coefficient indices supports[s].
 
-    x is a (B, N) stack of clean inputs; v is (B, N) or (B, L, N). This is
-    the gradient, with respect to the input, of v[s] . G_S F_S x: the
+    supports holds one index array per row and the arrays may differ in
+    length, as ``support_batch`` gives them; v is (B, N) or (B, L, N). This
+    is the gradient, with respect to the input, of v[s] . G_S F_S x: the
     steering vector of a white-box attack on the frozen front end. Each atom
     is an outer product of 1-D atoms (``transform.atom_tables``), so both
     G_S^T and F_S^T act on v as an h x w image without a dense operator.
     """
-    fy, fx, gy, gx = transform.atom_tables(config.basis)
+    fy, fx, gy, gx = transform.atom_tables(basis)
     v = np.asarray(v, dtype=np.float64)
-    supports = support_batch(config, x)
-    # each support padded to K entries; the padding gets zero weight
-    kept = np.arange(config.k) < np.array([s.size for s in supports])[:, None]
+    lengths = np.array([len(s) for s in supports])
+    # each support padded to the longest; the padding gets zero weight
+    kept = np.arange(lengths.max()) < lengths[:, None]
     idx = np.zeros(kept.shape, dtype=np.intp)
     idx[kept] = np.concatenate(supports)
-    images = v.reshape(v.shape[0], -1, config.basis.height, config.basis.width)  # (B, L, h, w)
+    images = v.reshape(v.shape[0], -1, basis.height, basis.width)  # (B, L, h, w)
     # G_S^T v: c[s, l, k] = gy_k^T V[s, l] gx_k, with g_k = gy_k (x) gx_k
     c = ((gy[idx][:, None] @ images) * gx[idx][:, None]).sum(axis=-1)  # (B, L, K)
     c *= kept[:, None, :]

@@ -436,8 +436,8 @@ class TestCriterion12:
         net = M.train_network(pair_train.images, labels01, cfg, arch)
         test01 = (pair_test.labels == 1).astype(np.int64)
         x = pair_test.images
-        e_fgsm, zero = A.fgsm_batch(net, x, test01, CNN_EPS)
-        e_sw, _, _ = A.pairwise_batch(net, None, x, test01, CNN_EPS, "semiwhite")
+        e_fgsm, zero, _ = A.fgsm_batch(net, x, test01, CNN_EPS)
+        e_sw, _, _, _ = A.pairwise_batch(net, None, x, test01, CNN_EPS, "semiwhite")
         live = ~zero
         identical = bool(np.array_equal(e_fgsm[live], e_sw[live]))
         check(

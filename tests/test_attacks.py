@@ -250,7 +250,7 @@ class TestPairwiseAttack:
         w_rows = rng.standard_normal((2, 12))
         net = linear_3class_net(w_rows, np.zeros(2))
         x = rng.standard_normal((1, 12))
-        e, i_star, _ = A.pairwise_batch(net, None, x, np.array([0]), 0.1, "semiwhite")
+        e, i_star, _, _ = A.pairwise_batch(net, None, x, np.array([0]), 0.1, "semiwhite")
         assert i_star[0] == 1
         assert np.array_equal(e[0], 0.1 * np.sign(w_rows[1] - w_rows[0]))
 
@@ -272,8 +272,8 @@ class TestPairwiseAttack:
             w_diff = w_rows[i] - w_rows[t]
             gaps[i] = (y[i] - y[t]) + eps * np.abs(w_diff).sum()
         best = max(gaps, key=gaps.get)
-        e, i_star, pair_gaps = A.pairwise_batch(net, None, x[None, :], np.array([t]), eps,
-                                                "semiwhite")
+        e, i_star, pair_gaps, _ = A.pairwise_batch(net, None, x[None, :], np.array([t]), eps,
+                                                   "semiwhite")
         assert i_star[0] == best
         assert pair_gaps[0, best] == pytest.approx(gaps[best], rel=1e-12)
         assert pair_gaps[0, t] == -np.inf
@@ -283,7 +283,7 @@ class TestPairwiseAttack:
         net = M.build_network(TINY_CNN, seed=6)
         x = rng.standard_normal((20, 64))
         t = rng.integers(0, 4, 20)
-        _, i_star, gaps = A.pairwise_batch(net, None, x, t, 0.25, "semiwhite")
+        _, i_star, gaps, _ = A.pairwise_batch(net, None, x, t, 0.25, "semiwhite")
         assert np.array_equal(i_star, gaps.argmax(axis=1))
         assert (i_star != t).all()
 
@@ -293,15 +293,15 @@ class TestPairwiseAttack:
         fe = FrontEndConfig(basis, rho=0.1)
         x = rng.random((3, 64))
         for mode in ("semiwhite", "white"):
-            e, _, _ = A.pairwise_batch(net, fe, x, np.array([1, 0, 3]), 0.3, mode)
+            e, _, _, _ = A.pairwise_batch(net, fe, x, np.array([1, 0, 3]), 0.3, mode)
             assert np.max(np.abs(e)) <= 0.3 + 1e-12
 
     def test_white_equals_semiwhite_without_front_end(self, rng):
         net = M.build_network(TINY_CNN, seed=8)
         x = rng.standard_normal((2, 64))
         t = np.array([2, 0])
-        a, _, _ = A.pairwise_batch(net, None, x, t, 0.2, "semiwhite")
-        b, _, _ = A.pairwise_batch(net, None, x, t, 0.2, "white")
+        a, _, _, _ = A.pairwise_batch(net, None, x, t, 0.2, "semiwhite")
+        b, _, _, _ = A.pairwise_batch(net, None, x, t, 0.2, "white")
         assert np.array_equal(a, b)
 
     def test_white_defended_distortion_dominates_semiwhite(self, rng):
@@ -323,14 +323,14 @@ class TestPairwiseAttack:
 class TestFgsm:
     def test_epsilon_zero(self, rng):
         net = M.build_network(TINY_CNN, seed=9)
-        e, _ = A.fgsm_batch(net, rng.standard_normal((2, 64)), np.array([1, 2]), 0.0)
+        e, _, _ = A.fgsm_batch(net, rng.standard_normal((2, 64)), np.array([1, 2]), 0.0)
         assert np.max(np.abs(e)) == 0.0
 
     def test_zero_gradient_flagged(self):
         net = M.build_network(TINY_CNN, seed=10)
         for p in net.params():
             p[...] = 0.0
-        e, zero = A.fgsm_batch(net, np.zeros((1, 64)), np.array([1]), 0.1)
+        e, zero, _ = A.fgsm_batch(net, np.zeros((1, 64)), np.array([1]), 0.1)
         assert zero[0]
         assert np.array_equal(e[0], np.zeros(64))
 
@@ -342,13 +342,13 @@ class TestFgsm:
         net = M.build_network(arch, seed=11)
         x = rng.standard_normal((50, 16))
         t = rng.integers(0, 2, 50)
-        fg, zero = A.fgsm_batch(net, x, t, 0.2)
-        sw, _, _ = A.pairwise_batch(net, None, x, t, 0.2, "semiwhite")
+        fg, zero, _ = A.fgsm_batch(net, x, t, 0.2)
+        sw, _, _, _ = A.pairwise_batch(net, None, x, t, 0.2, "semiwhite")
         assert np.array_equal(fg[~zero], sw[~zero])
 
     def test_budget(self, rng):
         net = M.build_network(TINY_CNN, seed=12)
-        e, _ = A.fgsm_batch(net, rng.standard_normal((2, 64)), np.array([0, 3]), 0.15)
+        e, _, _ = A.fgsm_batch(net, rng.standard_normal((2, 64)), np.array([0, 3]), 0.15)
         assert np.max(np.abs(e)) <= 0.15 + 1e-12
 
 
@@ -423,6 +423,25 @@ class TestEvaluate:
         monkeypatch.setattr(A, "pairwise_batch", doubled(A.pairwise_batch))
         with pytest.raises(ValueError, match="budget"):
             A.evaluate(net, ds, AttackSpec(kind, 0.1))
+
+    @pytest.mark.parametrize("kind", ["fgsm", "semiwhite", "white"])
+    def test_undefended_network_forwards_each_input_once(self, kind, rng, monkeypatch):
+        # the attack's own forward pass supplies the clean logits, so the
+        # network sees the clean rows once and the attacked rows once
+        net = M.build_network(M.REDUCED_DENSE, seed=21)
+        ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300), "synthetic")
+        clean = M.logits(net, ds.images).argmax(axis=1)
+        rows = []
+        forward = M.FeedforwardNetwork.forward
+
+        def counted(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(M.FeedforwardNetwork, "forward", counted)
+        report = A.evaluate(net, ds, AttackSpec(kind, 0.1))
+        assert sum(rows) == 600
+        assert [r["clean_prediction"] for r in report.records] == clean.tolist()
 
     def test_svm_budget_overrun_rejected(self, rng, monkeypatch):
         model = LinearModel(rng.standard_normal(4), 0.0)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from sparsefront import transform as T
 from sparsefront.attenuation import EnsembleConfig, run_ensemble
+from sparsefront.transform import Basis
 
 
 class TestConfig:
@@ -69,6 +71,26 @@ class TestRunEnsemble:
         b = run_ensemble(config)
         assert a.mean_ratio == b.mean_ratio
         assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("mode", ["semiwhite", "white"])
+    def test_haar_against_dense_frozen_map(self, levels, mode):
+        config = EnsembleConfig(n=64, k=6, trials=20, basis_kind="haar", levels=levels,
+                                mode=mode, seed=4)
+        report = run_ensemble(config)
+        basis = Basis("haar_orthonormal", 8, 8, levels)
+        g, f = T.synthesis_matrix(basis), T.analysis_matrix(basis)
+        for t in range(config.trials):
+            # the lab's own draw for trial t
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, t]))
+            w = rng.standard_normal(config.n)
+            s = rng.choice(config.n, size=config.k, replace=False)
+            frozen = g[:, s] @ f[s, :]  # G_S F_S
+            if mode == "semiwhite":
+                defended = abs(w @ frozen @ np.sign(w))
+            else:
+                defended = np.abs(frozen.T @ w).sum()
+            assert abs(report.samples[t] - defended / np.abs(w).sum()) < 1e-12
 
     def test_haar_ratio_in_unit_interval(self):
         report = run_ensemble(EnsembleConfig(n=1024, k=32, trials=200,

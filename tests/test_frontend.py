@@ -156,15 +156,17 @@ class TestFrozenAdjoint:
         config = FrontEndConfig(basis, rho=1.0)
         x = rng.random((2, 784))
         v = rng.standard_normal((2, 784))
-        assert np.max(np.abs(F.frozen_adjoint(config, x, v) - v)) < 1e-9
+        got = F.frozen_adjoint(basis, F.support_batch(config, x), v)
+        assert np.max(np.abs(got - v)) < 1e-9
 
     @pytest.mark.parametrize("basis", [HAAR_28, CDF_28], ids=["haar", "cdf97"])
     def test_idempotent(self, basis, rng):
         # (G_S F_S)^2 = G_S F_S because F_S G_S is the identity on S
         config = FrontEndConfig(basis, rho=0.03)
         x = rng.random((3, 784))
-        once = F.frozen_adjoint(config, x, rng.standard_normal((3, 784)))
-        twice = F.frozen_adjoint(config, x, once)
+        supports = F.support_batch(config, x)
+        once = F.frozen_adjoint(basis, supports, rng.standard_normal((3, 784)))
+        twice = F.frozen_adjoint(basis, supports, once)
         assert np.max(np.abs(twice - once)) < 1e-9
 
     def test_haar_against_masked_transform_oracle(self, rng):
@@ -177,7 +179,8 @@ class TestFrozenAdjoint:
         mask = np.zeros(784)
         mask[support] = T.forward_batch(HAAR_28, v[None, :])[0, support]
         oracle = T.inverse_batch(HAAR_28, mask[None, :])[0]
-        assert np.max(np.abs(F.frozen_adjoint(config, x[None, :], v[None, :])[0] - oracle)) < 1e-9
+        got = F.frozen_adjoint(HAAR_28, F.support_batch(config, x[None, :]), v[None, :])[0]
+        assert np.max(np.abs(got - oracle)) < 1e-9
 
     @pytest.mark.parametrize("basis", [Basis("cdf97_biorthogonal", 8, 8, 1),
                                        Basis("haar_orthonormal", 4, 4, 1)]
@@ -185,21 +188,29 @@ class TestFrozenAdjoint:
                                 for kind in ("haar_orthonormal", "cdf97_biorthogonal")
                                 for h, w, levels in [(28, 28, 1), (28, 28, 2), (28, 28, 3),
                                                      (13, 19, 2), (7, 9, 2)]], ids=str)
-    def test_against_dense_frozen_map(self, basis, rng):
+    @pytest.mark.parametrize("given", [False, True], ids=["top_k", "given"])
+    def test_against_dense_frozen_map(self, basis, given, rng):
         # the frozen front end as a dense matrix, one unit image at a time:
         # column j is G mask_S(F e_j); the adjoint applies its transpose
         n = basis.size
-        config = FrontEndConfig(basis, rho=3 / n)
-        supports = [np.sort(rng.choice(n, size=3, replace=False)) for _ in range(2)]
-        # the all-zero image keeps no coefficient, a support shorter than K
-        x = np.stack([k_sparse_input(basis, s, rng) for s in supports] + [np.zeros(n)])
+        drawn = [rng.choice(n, size=3, replace=False) for _ in range(3)]
+        if given:
+            # exactly K unsorted indices per row, the way the attenuation lab passes them
+            supports = np.stack(drawn)
+        else:
+            config = FrontEndConfig(basis, rho=3 / n)
+            # the all-zero image keeps no coefficient, a support shorter than K
+            x = np.stack([k_sparse_input(basis, s, rng) for s in drawn[:2]] + [np.zeros(n)])
+            supports = F.support_batch(config, x)
+            drawn = drawn[:2]
         v = rng.standard_normal((3, 4, n))
-        got = F.frozen_adjoint(config, x, v)
-        flat = F.frozen_adjoint(config, x, v[:, 0])
+        got = F.frozen_adjoint(basis, supports, v)
+        flat = F.frozen_adjoint(basis, supports, v[:, 0])
         assert got.shape == v.shape and flat.shape == v[:, 0].shape
-        assert not got[2].any() and not flat[2].any()
+        if not given:
+            assert not got[2].any() and not flat[2].any()
         coeffs = T.forward_batch(basis, np.eye(n))
-        for row, support in enumerate(supports):
+        for row, support in enumerate(drawn):
             masked = np.zeros_like(coeffs)
             masked[:, support] = coeffs[:, support]
             frozen = T.inverse_batch(basis, masked).T  # (N, N): x -> G_S F_S x
