@@ -9,7 +9,7 @@ from .frontend import (
     apply_batch,
     support_batch,
     frozen_adjoint,
-    check_high_snr,
+    certified_radius_batch,
 )
 from .models import (
     LinearModel,
@@ -23,9 +23,7 @@ from .models import (
 from .attacks import (
     AttackSpec,
     EvalReport,
-    LocallyLinearModel,
-    linear_batch,
-    extract_locally_linear,
+    frozen_linearize,
     pairwise_batch,
     fgsm_batch,
     evaluate,

@@ -1,15 +1,14 @@
 """Sparsifying front end: keep the K largest-magnitude wavelet coefficients.
 
-The functions work on (batch, N) stacks of flat images; only the
-certificate takes a single image. The defended input is
+The functions work on (batch, N) stacks of flat images. The defended input is
 ``x_hat = G top_K(F x)``, with F the analysis and G the synthesis operator.
 Once the retained support S is frozen, the front end is the linear map
 ``G_S F_S``; ``frozen_adjoint`` applies its adjoint ``F_S^T G_S^T``, which
 every white-box attack steers along and the attenuation lab measures.
 
-``check_high_snr`` certifies that no l-infinity perturbation of size epsilon
-can change the retained support: it requires the gap between the K-th and
-the (K+1)-th coefficient magnitudes to exceed 2 epsilon M, with M the
+``certified_radius_batch`` gives, per input, the l-infinity radius within
+which no perturbation can change the retained support: gap / (2M), with gap
+the difference of the K-th and (K+1)-th coefficient magnitudes and M the
 largest l1 norm over analysis rows.
 """
 
@@ -24,12 +23,11 @@ from .transform import Basis
 
 __all__ = [
     "FrontEndConfig",
-    "CertificateReport",
     "top_k_batch",
     "apply_batch",
     "support_batch",
     "frozen_adjoint",
-    "check_high_snr",
+    "certified_radius_batch",
 ]
 
 # rows per forward/top-K/inverse pass in apply_batch, bounding its scratch memory
@@ -54,15 +52,6 @@ class FrontEndConfig:
     @property
     def k(self) -> int:
         return max(1, int(round(self.rho * self.basis.size)))
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    certified: bool
-    gap: float  # |c|_(K) - |c|_(K+1), with |c|_(N+1) = 0
-    m: float
-    threshold: float  # 2*M, the bound gap/epsilon must strictly exceed
-    epsilon: float
 
 
 def top_k_batch(values, k):
@@ -135,21 +124,20 @@ def frozen_adjoint(basis: Basis, supports, v) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-def check_high_snr(config: FrontEndConfig, x, epsilon: float) -> CertificateReport:
-    """Certificate that the support of one flat image survives any ||e||_inf <= epsilon.
+def certified_radius_batch(config: FrontEndConfig, x) -> np.ndarray:
+    """Per-row radius gap / (2M) of a (B, N) stack within which the support cannot change.
 
     Each coefficient moves by at most epsilon * M, so the K retained ones
-    stay strictly above the rest when gap/epsilon > 2M (strict), with gap =
-    |c|_(K) - |c|_(K+1). For an exactly K-sparse input the gap is the
-    smallest retained magnitude. epsilon = 0 is always certified; an
-    all-zero input with epsilon > 0 never is.
+    stay strictly above the rest when epsilon < radius (strict), with gap =
+    |c|_(K) - |c|_(K+1) and |c|_(N+1) = 0. For an exactly K-sparse input the
+    gap is the smallest retained magnitude. A row is certified at epsilon
+    when radius > epsilon; epsilon = 0 is always certified, and an all-zero
+    input, whose radius is 0, never is at epsilon > 0. Non-finite input
+    raises ValueError.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    coeffs = transform.forward_batch(config.basis, np.asarray(x, dtype=np.float64)[None, :])[0]
-    mags = np.concatenate([np.sort(np.abs(coeffs))[::-1], [0.0]])
-    gap = float(mags[config.k - 1] - mags[config.k])
-    m = transform.max_l1_norm(config.basis)
-    threshold = 2.0 * m
-    certified = epsilon == 0.0 or gap / epsilon > threshold
-    return CertificateReport(certified, gap, m, threshold, epsilon)
+    mags = np.abs(transform.forward_batch(config.basis, x))
+    if not np.isfinite(mags).all():
+        raise ValueError("the certificate needs finite input")
+    mags = np.concatenate([-np.sort(-mags, axis=1), np.zeros((mags.shape[0], 1))], axis=1)
+    gap = mags[:, config.k - 1] - mags[:, config.k]
+    return gap / (2.0 * transform.max_l1_norm(config.basis))

@@ -107,7 +107,11 @@ def _sparsify_for_training(images, config):
 
 @dataclass
 class LinearModel:
-    """Binary linear classifier sign(w.x + b) over labels {+1, -1}."""
+    """Binary linear classifier sign(w.x + b) over labels {+1, -1}.
+
+    As a two-logit model its logits are (score, 0): class 0 is label +1 and
+    class 1 is label -1, and argmax's first-max rule gives +1 at score 0.
+    """
 
     w: np.ndarray
     b: float
@@ -119,6 +123,18 @@ class LinearModel:
     def predict(self, images):
         # sign(0) counts as +1 so predictions are total
         return np.where(self.score(images) >= 0.0, 1, -1)
+
+    def logits(self, images):
+        """(B, N) inputs -> (B, 2) logits (score, 0)."""
+        s = self.score(images)
+        return np.stack([s, np.zeros_like(s)], axis=1)
+
+    def linearize(self, x):
+        """(B, N) inputs -> ((B, 2) logits, (B, 2, N) Jacobian with rows (w, 0))."""
+        x = np.asarray(x, dtype=np.float64)
+        jac = np.zeros((x.shape[0], 2, x.shape[1]))
+        jac[:, 0] = self.w
+        return self.logits(x), jac
 
 
 def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
@@ -472,9 +488,11 @@ def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNe
                      lambda shape, fan_in: rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
 
 
-def logits(net: FeedforwardNetwork, x) -> np.ndarray:
-    """Deterministic forward pass with dropout disabled: (B, N) -> (B, L)."""
-    y, _ = net.forward(x)
+def logits(model, x) -> np.ndarray:
+    """Deterministic logits of either model kind, dropout disabled: (B, N) -> (B, L)."""
+    if isinstance(model, LinearModel):
+        return model.logits(x)
+    y, _ = model.forward(x)
     return y
 
 

@@ -328,9 +328,9 @@ class TestCriterion9:
             idx = rng.choice(784, size=k, replace=False)
             code[idx] = (1.0 + rng.random(k)) * np.where(rng.random(k) < 0.5, -1, 1)
             x = T.inverse_batch(haar, code[None, :])[0]
-            report = F.check_high_snr(config, x, 1.0)
-            eps = 0.9 * report.gap / report.threshold
-            assert F.check_high_snr(config, x, eps).certified
+            radius = F.certified_radius_batch(config, x[None, :])[0]
+            eps = 0.9 * radius
+            assert radius > eps
             support = F.support_batch(config, x[None, :])[0]
             weakest = support[np.argmin(np.abs(code[support]))]
             candidates = [
@@ -359,9 +359,10 @@ class TestCriterion10:
             net = M.build_network(arch, seed=13)
             for defended in (False, True):
                 x = rng.random((100, 784))
-                ll = A.extract_locally_linear(net, x, fe if defended else None)
+                y_ll, w_eq = A.frozen_linearize(net, fe if defended else None, x, clip=False)
+                b_eq = np.einsum("bln,bn->bl", w_eq, x) - y_ll
                 y = M.logits(net, F.apply_batch(fe, x) if defended else x)
-                rec = np.einsum("bln,bn->bl", ll.w_eq, x) - ll.b_eq
+                rec = np.einsum("bln,bn->bl", w_eq, x) - b_eq
                 rel = np.max(np.abs(rec - y) / (1.0 + np.abs(y)))
                 worst = max(worst, float(rel))
         check(
@@ -437,7 +438,8 @@ class TestCriterion12:
         test01 = (pair_test.labels == 1).astype(np.int64)
         x = pair_test.images
         e_fgsm, zero, _ = A.fgsm_batch(net, x, test01, CNN_EPS)
-        e_sw, _, _, _ = A.pairwise_batch(net, None, x, test01, CNN_EPS, "semiwhite")
+        y, jac = net.linearize(x)
+        e_sw, _, _ = A.pairwise_batch(y, jac, test01, CNN_EPS)
         live = ~zero
         identical = bool(np.array_equal(e_fgsm[live], e_sw[live]))
         check(
@@ -464,10 +466,11 @@ class TestCriterion13:
                 idx = rng.choice(8, size=3, replace=False)
                 code[idx] = (1.0 + rng.random(3)) * np.where(rng.random(3) < 0.5, -1, 1)
                 x = T.inverse_batch(b, code[None, :])[0]
-                report = F.check_high_snr(fe, x, 1.0)
-                eps = 0.9 * report.gap / report.threshold
+                eps = 0.9 * F.certified_radius_batch(fe, x[None, :])[0]
                 model = M.LinearModel(rng.standard_normal(8), 0.0)
-                e, _ = A.linear_batch(model, fe, x[None, :], eps, "white")
+                # true class 1 (label -1): the attack raises the score
+                y, jac = A.frozen_linearize(model, fe, x[None, :], clip=False)
+                e, _, _ = A.pairwise_batch(y, jac, np.array([1]), eps)
                 defended = F.apply_batch(fe, np.vstack([x, x + e, x + eps * corners]))
                 ours = abs(defended[1] @ model.w - defended[0] @ model.w)
                 best = np.abs(defended[2:] @ model.w - defended[0] @ model.w).max()

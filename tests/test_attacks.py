@@ -12,11 +12,14 @@ from sparsefront.models import LinearModel
 from sparsefront.transform import Basis
 
 from conftest import needs_mnist
+from switch_replay import switch_state
 
 HAAR_28 = Basis("haar_orthonormal", 28, 28, 2)
 HAAR_2x4 = Basis("haar_orthonormal", 2, 4, 1)
 CDF_2x4 = Basis("cdf97_biorthogonal", 2, 4, 1)
 CDF_28 = Basis("cdf97_biorthogonal", 28, 28, 2)
+HAAR_8 = Basis("haar_orthonormal", 8, 8, 2)
+CDF_8 = Basis("cdf97_biorthogonal", 8, 8, 1)
 
 TINY_CNN = {
     "input_shape": (1, 8, 8),
@@ -41,9 +44,22 @@ def haar_projection(w, support, basis):
     return g_s @ (g_s.T @ w)
 
 
+def raise_score(model, fe, x, epsilon, mode):
+    """Closed-form attacks that raise a linear model's score: (e (B, N), predicted gain (B,)).
+
+    Class 1 (label -1) is the true class, so every pair steers toward class
+    0; the predicted gain is the predicted gap less the clean gap.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y, jac = A.frozen_linearize(model, fe if mode == "white" else None, x, clip=False)
+    e, i_star, gaps = A.pairwise_batch(y, jac, np.ones(len(x), dtype=int), epsilon)
+    assert (i_star == 0).all()
+    return e, gaps[:, 0] - (y[:, 0] - y[:, 1])
+
+
 def linear_attack(model, x, epsilon, mode, fe=None):
-    """One-row linear_batch: (e, predicted) for a single flat input."""
-    e, predicted = A.linear_batch(model, fe, np.asarray(x)[None, :], epsilon, mode)
+    """One-row raise_score: (e, predicted gain) for a single flat input."""
+    e, predicted = raise_score(model, fe, x, epsilon, mode)
     return e[0], predicted[0]
 
 
@@ -57,10 +73,25 @@ def defended_distortion(model, x, e, fe):
 
 class TestLinearAttacks:
     def test_semi_white_definition(self):
+        # e = -label * epsilon * sign(w): class 0 is label +1, class 1 label -1
         model = LinearModel(np.array([2.0, -3.0, 0.0]), 0.0)
-        e, predicted = A.linear_batch(model, None, np.zeros((2, 3)), 0.1, "semiwhite")
-        assert np.array_equal(e, [[0.1, -0.1, 0.0]] * 2)  # sign(0) = 0
-        assert np.array_equal(predicted, [0.5, 0.5])
+        y, jac = model.linearize(np.zeros((2, 3)))
+        e, i_star, gaps = A.pairwise_batch(y, jac, np.array([1, 0]), 0.1)
+        assert np.array_equal(e, [[0.1, -0.1, 0.0], [-0.1, 0.1, 0.0]])  # sign(0) = 0
+        assert np.array_equal(i_star, [0, 1])
+        assert np.array_equal(gaps[[0, 1], i_star], [0.5, 0.5])
+
+    def test_two_logit_view(self):
+        # logits (score, 0) and Jacobian rows (w, 0); argmax gives +1 at score 0
+        w = np.array([1.0, -2.0, 0.5])
+        model = LinearModel(w, 0.0)
+        x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 0.0], [0.0, 0.0, 1.0]])
+        y, jac = model.linearize(x)
+        assert np.array_equal(y, [[1.0, 0.0], [-2.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
+        assert np.array_equal(jac, np.broadcast_to([w, np.zeros(3)], (4, 2, 3)))
+        assert np.array_equal(np.array([1, -1])[y.argmax(axis=1)], model.predict(x))
+        assert np.array_equal(model.predict(x), [1, -1, 1, 1])
+        assert np.array_equal(M.logits(model, x), y)
 
     def test_semi_white_distortion_is_l1(self, rng):
         w = rng.standard_normal(30)
@@ -85,16 +116,16 @@ class TestLinearAttacks:
         fe = FrontEndConfig(HAAR_28, rho=1.0)
         model = LinearModel(rng.standard_normal(784), 0.0)
         x = rng.random((3, 784))
-        white, _ = A.linear_batch(model, fe, x, 0.2, "white")
-        semi, _ = A.linear_batch(model, fe, x, 0.2, "semiwhite")
+        white, _ = raise_score(model, fe, x, 0.2, "white")
+        semi, _ = raise_score(model, fe, x, 0.2, "semiwhite")
         # K = N support contains every nonzero coefficient; proj(w) = w
         assert np.max(np.abs(white - semi)) < 1e-12
 
     def test_white_without_front_end_is_semi_white(self, rng):
         model = LinearModel(rng.standard_normal(20), 0.0)
         x = rng.random((4, 20))
-        white = A.linear_batch(model, None, x, 0.3, "white")
-        semi = A.linear_batch(model, None, x, 0.3, "semiwhite")
+        white = raise_score(model, None, x, 0.3, "white")
+        semi = raise_score(model, None, x, 0.3, "semiwhite")
         assert all(np.array_equal(a, b) for a, b in zip(white, semi))
 
     def test_budget_respected(self, rng):
@@ -102,7 +133,7 @@ class TestLinearAttacks:
         model = LinearModel(rng.standard_normal(784), 0.0)
         x = rng.random((4, 784))
         for mode in ("semiwhite", "white"):
-            e, _ = A.linear_batch(model, fe, x, 0.07, mode)
+            e, _ = raise_score(model, fe, x, 0.07, mode)
             assert np.max(np.abs(e)) <= 0.07 + 1e-12
 
 
@@ -130,8 +161,7 @@ class TestDistortionLinear:
         fe = FrontEndConfig(HAAR_28, rho=0.02)
         for _ in range(10):
             x = synth_sparse_input(HAAR_28, fe.k, rng)
-            report = F.check_high_snr(fe, x, 1.0)
-            eps = 0.5 * report.gap / report.threshold
+            eps = 0.5 * F.certified_radius_batch(fe, x[None, :])[0]
             w = rng.standard_normal(784)
             model = LinearModel(w, 0.0)
             e = eps * np.sign(rng.standard_normal(784))
@@ -150,8 +180,7 @@ class TestWhiteBoxOptimality:
         corners = np.array([[(1 if (m >> j) & 1 else -1) for j in range(8)] for m in range(256)])
         for _ in range(20):
             x = synth_sparse_input(basis, 3, rng)
-            report = F.check_high_snr(fe, x, 1.0)
-            eps = 0.9 * report.gap / report.threshold
+            eps = 0.9 * F.certified_radius_batch(fe, x[None, :])[0]
             w = rng.standard_normal(8)
             model = LinearModel(w, 0.0)
             e, predicted = linear_attack(model, x, eps, "white", fe)
@@ -171,26 +200,24 @@ class TestInputChecks:
         t = np.array([0, 1])
         with pytest.raises(ValueError):
             AttackSpec("semiwhite", epsilon)
-        with pytest.raises(ValueError):
-            A.linear_batch(model, None, x, epsilon, "semiwhite")
-        with pytest.raises(ValueError):
-            A.pairwise_batch(net, None, x, t, epsilon, "semiwhite")
+        for m in (model, net):
+            y, jac = m.linearize(x)
+            with pytest.raises(ValueError):
+                A.pairwise_batch(y, jac, t % 2, epsilon)
         with pytest.raises(ValueError):
             A.fgsm_batch(net, x, t, epsilon)
 
-    def test_unknown_mode_rejected_before_jacobian(self, rng):
-        net = M.build_network(TINY_CNN, seed=19)
-        net.linearize = None  # calling it would raise TypeError
-        with pytest.raises(ValueError):
-            A.pairwise_batch(net, None, rng.random((1, 64)), np.array([0]), 0.1, "fgsm")
-        with pytest.raises(ValueError):
-            A.linear_batch(LinearModel(np.ones(64), 0.0), None, rng.random((1, 64)), 0.1, "fgsm")
+    def test_unknown_mode_rejected_before_jacobian(self):
+        # the kind is checked where the spec is made, before any attack runs
+        with pytest.raises(ValueError, match="unknown attack kind"):
+            AttackSpec("bogus", 0.1)
 
     def test_single_class_network_rejected(self, rng):
         arch = {"input_shape": (6,), "layers": [("dense", 1)]}
         net = M.build_network(arch, seed=0)
+        y, jac = net.linearize(rng.random((1, 6)))
         with pytest.raises(ValueError):
-            A.pairwise_batch(net, None, rng.random((1, 6)), np.array([0]), 0.1, "semiwhite")
+            A.pairwise_batch(y, jac, np.array([0]), 0.1)
 
 
 def linear_3class_net(w_rows, biases):
@@ -202,47 +229,69 @@ def linear_3class_net(w_rows, biases):
     return net
 
 
-class TestExtraction:
+def bare_pairwise(net, x, t, epsilon):
+    """Semi-white pairwise attack: the closed form on the bare network's linearization."""
+    y, jac = net.linearize(x)
+    return A.pairwise_batch(y, jac, t, epsilon)
+
+
+def offsets(y, jac, x):
+    """b_eq of the affine model y = jac . x - b_eq at each anchor x."""
+    return np.einsum("bln,bn->bl", jac, x) - y
+
+
+class TestFrozenLinearize:
     def test_single_dense_layer_recovers_weights(self, rng):
         w_rows = rng.standard_normal((3, 10))
         biases = rng.standard_normal(3)
         net = linear_3class_net(w_rows, biases)
-        ll = A.extract_locally_linear(net, rng.standard_normal((4, 10)))
-        assert ll.w_eq.shape == (4, 3, 10) and ll.b_eq.shape == (4, 3)
-        assert np.max(np.abs(ll.w_eq - w_rows)) < 1e-10
-        assert np.max(np.abs(ll.b_eq - (-biases))) < 1e-10  # y = w.x - b_eq
+        x = rng.standard_normal((4, 10))
+        y, jac = A.frozen_linearize(net, None, x, clip=False)
+        assert jac.shape == (4, 3, 10) and y.shape == (4, 3)
+        assert np.max(np.abs(jac - w_rows)) < 1e-10
+        assert np.max(np.abs(offsets(y, jac, x) - (-biases))) < 1e-10  # y = w.x - b_eq
 
     def test_all_active_relu_net_is_weight_product(self, rng):
         arch = {"input_shape": (6,), "layers": [("dense", 5), ("relu",), ("dense", 3)]}
         net = M.build_network(arch, seed=2)
         net.layers[0].b[...] = 10.0  # all units active near the anchor
-        ll = A.extract_locally_linear(net, 0.01 * rng.standard_normal((3, 6)))
+        _, jac = A.frozen_linearize(net, None, 0.01 * rng.standard_normal((3, 6)), clip=False)
         product = (net.layers[0].w @ net.layers[2].w).T
-        assert np.max(np.abs(ll.w_eq - product)) < 1e-9
+        assert np.max(np.abs(jac - product)) < 1e-9
 
-    def test_reconstruction_exact_at_anchor(self, rng):
+    def test_logits_are_the_clean_logits(self, rng):
         net = M.build_network(TINY_CNN, seed=3)
         x = rng.standard_normal((100, 64))
-        ll = A.extract_locally_linear(net, x)
-        y = M.logits(net, x)
-        rec = np.einsum("bln,bn->bl", ll.w_eq, x) - ll.b_eq
-        assert np.max(np.abs(rec - y) / (1.0 + np.abs(y))) < 1e-6
+        y, _ = A.frozen_linearize(net, None, x, clip=False)
+        assert np.array_equal(y, M.logits(net, x))
 
-    def test_reconstruction_exact_with_front_end(self, rng):
-        basis = Basis("cdf97_biorthogonal", 8, 8, 1)
-        fe = FrontEndConfig(basis, rho=0.1)
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_logits_are_the_defended_clean_logits(self, clip, rng):
+        fe = FrontEndConfig(Basis("cdf97_biorthogonal", 8, 8, 1), rho=0.1)
         net = M.build_network(TINY_CNN, seed=4)
         x = rng.random((25, 64))
-        ll = A.extract_locally_linear(net, x, fe)
-        y = M.logits(net, F.apply_batch(fe, x))
-        rec = np.einsum("bln,bn->bl", ll.w_eq, x) - ll.b_eq
-        assert np.max(np.abs(rec - y) / (1.0 + np.abs(y))) < 1e-6
+        y, _ = A.frozen_linearize(net, fe, x, clip)
+        assert np.array_equal(y, M.logits(net, A._defend(fe, x, clip)))
 
-    def test_locally_linear_model_logits_helper(self, rng):
+    @pytest.mark.parametrize("basis", [Basis("haar_orthonormal", 8, 8, 2),
+                                       Basis("cdf97_biorthogonal", 8, 8, 1)],
+                             ids=["haar", "cdf97"])
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_jacobian_is_the_dense_chain(self, basis, clip, rng):
+        # J_net(x_hat) D G_S F_S with the dense operators as the oracle
+        fe = FrontEndConfig(basis, rho=0.25)
         net = M.build_network(TINY_CNN, seed=5)
-        x = rng.standard_normal((3, 64))
-        ll = A.extract_locally_linear(net, x)
-        assert np.max(np.abs(ll.logits(x) - M.logits(net, x))) < 1e-9
+        x = rng.random((6, 64))
+        _, jac = A.frozen_linearize(net, fe, x, clip)
+        x_hat = F.apply_batch(fe, x)
+        _, j_net = net.linearize(np.clip(x_hat, 0.0, 1.0) if clip else x_hat)
+        inside = (x_hat >= 0.0) & (x_hat <= 1.0) if clip else np.ones(x.shape, dtype=bool)
+        if clip:
+            assert not inside.all()  # the clamp binds somewhere, so D is tested
+        f, g = T.analysis_matrix(basis), T.synthesis_matrix(basis)
+        for s, support in enumerate(F.support_batch(fe, x)):
+            chain = (j_net[s] * inside[s]) @ g[:, support] @ f[support]
+            assert np.max(np.abs(jac[s] - chain)) < 1e-10
 
 
 class TestPairwiseAttack:
@@ -250,7 +299,7 @@ class TestPairwiseAttack:
         w_rows = rng.standard_normal((2, 12))
         net = linear_3class_net(w_rows, np.zeros(2))
         x = rng.standard_normal((1, 12))
-        e, i_star, _, _ = A.pairwise_batch(net, None, x, np.array([0]), 0.1, "semiwhite")
+        e, i_star, _ = bare_pairwise(net, x, np.array([0]), 0.1)
         assert i_star[0] == 1
         assert np.array_equal(e[0], 0.1 * np.sign(w_rows[1] - w_rows[0]))
 
@@ -272,8 +321,7 @@ class TestPairwiseAttack:
             w_diff = w_rows[i] - w_rows[t]
             gaps[i] = (y[i] - y[t]) + eps * np.abs(w_diff).sum()
         best = max(gaps, key=gaps.get)
-        e, i_star, pair_gaps, _ = A.pairwise_batch(net, None, x[None, :], np.array([t]), eps,
-                                                   "semiwhite")
+        e, i_star, pair_gaps = bare_pairwise(net, x[None, :], np.array([t]), eps)
         assert i_star[0] == best
         assert pair_gaps[0, best] == pytest.approx(gaps[best], rel=1e-12)
         assert pair_gaps[0, t] == -np.inf
@@ -283,7 +331,7 @@ class TestPairwiseAttack:
         net = M.build_network(TINY_CNN, seed=6)
         x = rng.standard_normal((20, 64))
         t = rng.integers(0, 4, 20)
-        _, i_star, gaps, _ = A.pairwise_batch(net, None, x, t, 0.25, "semiwhite")
+        _, i_star, gaps = bare_pairwise(net, x, t, 0.25)
         assert np.array_equal(i_star, gaps.argmax(axis=1))
         assert (i_star != t).all()
 
@@ -292,17 +340,16 @@ class TestPairwiseAttack:
         basis = Basis("haar_orthonormal", 8, 8, 2)
         fe = FrontEndConfig(basis, rho=0.1)
         x = rng.random((3, 64))
-        for mode in ("semiwhite", "white"):
-            e, _, _, _ = A.pairwise_batch(net, fe, x, np.array([1, 0, 3]), 0.3, mode)
+        for defense in (None, fe):
+            y, jac = A.frozen_linearize(net, defense, x, clip=False)
+            e, _, _ = A.pairwise_batch(y, jac, np.array([1, 0, 3]), 0.3)
             assert np.max(np.abs(e)) <= 0.3 + 1e-12
 
-    def test_white_equals_semiwhite_without_front_end(self, rng):
+    def test_frozen_linearize_without_front_end_is_bare(self, rng):
         net = M.build_network(TINY_CNN, seed=8)
         x = rng.standard_normal((2, 64))
-        t = np.array([2, 0])
-        a, _, _, _ = A.pairwise_batch(net, None, x, t, 0.2, "semiwhite")
-        b, _, _, _ = A.pairwise_batch(net, None, x, t, 0.2, "white")
-        assert np.array_equal(a, b)
+        frozen = A.frozen_linearize(net, None, x, clip=True)
+        assert all(np.array_equal(a, b) for a, b in zip(frozen, net.linearize(x)))
 
     def test_white_defended_distortion_dominates_semiwhite(self, rng):
         # linear classifier, certified K-sparse inputs: white-box distortion
@@ -310,14 +357,74 @@ class TestPairwiseAttack:
         fe = FrontEndConfig(HAAR_28, rho=0.02)
         for _ in range(15):
             x = synth_sparse_input(HAAR_28, fe.k, rng)
-            report = F.check_high_snr(fe, x, 1.0)
-            eps = 0.8 * report.gap / report.threshold
+            eps = 0.8 * F.certified_radius_batch(fe, x[None, :])[0]
             model = LinearModel(rng.standard_normal(784), 0.0)
             e_w, _ = linear_attack(model, x, eps, "white", fe)
             e_sw, _ = linear_attack(model, x, eps, "semiwhite", fe)
             d_w = defended_distortion(model, x, e_w, fe)
             d_sw = defended_distortion(model, x, e_sw, fe)
             assert d_w >= d_sw - 1e-9
+
+
+def same_switches(net, a, b):
+    """Whether net's relu and pool switches agree at the single flat inputs a and b."""
+    at_a, at_b = switch_state(net, a).entries, switch_state(net, b).entries
+    return all(p is None or np.array_equal(p, q) for p, q in zip(at_a, at_b))
+
+
+def inside_unit(images):
+    return (images >= 0.0) & (images <= 1.0)
+
+
+class TestWhiteExactness:
+    """The white attack linearizes the exact map the defended model computes.
+
+    On the rows whose retained support, reconstruction clamp mask and relu /
+    pool switches are all unchanged at x + e, the reported achieved gain
+    must equal the predicted gain epsilon * ||jac_i - jac_t||_1.
+    """
+
+    @pytest.mark.parametrize("basis", [HAAR_8, CDF_8], ids=["haar", "cdf97"])
+    @pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("kind", ["network", "svm"])
+    def test_achieved_gain_equals_predicted(self, kind, basis, clip, rng):
+        eps = 1e-3
+        n = 200
+        fe = FrontEndConfig(basis, rho=0.25)
+        # inside [eps, 1 - eps], so the input clip never binds
+        x = eps + (1.0 - 2.0 * eps) * rng.random((n, 64))
+        if kind == "network":
+            model = M.build_network(TINY_CNN, seed=24, front_end=fe)
+            labels = rng.integers(0, 4, n)
+            classes = labels
+        else:
+            model = LinearModel(rng.standard_normal(64), 0.0, fe)
+            labels = np.where(rng.random(n) < 0.5, 1, -1)
+            classes = (labels == -1).astype(int)
+        report = A.evaluate(model, Dataset(x, labels), AttackSpec("white", eps, clip))
+        predicted = np.array([r["predicted_gap"] for r in report.records])
+        achieved = np.array([r["achieved_gap"] for r in report.records])
+
+        # the same attack again, for its perturbation and clean gaps
+        y, jac = A.frozen_linearize(model, fe, x, clip)
+        e, i_star, gaps = A.pairwise_batch(y, jac, classes, eps)
+        rows = np.arange(n)
+        assert np.array_equal(predicted, gaps[rows, i_star])
+        gain = predicted - (y[rows, i_star] - y[rows, classes])
+
+        adv = x + e
+        kept = np.array([np.array_equal(a, b) for a, b in
+                         zip(F.support_batch(fe, x), F.support_batch(fe, adv))])
+        x_hat, adv_hat = F.apply_batch(fe, x), F.apply_batch(fe, adv)
+        if clip:
+            kept &= (inside_unit(x_hat) == inside_unit(adv_hat)).all(axis=1)
+            assert not inside_unit(x_hat[kept]).all()  # the clamp binds on kept rows
+        if kind == "network":
+            kept &= [same_switches(model, a, b) for a, b in
+                     zip(A._defend(fe, x, clip), A._defend(fe, adv, clip))]
+        assert kept.mean() > 0.5
+        assert (gain[kept] > 0).all()
+        assert np.max(np.abs(achieved[kept] - gain[kept]) / gain[kept]) <= 1e-9
 
 
 class TestFgsm:
@@ -343,7 +450,7 @@ class TestFgsm:
         x = rng.standard_normal((50, 16))
         t = rng.integers(0, 2, 50)
         fg, zero, _ = A.fgsm_batch(net, x, t, 0.2)
-        sw, _, _, _ = A.pairwise_batch(net, None, x, t, 0.2, "semiwhite")
+        sw, _, _ = bare_pairwise(net, x, t, 0.2)
         assert np.array_equal(fg[~zero], sw[~zero])
 
     def test_budget(self, rng):
@@ -403,8 +510,42 @@ class TestEvaluate:
     def test_svm_fgsm_rejected(self, rng):
         model = LinearModel(rng.standard_normal(4), 0.0)
         ds = Dataset(rng.random((6, 4)), np.array([1, -1, 1, -1, 1, -1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fgsm attack needs a network"):
             A.evaluate(model, ds, AttackSpec("fgsm", 0.1))
+
+    @pytest.mark.parametrize("kind", ["none", "semiwhite", "white"])
+    def test_network_label_out_of_range_rejected(self, kind, rng):
+        net = M.build_network(TINY_CNN, seed=23)
+        # IDX labels are uint8, so a corrupt file can hold any label up to 255
+        ds = Dataset(rng.random((5, 64)), np.array([0, 3, 12, 1, 2], dtype=np.uint8))
+        with pytest.raises(ValueError, match="label 12 "):
+            A.evaluate(net, ds, AttackSpec(kind, 0.1))
+
+    @pytest.mark.parametrize("kind", ["none", "semiwhite", "white"])
+    def test_svm_label_not_plus_minus_one_rejected(self, kind, rng):
+        model = LinearModel(rng.standard_normal(4), 0.0)
+        ds = Dataset(rng.random((4, 4)), np.array([1, 0, 1, 0]))
+        with pytest.raises(ValueError, match="label 0 "):
+            A.evaluate(model, ds, AttackSpec(kind, 0.1))
+
+    @pytest.mark.parametrize("kind", ["semiwhite", "white"])
+    def test_svm_gap_columns(self, kind, rng):
+        # predicted_gap = clean gap + epsilon * ||p||_1 of the pair toward the
+        # other label; achieved_gap is the signed change of that gap, which
+        # the unclipped, undefended linear model meets exactly
+        w = rng.standard_normal(20)
+        x = rng.random((30, 20))
+        model = LinearModel(w, -float(np.median(x @ w)))
+        labels = np.where(rng.random(30) < 0.5, 1, -1)
+        report = A.evaluate(model, Dataset(x, labels), AttackSpec(kind, 0.05))
+        score = model.score(x)
+        clean_gap = -labels * score  # score of the other label's logit over the true one's
+        gain = 0.05 * np.abs(w).sum()
+        for r, gap, label in zip(report.records, clean_gap, labels):
+            assert r["chosen_pair"] == [-label, label]
+            assert r["predicted_gap"] == pytest.approx(gap + gain, rel=1e-12, abs=1e-12)
+            assert r["achieved_gap"] == pytest.approx(gain, rel=1e-12)
+        assert report.mean_distortion == pytest.approx(gain, rel=1e-12)
 
     def test_svm_semi_white_flips_weak_margins(self, rng):
         w = rng.standard_normal(20)
@@ -424,13 +565,9 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="budget"):
             A.evaluate(net, ds, AttackSpec(kind, 0.1))
 
-    @pytest.mark.parametrize("kind", ["fgsm", "semiwhite", "white"])
-    def test_undefended_network_forwards_each_input_once(self, kind, rng, monkeypatch):
-        # the attack's own forward pass supplies the clean logits, so the
-        # network sees the clean rows once and the attacked rows once
-        net = M.build_network(M.REDUCED_DENSE, seed=21)
-        ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300), "synthetic")
-        clean = M.logits(net, ds.images).argmax(axis=1)
+    @staticmethod
+    def forwarded_rows(net, ds, attack, monkeypatch):
+        """(rows the network forwards during evaluate, the report)."""
         rows = []
         forward = M.FeedforwardNetwork.forward
 
@@ -439,14 +576,39 @@ class TestEvaluate:
             return forward(self, x, *args, **kwargs)
 
         monkeypatch.setattr(M.FeedforwardNetwork, "forward", counted)
-        report = A.evaluate(net, ds, AttackSpec(kind, 0.1))
-        assert sum(rows) == 600
+        report = A.evaluate(net, ds, attack)
+        monkeypatch.undo()
+        return sum(rows), report
+
+    @pytest.mark.parametrize("kind", ["fgsm", "semiwhite", "white"])
+    def test_undefended_network_forwards_each_input_once(self, kind, rng, monkeypatch):
+        # the attack's own forward pass supplies the clean logits, so the
+        # network sees the clean rows once and the attacked rows once
+        net = M.build_network(M.REDUCED_DENSE, seed=21)
+        ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300), "synthetic")
+        clean = M.logits(net, ds.images).argmax(axis=1)
+        rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1), monkeypatch)
+        assert rows == 600
+        assert [r["clean_prediction"] for r in report.records] == clean.tolist()
+
+    @pytest.mark.parametrize("kind,expected", [("fgsm", 900), ("semiwhite", 900), ("white", 600)])
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_defended_network_forward_rows(self, kind, expected, clip, rng, monkeypatch):
+        # white linearizes the defended model, so its forward pass gives the
+        # clean logits; fgsm and semiwhite see the bare network and need a
+        # separate defended clean pass
+        fe = FrontEndConfig(CDF_28, rho=0.03)
+        net = M.build_network(M.REDUCED_DENSE, seed=22, front_end=fe)
+        ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300), "synthetic")
+        clean = M.logits(net, A._defend(fe, ds.images, clip)).argmax(axis=1)
+        rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1, clip), monkeypatch)
+        assert rows == expected
         assert [r["clean_prediction"] for r in report.records] == clean.tolist()
 
     def test_svm_budget_overrun_rejected(self, rng, monkeypatch):
         model = LinearModel(rng.standard_normal(4), 0.0)
         ds = Dataset(rng.random((6, 4)), np.array([1, -1, 1, -1, 1, -1]))
-        monkeypatch.setattr(A, "linear_batch", doubled(A.linear_batch))
+        monkeypatch.setattr(A, "pairwise_batch", doubled(A.pairwise_batch))
         for kind in ("semiwhite", "white"):
             with pytest.raises(ValueError, match="budget"):
                 A.evaluate(model, ds, AttackSpec(kind, 0.1))

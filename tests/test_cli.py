@@ -95,6 +95,24 @@ class TestSyntheticAttack:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_fgsm_on_svm_exits_2(self, trained, synth_data, tmp_path, capsys):
+        rc = run_cli("attack", "--data", synth_data, "--model", trained["svm_plain"],
+                     "--attack", "fgsm", "--epsilon", 0.1, "--out", tmp_path / "x")
+        assert rc == 2
+        assert "error: the fgsm attack needs a network" in capsys.readouterr().err
+
+    def test_label_outside_the_classes_exits_2(self, trained, synth_data, tmp_path, capsys):
+        # IDX labels are bytes, so a corrupt label file can hold 12
+        synth = _load_synth()
+        pixels, labels = synth.generate(3, 20, 1)
+        labels[7] = 12
+        synth.write_idx(tmp_path / "t10k-images-idx3-ubyte", tmp_path / "t10k-labels-idx1-ubyte",
+                        pixels, labels)
+        rc = run_cli("attack", "--data", tmp_path, "--model", trained["net_defended"],
+                     "--attack", "white", "--epsilon", 0.1, "--out", tmp_path / "x")
+        assert rc == 2
+        assert "error: label 12 " in capsys.readouterr().err
+
 
 class TestBadTrainingSettings:
     @pytest.mark.parametrize("command", [["train-svm"], ["train-net", "--arch", "reduced_dense"]])

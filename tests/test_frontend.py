@@ -231,6 +231,16 @@ class TestConfig:
             FrontEndConfig(HAAR_28, rho=1.5)
 
 
+def radius_of(config, x):
+    """certified_radius_batch for one flat image."""
+    return F.certified_radius_batch(config, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def certified(config, x, epsilon):
+    """The certificate's verdict: radius > epsilon, and epsilon = 0 always."""
+    return epsilon == 0.0 or radius_of(config, x) > epsilon
+
+
 class TestHighSnrCertificate:
     def test_formula_direct(self, rng):
         # construct a K-sparse x with a known lambda, then check the
@@ -245,11 +255,17 @@ class TestHighSnrCertificate:
             # M is the largest l1 norm over rows of the analysis operator
             f = T.forward_batch(basis, np.eye(784)).T
             m = max(np.abs(f[j]).sum() for j in range(784))
-            report = F.check_high_snr(config, x, epsilon=0.12)
+            radius = radius_of(config, x)
             lam = np.min(np.abs(code[idx]))
-            assert report.gap == pytest.approx(lam, rel=1e-9)
-            assert report.m == pytest.approx(m, rel=1e-12)
-            assert report.certified == (lam / 0.12 > 2 * m)
+            assert radius == pytest.approx(lam / (2 * m), rel=1e-9)
+            assert certified(config, x, 0.12) == (lam / 0.12 > 2 * m)
+
+    def test_rows_are_independent(self, rng):
+        config = FrontEndConfig(CDF_28, rho=0.02)
+        x = rng.random((5, 784))
+        radii = F.certified_radius_batch(config, x)
+        assert radii.shape == (5,)
+        assert np.array_equal(radii, [radius_of(config, row) for row in x])
 
     def test_near_tie_not_certified(self):
         # not K-sparse: the (K+1)-th coefficient nearly ties the K-th, so a
@@ -258,9 +274,9 @@ class TestHighSnrCertificate:
         code = np.zeros(784)
         code[[10, 20, 30, 40]] = [100.0, 100.0, 100.0, 99.9]
         x = T.inverse_batch(HAAR_28, code[None, :])[0]
-        report = F.check_high_snr(config, x, epsilon=1.0)
-        assert report.gap == pytest.approx(0.1, abs=1e-9)
-        assert not report.certified
+        m = T.max_l1_norm(HAAR_28)
+        assert radius_of(config, x) == pytest.approx(0.1 / (2 * m), abs=1e-9)
+        assert not certified(config, x, 1.0)
         f = T.analysis_matrix(HAAR_28)
         e = np.sign(f[40] - f[30])
         supports = F.support_batch(config, np.stack([x, x + e]))
@@ -270,25 +286,26 @@ class TestHighSnrCertificate:
     def test_boundary_is_strict(self):
         config = FrontEndConfig(HAAR_28, rho=1 / 784)  # K = 1
         x = 2.0 * T.synthesis_matrix(HAAR_28)[:, 40]
-        report = F.check_high_snr(config, x, epsilon=1.0)
-        eps_exact = report.gap / report.threshold  # gap/eps == 2M exactly
-        at_boundary = F.check_high_snr(config, x, eps_exact)
-        assert not at_boundary.certified
-        below = F.check_high_snr(config, x, eps_exact * 0.999)
-        assert below.certified
+        eps_exact = radius_of(config, x)  # gap/eps == 2M exactly
+        assert not certified(config, x, eps_exact)
+        assert certified(config, x, eps_exact * 0.999)
 
     def test_epsilon_zero_always_certified(self, rng):
         config = FrontEndConfig(CDF_28, rho=0.02)
-        assert F.check_high_snr(config, rng.random(784), 0.0).certified
+        assert radius_of(config, rng.random(784)) > 0.0
+        assert certified(config, np.zeros(784), 0.0)
 
     def test_zero_input_uncertified(self):
         config = FrontEndConfig(HAAR_28, rho=0.02)
-        assert not F.check_high_snr(config, np.zeros(784), 0.1).certified
+        assert radius_of(config, np.zeros(784)) == 0.0
+        assert not certified(config, np.zeros(784), 0.1)
 
-    def test_negative_epsilon_rejected(self, rng):
+    def test_non_finite_input_rejected(self):
         config = FrontEndConfig(HAAR_28, rho=0.02)
+        x = np.zeros((1, 784))
+        x[0, 5] = np.nan
         with pytest.raises(ValueError):
-            F.check_high_snr(config, rng.random(784), -0.1)
+            F.certified_radius_batch(config, x)
 
     def test_certified_support_never_changes(self, rng):
         # exactly-K-sparse inputs in the orthonormal basis, random and
@@ -303,9 +320,8 @@ class TestHighSnrCertificate:
             idx = rng.choice(784, size=k, replace=False)
             code[idx] = (1.0 + rng.random(k)) * np.where(rng.random(k) < 0.5, -1.0, 1.0)
             x = T.inverse_batch(basis, code[None, :])[0]
-            report = F.check_high_snr(config, x, epsilon=1.0)
-            eps = 0.9 * report.gap / report.threshold
-            assert F.check_high_snr(config, x, eps).certified
+            eps = 0.9 * radius_of(config, x)
+            assert certified(config, x, eps)
             support = F.support_batch(config, x[None, :])[0]
             weakest = support[np.argmin(np.abs(code[support]))]
             adversarial = [
