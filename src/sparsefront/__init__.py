@@ -7,6 +7,7 @@ from .frontend import (
     FrontEndConfig,
     top_k_batch,
     apply_batch,
+    defend,
     support_batch,
     frozen_adjoint,
     certified_radius_batch,
@@ -17,7 +18,6 @@ from .models import (
     TrainConfig,
     train_linear_svm,
     train_network,
-    logits,
     softmax,
 )
 from .attacks import (

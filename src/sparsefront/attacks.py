@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frontend as frontend_mod
-from . import models as models_mod
 from .models import FeedforwardNetwork, LinearModel, softmax
 
 __all__ = [
@@ -97,7 +96,7 @@ def frozen_linearize(model, fe, x, clip):
     The map is model(D G_S F_S x), with the support S retained at x[s], the
     mask D of reconstructed pixels inside [0, 1] (under clip; else the
     identity) and the model's switches all frozen at the clean x[s]. The
-    logits are the defended clean logits, model(_defend(fe, x, clip)).
+    logits are the defended clean logits, model(frontend.defend(fe, x, clip)).
     Without a front end this is the bare model's linearization.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -147,7 +146,7 @@ def fgsm_batch(net: FeedforwardNetwork, x, t, epsilon):
     y, caches = net.forward(x)
     g_out = softmax(y)
     g_out[np.arange(x.shape[0]), t] -= 1.0  # d CE / d logits
-    g_x, _ = net.backward(g_out, caches, param_grads=False)
+    g_x, _ = net.backward(g_out, caches)
     return epsilon * np.sign(g_x), ~np.any(g_x, axis=1), y
 
 
@@ -173,13 +172,6 @@ def _class_indices(model, labels, kind):
         raise ValueError(f"label {labels[unknown][0]} is not one of the model's labels "
                          f"{label_of.tolist()}")
     return hit.argmax(axis=1), label_of
-
-
-def _defend(fe, images, clip):
-    if fe is None:
-        return images
-    out = frontend_mod.apply_batch(fe, images)
-    return np.clip(out, 0.0, 1.0) if clip else out
 
 
 def _perturbed(x, e, attack):
@@ -211,7 +203,7 @@ def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
         rows = np.arange(x.shape[0])
         i_star = None
         if attack.kind == "none":
-            y_clean = y_adv = models_mod.logits(model, _defend(fe, x, clip))
+            y_clean = y_adv = model.logits(frontend_mod.defend(fe, x, clip))
         else:
             if attack.kind == "fgsm":
                 e, _, y = fgsm_batch(model, x, t, attack.epsilon)
@@ -223,8 +215,8 @@ def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
             if fe is None or attack.kind == "white":
                 y_clean = y
             else:
-                y_clean = models_mod.logits(model, _defend(fe, x, clip))
-            y_adv = models_mod.logits(model, _defend(fe, _perturbed(x, e, attack), clip))
+                y_clean = model.logits(frontend_mod.defend(fe, x, clip))
+            y_adv = model.logits(frontend_mod.defend(fe, _perturbed(x, e, attack), clip))
 
         if i_star is None:
             # no designated pair: report against the strongest wrong class

@@ -52,15 +52,12 @@ PAPER_TABLE = {
     ("cnn", "white", "sparse"): 84.04,
 }
 
-SVM_DEFAULTS = dict(epochs=200, learning_rate=0.1, batch_size=64, weight_decay=1e-4,
-                    dropout_rate=0.0)
+SVM_DEFAULTS = dict(epochs=200, learning_rate=0.1, batch_size=64, weight_decay=1e-4)
 NET_DEFAULTS = {
     "reduced_dense": dict(epochs=10, learning_rate=0.1, batch_size=64,
-                          lr_decay_every=4, lr_decay_factor=0.5,
-                          weight_decay=1e-4, dropout_rate=0.0),
+                          lr_decay_every=4, weight_decay=1e-4, dropout_rate=0.0),
     "paper_cnn": dict(epochs=8, learning_rate=0.05, batch_size=64,
-                      lr_decay_every=3, lr_decay_factor=0.5,
-                      weight_decay=1e-4, dropout_rate=0.5),
+                      lr_decay_every=3, weight_decay=1e-4, dropout_rate=0.5),
 }
 
 

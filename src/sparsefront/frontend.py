@@ -25,6 +25,7 @@ __all__ = [
     "FrontEndConfig",
     "top_k_batch",
     "apply_batch",
+    "defend",
     "support_batch",
     "frozen_adjoint",
     "certified_radius_batch",
@@ -86,6 +87,14 @@ def apply_batch(config: FrontEndConfig, images) -> np.ndarray:
         coeffs = transform.forward_batch(config.basis, images[sl])
         out[sl] = transform.inverse_batch(config.basis, top_k_batch(coeffs, config.k))
     return out
+
+
+def defend(config: FrontEndConfig | None, images, clip) -> np.ndarray:
+    """The input a defended model sees: ``apply_batch``, clamped to [0, 1] under clip."""
+    if config is None:
+        return images
+    out = apply_batch(config, images)
+    return np.clip(out, 0.0, 1.0) if clip else out
 
 
 def support_batch(config: FrontEndConfig, images) -> list:

@@ -35,13 +35,13 @@ __all__ = [
     "build_network",
     "train_linear_svm",
     "train_network",
-    "logits",
     "softmax",
     "save_model",
     "load_model",
 ]
 
 MODEL_MAGIC = b"SPFRONT1\n"
+LR_DECAY_FACTOR = 0.5  # learning-rate multiplier every lr_decay_every epochs
 
 
 class TrainingDivergence(RuntimeError):
@@ -57,7 +57,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 0.01
     lr_decay_every: int = 0  # 0 = constant schedule
-    lr_decay_factor: float = 0.5
     weight_decay: float = 1e-4
     dropout_rate: float = 0.5
     front_end: FrontEndConfig | None = None
@@ -72,17 +71,13 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
-        if not (math.isfinite(self.lr_decay_factor) and self.lr_decay_factor > 0):
-            raise ValueError(
-                f"lr_decay_factor must be finite and positive, got {self.lr_decay_factor}"
-            )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
 
     def lr_at(self, epoch):
         if self.lr_decay_every <= 0:
             return self.learning_rate
-        return self.learning_rate * self.lr_decay_factor ** (epoch // self.lr_decay_every)
+        return self.learning_rate * LR_DECAY_FACTOR ** (epoch // self.lr_decay_every)
 
 
 def softmax(y):
@@ -91,13 +86,6 @@ def softmax(y):
     shifted = y - np.max(y, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def _sparsify_for_training(images, config):
-    if config.front_end is None:
-        return images
-    out = frontend_mod.apply_batch(config.front_end, images)
-    return np.clip(out, 0.0, 1.0) if config.clip_recon else out
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +107,6 @@ class LinearModel:
 
     def score(self, images):
         return np.asarray(images) @ self.w + self.b
-
-    def predict(self, images):
-        # sign(0) counts as +1 so predictions are total
-        return np.where(self.score(images) >= 0.0, 1, -1)
 
     def logits(self, images):
         """(B, N) inputs -> (B, 2) logits (score, 0)."""
@@ -149,7 +133,7 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
     classes = np.unique(labels)
     if not np.array_equal(classes, [-1, 1]):
         raise ValueError(f"need both labels +1 and -1, got classes {classes}")
-    images = _sparsify_for_training(images, config)
+    images = frontend_mod.defend(config.front_end, images, config.clip_recon)
     n, dim = images.shape
     w = np.zeros(dim)
     b = 0.0
@@ -178,8 +162,10 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
 
 # ---------------------------------------------------------------------------
 # Network layers. forward returns (output, cache); backward consumes the
-# cache and returns (input grad, [param grads]); the list is empty when
-# param_grads is False or the layer has no parameters.
+# cache and returns (input grad, [param grads]). Only a train=True forward
+# caches what parameter grads need (Dense's input, Conv2d's im2col cols); an
+# inference forward keeps switches and shapes, and the list comes back empty,
+# as it does for layers without parameters.
 # ---------------------------------------------------------------------------
 
 
@@ -194,11 +180,11 @@ class Dense:
         return [self.w, self.b]
 
     def forward(self, x, train=False, rng=None):
-        return x @ self.w + self.b, x
+        return x @ self.w + self.b, (x if train else None)
 
-    def backward(self, g, cache, param_grads):
+    def backward(self, g, cache):
         x = cache
-        return g @ self.w.T, ([x.T @ g, g.sum(axis=0)] if param_grads else [])
+        return g @ self.w.T, ([] if x is None else [x.T @ g, g.sum(axis=0)])
 
 
 class Relu:
@@ -212,7 +198,7 @@ class Relu:
         mask = x > 0
         return x * mask, mask
 
-    def backward(self, g, cache, param_grads):
+    def backward(self, g, cache):
         return g * cache, []
 
 
@@ -243,15 +229,15 @@ class Conv2d:
         out += self.b
         # channel-first memory, so the relu and pool that follow run unstrided
         out = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(x.shape[0], -1, oh, ow)
-        return out, (cols, x.shape, oh, ow)
+        return out, (cols if train else None, x.shape, oh, ow)
 
-    def backward(self, g, cache, param_grads):
+    def backward(self, g, cache):
         cols, x_shape, oh, ow = cache
         b, c, h, w_ = x_shape
         oc = self.w.shape[0]
         gmat = g.reshape(b, oc, oh * ow).transpose(0, 2, 1).reshape(b * oh * ow, oc)  # (B*P, OC)
         grads = []
-        if param_grads:
+        if cols is not None:
             grad_w = gmat.T @ cols.reshape(b * oh * ow, -1)
             grads = [grad_w.reshape(self.w.shape), gmat.sum(axis=0)]
         # Weight columns in (kh, kw, C) order make each kernel offset's slice
@@ -290,7 +276,7 @@ class MaxPool2:
             idx = np.where(greater, slot, idx)
         return out, (idx, x.shape)
 
-    def backward(self, g, cache, param_grads):
+    def backward(self, g, cache):
         idx, x_shape = cache
         b, c, h, w = x_shape
         # Flat position in x of each window's argmax. Slot 2*dy + dx of the
@@ -311,6 +297,8 @@ class Dropout:
     """Inverted dropout; active only when train=True. No switch: inference is identity."""
 
     def __init__(self, rate):
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate!r}")
         self.rate = rate
 
     def spec(self):
@@ -326,7 +314,7 @@ class Dropout:
         mask = (rng.random(x.shape) < keep) / keep
         return x * mask, mask
 
-    def backward(self, g, cache, param_grads):
+    def backward(self, g, cache):
         return (g if cache is None else g * cache), []
 
 
@@ -340,7 +328,7 @@ class Flatten:
     def forward(self, x, train=False, rng=None):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, g, cache, param_grads):
+    def backward(self, g, cache):
         return g.reshape(cache), []
 
 
@@ -414,17 +402,22 @@ class FeedforwardNetwork:
             caches.append(cache)
         return h, caches
 
-    def backward(self, g, caches, param_grads=True):
+    def backward(self, g, caches):
         """Output grad (B, L) -> (input grad (B, N), param grads list).
 
-        With param_grads=False the layers skip their parameter gradients and
-        the list comes back empty; the input grad is the same.
+        The param grads come back, one per parameter in params() order,
+        exactly when the caches came from a train=True forward; after an
+        inference forward the list is empty.
         """
         grads = []
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            g, pg = layer.backward(g, cache, param_grads)
+            g, pg = layer.backward(g, cache)
             grads[:0] = pg
         return g.reshape(g.shape[0], -1), grads
+
+    def logits(self, x):
+        """(B, N) inputs -> (B, L) logits, dropout disabled."""
+        return self.forward(x)[0]
 
     def linearize(self, x):
         """(B, N) inputs -> ((B, L) logits, (B, L, N) Jacobian) from one forward pass."""
@@ -435,7 +428,7 @@ class FeedforwardNetwork:
         for i in range(self.n_classes):
             g = np.zeros((b, self.n_classes))
             g[:, i] = 1.0
-            jac[:, i, :], _ = self.backward(g, caches, param_grads=False)
+            jac[:, i, :], _ = self.backward(g, caches)
         return y, jac
 
     def input_jacobian(self, x):
@@ -488,14 +481,6 @@ def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNe
                      lambda shape, fan_in: rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
 
 
-def logits(model, x) -> np.ndarray:
-    """Deterministic logits of either model kind, dropout disabled: (B, N) -> (B, L)."""
-    if isinstance(model, LinearModel):
-        return model.logits(x)
-    y, _ = model.forward(x)
-    return y
-
-
 def _xent_and_grad(y, labels):
     p = softmax(y)
     n = y.shape[0]
@@ -515,7 +500,7 @@ def train_network(images, labels, config: TrainConfig, arch=REDUCED_DENSE,
     """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    images = _sparsify_for_training(images, config)
+    images = frontend_mod.defend(config.front_end, images, config.clip_recon)
     net = build_network(arch, config.seed, config.dropout_rate, config.front_end)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5F]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
@@ -601,8 +586,8 @@ def load_model(path):
     """Inverse of save_model; round-trip is exact.
 
     Raises ValueError when the file is not a model file, when its header is
-    truncated or lacks a field, or when its payload is shorter or longer than
-    the header's parameter shapes imply.
+    truncated, lacks a field or holds a malformed layer entry, or when its
+    payload is shorter or longer than the header's parameter shapes imply.
     """
     raw = Path(path).read_bytes()
     off = len(MODEL_MAGIC)
@@ -624,7 +609,7 @@ def load_model(path):
             arrays = model.params()
         else:
             raise ValueError(f"unknown model type {kind!r}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from None
     off += hlen
     expected = 8 * sum(a.size for a in arrays)

@@ -54,6 +54,12 @@ def switch_state(net, x):
     return SwitchState(entries, y[0])
 
 
+def same_switches(net, a, b):
+    """Whether net's relu and pool switches agree at the single flat inputs a and b."""
+    at_a, at_b = switch_state(net, a).entries, switch_state(net, b).entries
+    return all(p is None or np.array_equal(p, q) for p, q in zip(at_a, at_b))
+
+
 def forward_frozen(net, x, state: SwitchState):
     """Replay the forward pass with all switches fixed; affine in x."""
     h = np.atleast_2d(np.asarray(x, dtype=np.float64)).reshape((-1,) + net.input_shape)

@@ -36,6 +36,7 @@ from sparsefront.frontend import FrontEndConfig
 from sparsefront.transform import Basis
 
 from conftest import needs_mnist
+from switch_replay import same_switches
 
 MODE = os.environ.get("SPARSEFRONT_ACCEPTANCE", "full")
 FULL = MODE != "reduced"
@@ -94,13 +95,13 @@ def cnn_config(front_end):
     if FULL:
         return M.TrainConfig(
             seed=0, epochs=8, batch_size=64, learning_rate=0.05,
-            lr_decay_every=3, lr_decay_factor=0.5, weight_decay=1e-4,
+            lr_decay_every=3, weight_decay=1e-4,
             dropout_rate=0.5, front_end=front_end,
             clip_recon=front_end is not None,
         )
     return M.TrainConfig(
         seed=0, epochs=10, batch_size=64, learning_rate=0.1,
-        lr_decay_every=4, lr_decay_factor=0.5, weight_decay=1e-4,
+        lr_decay_every=4, weight_decay=1e-4,
         dropout_rate=0.0, front_end=front_end,
         clip_recon=front_end is not None,
     )
@@ -352,24 +353,34 @@ class TestCriterion9:
 
 class TestCriterion10:
     def test_locally_linear_exactness(self, rng):
-        presets = {"paper_cnn": M.PAPER_CNN, "reduced_dense": M.REDUCED_DENSE}
-        fe = FrontEndConfig(basis(), CNN_RHO)
+        # The frozen model predicts y + J.delta at x + delta. It is exact on
+        # the rows whose retained support and switches are the same at both
+        # points; the step is large enough that a wrong J misses the bound.
+        step = 1e-4
         worst = 0.0
-        for name, arch in presets.items():
+        fewest = 100
+        for arch in (M.PAPER_CNN, M.REDUCED_DENSE):
             net = M.build_network(arch, seed=13)
-            for defended in (False, True):
+            for fe in (None, FrontEndConfig(basis(), CNN_RHO)):
                 x = rng.random((100, 784))
-                y_ll, w_eq = A.frozen_linearize(net, fe if defended else None, x, clip=False)
-                b_eq = np.einsum("bln,bn->bl", w_eq, x) - y_ll
-                y = M.logits(net, F.apply_batch(fe, x) if defended else x)
-                rec = np.einsum("bln,bn->bl", w_eq, x) - b_eq
-                rel = np.max(np.abs(rec - y) / (1.0 + np.abs(y)))
-                worst = max(worst, float(rel))
+                moved = x + step * np.where(rng.random(x.shape) < 0.5, -1.0, 1.0)
+                y_ll, jac = A.frozen_linearize(net, fe, x, clip=False)
+                predicted = y_ll + np.einsum("bln,bn->bl", jac, moved - x)
+                x_hat, moved_hat = F.defend(fe, x, False), F.defend(fe, moved, False)
+                y = net.logits(moved_hat)
+                kept = np.array([same_switches(net, a, b) for a, b in zip(x_hat, moved_hat)])
+                if fe is not None:
+                    kept &= [np.array_equal(s, u) for s, u in
+                             zip(F.support_batch(fe, x), F.support_batch(fe, moved))]
+                rel = np.abs(predicted - y)[kept] / (1.0 + np.abs(y[kept]))
+                worst = max(worst, float(rel.max(initial=0.0)))
+                fewest = min(fewest, int(kept.sum()))
         check(
             "C10",
-            worst <= 1e-6,
-            f"locally-linear reconstruction worst relative error {worst:.2e} "
-            f"(<= 1e-6; both presets, defended and undefended, 100 inputs each)",
+            worst <= 1e-6 and fewest >= 10,
+            f"locally-linear prediction at x + delta, |delta| = {step:g}, worst relative "
+            f"error {worst:.2e} (<= 1e-6; both presets, defended and undefended, 100 inputs "
+            f"each, >= 10 with support and switches unchanged: fewest {fewest})",
         )
 
 
@@ -391,7 +402,8 @@ class TestCriterion11:
             p = M.softmax(y)
             return -np.log(p[np.arange(2), t]).mean()
 
-        y, caches = net.forward(x)
+        # the rate-0 dropout makes the training forward's loss that of loss()
+        y, caches = net.forward(x, train=True)
         p = M.softmax(y)
         gout = p.copy()
         gout[np.arange(2), t] -= 1

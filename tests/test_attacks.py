@@ -12,7 +12,7 @@ from sparsefront.models import LinearModel
 from sparsefront.transform import Basis
 
 from conftest import needs_mnist
-from switch_replay import switch_state
+from switch_replay import same_switches
 
 HAAR_28 = Basis("haar_orthonormal", 28, 28, 2)
 HAAR_2x4 = Basis("haar_orthonormal", 2, 4, 1)
@@ -89,9 +89,8 @@ class TestLinearAttacks:
         y, jac = model.linearize(x)
         assert np.array_equal(y, [[1.0, 0.0], [-2.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
         assert np.array_equal(jac, np.broadcast_to([w, np.zeros(3)], (4, 2, 3)))
-        assert np.array_equal(np.array([1, -1])[y.argmax(axis=1)], model.predict(x))
-        assert np.array_equal(model.predict(x), [1, -1, 1, 1])
-        assert np.array_equal(M.logits(model, x), y)
+        assert np.array_equal(np.array([1, -1])[y.argmax(axis=1)], [1, -1, 1, 1])
+        assert np.array_equal(model.logits(x), y)
 
     def test_semi_white_distortion_is_l1(self, rng):
         w = rng.standard_normal(30)
@@ -263,7 +262,7 @@ class TestFrozenLinearize:
         net = M.build_network(TINY_CNN, seed=3)
         x = rng.standard_normal((100, 64))
         y, _ = A.frozen_linearize(net, None, x, clip=False)
-        assert np.array_equal(y, M.logits(net, x))
+        assert np.array_equal(y, net.logits(x))
 
     @pytest.mark.parametrize("clip", [False, True])
     def test_logits_are_the_defended_clean_logits(self, clip, rng):
@@ -271,7 +270,7 @@ class TestFrozenLinearize:
         net = M.build_network(TINY_CNN, seed=4)
         x = rng.random((25, 64))
         y, _ = A.frozen_linearize(net, fe, x, clip)
-        assert np.array_equal(y, M.logits(net, A._defend(fe, x, clip)))
+        assert np.array_equal(y, net.logits(F.defend(fe, x, clip)))
 
     @pytest.mark.parametrize("basis", [Basis("haar_orthonormal", 8, 8, 2),
                                        Basis("cdf97_biorthogonal", 8, 8, 1)],
@@ -366,12 +365,6 @@ class TestPairwiseAttack:
             assert d_w >= d_sw - 1e-9
 
 
-def same_switches(net, a, b):
-    """Whether net's relu and pool switches agree at the single flat inputs a and b."""
-    at_a, at_b = switch_state(net, a).entries, switch_state(net, b).entries
-    return all(p is None or np.array_equal(p, q) for p, q in zip(at_a, at_b))
-
-
 def inside_unit(images):
     return (images >= 0.0) & (images <= 1.0)
 
@@ -421,7 +414,7 @@ class TestWhiteExactness:
             assert not inside_unit(x_hat[kept]).all()  # the clamp binds on kept rows
         if kind == "network":
             kept &= [same_switches(model, a, b) for a, b in
-                     zip(A._defend(fe, x, clip), A._defend(fe, adv, clip))]
+                     zip(F.defend(fe, x, clip), F.defend(fe, adv, clip))]
         assert kept.mean() > 0.5
         assert (gain[kept] > 0).all()
         assert np.max(np.abs(achieved[kept] - gain[kept]) / gain[kept]) <= 1e-9
@@ -470,7 +463,7 @@ def doubled(attack):
 class TestEvaluate:
     def make_dataset(self, rng, net, n=40):
         x = rng.random((n, 64))
-        labels = M.logits(net, x).argmax(axis=1)
+        labels = net.logits(x).argmax(axis=1)
         return Dataset(x, labels.astype(np.int64), "synthetic")
 
     def test_zero_epsilon_attack_is_clean(self, rng):
@@ -586,7 +579,7 @@ class TestEvaluate:
         # network sees the clean rows once and the attacked rows once
         net = M.build_network(M.REDUCED_DENSE, seed=21)
         ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300), "synthetic")
-        clean = M.logits(net, ds.images).argmax(axis=1)
+        clean = net.logits(ds.images).argmax(axis=1)
         rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1), monkeypatch)
         assert rows == 600
         assert [r["clean_prediction"] for r in report.records] == clean.tolist()
@@ -600,7 +593,7 @@ class TestEvaluate:
         fe = FrontEndConfig(CDF_28, rho=0.03)
         net = M.build_network(M.REDUCED_DENSE, seed=22, front_end=fe)
         ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300), "synthetic")
-        clean = M.logits(net, A._defend(fe, ds.images, clip)).argmax(axis=1)
+        clean = net.logits(F.defend(fe, ds.images, clip)).argmax(axis=1)
         rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1, clip), monkeypatch)
         assert rows == expected
         assert [r["clean_prediction"] for r in report.records] == clean.tolist()

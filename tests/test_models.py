@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,13 @@ TINY_DENSE = {
 }
 
 
+def feedforward_file(layers):
+    """Model file bytes: a feedforward header over a length-4 input, and no payload."""
+    header = json.dumps({"model": "feedforward", "input_shape": [4], "layers": layers,
+                         "front_end": None}).encode()
+    return M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header
+
+
 def mean_ce(net, x, t):
     y, _ = net.forward(x)
     p = M.softmax(y)
@@ -78,12 +87,14 @@ class TestBackpropOracle:
     """Analytic gradients vs central finite differences, per layer type."""
 
     def check_network(self, arch, rng, rel_tol=1e-4, h=1e-5):
-        net = M.build_network(arch, seed=3)
+        # dropout off, so the training forward computes the same loss as mean_ce
+        layers = [("dropout", 0.0) if e[0] == "dropout" else e for e in arch["layers"]]
+        net = M.build_network({**arch, "layers": layers}, seed=3)
         n_in = int(np.prod(arch["input_shape"]))
         x = rng.standard_normal((3, n_in))
         t = rng.integers(0, net.n_classes, 3)
 
-        y, caches = net.forward(x)
+        y, caches = net.forward(x, train=True)
         p = M.softmax(y)
         g = p.copy()
         g[np.arange(3), t] -= 1.0
@@ -201,7 +212,7 @@ class TestMaxPoolBackward:
         dwin = np.zeros((b, c, h // 2, w // 2, 4))
         np.put_along_axis(dwin, cache[0][..., None], g[..., None], axis=-1)
         ref = dwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(shape)
-        gx, grads = pool.backward(g, cache, True)
+        gx, grads = pool.backward(g, cache)
         assert grads == []
         assert gx.shape == shape
         assert gx.tobytes() == ref.tobytes()
@@ -215,7 +226,7 @@ class TestPiecewiseLinearity:
         d /= np.linalg.norm(d)
         # tiny interval around x: with probability ~1 no switch flips inside
         ts = np.linspace(-1e-4, 1e-4, 9)
-        ys = M.logits(net, x + ts[:, None] * d)
+        ys = net.logits(x + ts[:, None] * d)
         second = ys[:-2] - 2 * ys[1:-1] + ys[2:]
         assert np.max(np.abs(second)) < 1e-8
 
@@ -275,9 +286,9 @@ class TestTrainingDeterminism:
     def test_dropout_off_at_inference(self, rng):
         net = M.build_network(TINY_CNN, seed=1, dropout_rate=0.9)
         x = rng.standard_normal((5, 64))
-        assert np.array_equal(M.logits(net, x), M.logits(net, x))
+        assert np.array_equal(net.logits(x), net.logits(x))
         high = M.build_network(TINY_CNN, seed=1, dropout_rate=0.1)
-        assert np.array_equal(M.logits(net, x), M.logits(high, x))
+        assert np.array_equal(net.logits(x), high.logits(x))
 
 
 class TestTrainingBehavior:
@@ -310,7 +321,7 @@ class TestTrainingBehavior:
         cfg = M.TrainConfig(seed=0, epochs=5, batch_size=32, learning_rate=0.1,
                             dropout_rate=0.0, weight_decay=0.0)
         net = M.train_network(x, t, cfg, arch)
-        acc = (M.logits(net, x).argmax(axis=1) == t).mean()
+        acc = (net.logits(x).argmax(axis=1) == t).mean()
         assert acc > 0.90
 
 
@@ -319,8 +330,6 @@ class TestTrainConfig:
         ("learning_rate", 0.0), ("learning_rate", float("nan")),
         ("learning_rate", float("inf")), ("learning_rate", -float("inf")),
         ("weight_decay", -1.0), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
-        ("lr_decay_factor", 0.0), ("lr_decay_factor", -0.5),
-        ("lr_decay_factor", float("nan")), ("lr_decay_factor", float("inf")),
         ("epochs", 0), ("epochs", 1.5), ("batch_size", 0), ("batch_size", 64.0),
     ])
     def test_bad_value_rejected(self, field, value):
@@ -340,7 +349,7 @@ class TestLinearSvm:
         cfg = M.TrainConfig(seed=0, epochs=50, batch_size=16, learning_rate=0.1,
                             weight_decay=1e-4, dropout_rate=0.0)
         svm = M.train_linear_svm(x, t, cfg)
-        assert (svm.predict(x) == t).all()
+        assert ((svm.score(x) >= 0) == (t == 1)).all()
 
     def test_single_class_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -367,9 +376,31 @@ class TestLinearSvm:
         defended = M.train_linear_svm(pair_train.images, pair_train.labels, cfg_fe)
         from sparsefront import frontend as fmod
         test_sp = np.clip(fmod.apply_batch(fe, pair_test.images), 0, 1)
-        acc_plain = (plain.predict(pair_test.images) == pair_test.labels).mean()
-        acc_def = (defended.predict(test_sp) == pair_test.labels).mean()
+        positive = pair_test.labels == 1
+        acc_plain = ((plain.score(pair_test.images) >= 0) == positive).mean()
+        acc_def = ((defended.score(test_sp) >= 0) == positive).mean()
         assert acc_def > acc_plain - 0.02
+
+
+class TestCacheContract:
+    """Only a training forward keeps what the parameter gradients read."""
+
+    @pytest.mark.parametrize("arch", [M.PAPER_CNN, M.REDUCED_DENSE],
+                             ids=["paper_cnn", "reduced_dense"])
+    def test_param_grads_follow_the_forward_mode(self, arch, rng):
+        net = M.build_network(arch, seed=0)
+        x = rng.random((2, net.n_inputs))
+        g = rng.standard_normal((2, net.n_classes))
+        _, caches = net.forward(x)
+        for layer, cache in zip(net.layers, caches):
+            if isinstance(layer, M.Conv2d):
+                assert cache[0] is None  # no im2col columns
+            elif isinstance(layer, M.Dense):
+                assert cache is None  # no layer input
+        assert net.backward(g, caches)[1] == []
+        _, caches = net.forward(x, train=True, rng=np.random.default_rng(1))
+        _, grads = net.backward(g, caches)
+        assert [gp.shape for gp in grads] == [p.shape for p in net.params()]
 
 
 class TestLogitsOp:
@@ -377,14 +408,14 @@ class TestLogitsOp:
         net = M.build_network(TINY_DENSE, seed=0)
         for p in net.params():
             p[...] = 0.0
-        assert np.array_equal(M.logits(net, np.ones((2, 16))), np.zeros((2, 3)))
+        assert np.array_equal(net.logits(np.ones((2, 16))), np.zeros((2, 3)))
 
     def test_bias_shift_moves_logits_not_softmax(self, rng):
         net = M.build_network(TINY_DENSE, seed=2)
         x = rng.standard_normal((2, 16))
-        y0 = M.logits(net, x)
+        y0 = net.logits(x)
         net.layers[-1].b += 3.25
-        y1 = M.logits(net, x)
+        y1 = net.logits(x)
         assert np.allclose(y1 - y0, 3.25, atol=1e-12)
         assert np.allclose(M.softmax(y0), M.softmax(y1), atol=1e-12)
 
@@ -393,13 +424,13 @@ class TestLogitsOp:
         net = M.build_network(arch, seed=4)
         x = rng.random((3, net.n_inputs))
         y, jac = net.linearize(x)
-        assert y.tobytes() == M.logits(net, x).tobytes()
+        assert y.tobytes() == net.logits(x).tobytes()
         assert jac.tobytes() == net.input_jacobian(x).tobytes()
 
     def test_shape_mismatch(self):
         net = M.build_network(TINY_DENSE, seed=0)
         with pytest.raises(ValueError):
-            M.logits(net, np.zeros((1, 17)))
+            net.logits(np.zeros((1, 17)))
 
     def test_dense_on_unflattened_input_rejected(self):
         arch = {"input_shape": (1, 8, 8), "layers": [("conv", 3, 3, 3), ("dense", 4)]}
@@ -419,7 +450,7 @@ class TestSerialization:
         for a, b in zip(net.params(), back.params()):
             assert np.array_equal(a, b)
         x = rng.standard_normal((2, 64))
-        assert np.array_equal(M.logits(net, x), M.logits(back, x))
+        assert np.array_equal(net.logits(x), back.logits(x))
 
     def test_svm_roundtrip_exact(self, tmp_path, rng):
         svm = M.LinearModel(rng.standard_normal(784), -0.125)
@@ -451,7 +482,11 @@ class TestSerialization:
         b"not a model",
         M.MODEL_MAGIC + b"\x00\x00",
         M.MODEL_MAGIC + (2).to_bytes(4, "big") + b"{}",
-    ], ids=["no_magic", "short_header_length", "header_without_fields"])
+        feedforward_file([["dense"]]),
+        feedforward_file([[]]),
+        feedforward_file([["dropout", "x"]]),
+    ], ids=["no_magic", "short_header_length", "header_without_fields",
+            "layer_without_size", "empty_layer", "non_numeric_dropout_rate"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)
