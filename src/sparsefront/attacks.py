@@ -81,7 +81,6 @@ class EvalReport:
     attacked_accuracy: float
     mean_distortion: float
     n: int
-    attack: AttackSpec
     records: list = field(default_factory=list)
 
 
@@ -237,7 +236,6 @@ def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
         attacked_accuracy=float((adv_pred == classes).mean()),
         mean_distortion=float(np.abs(achieved).mean()),
         n=n,
-        attack=attack,
         records=[
             {
                 "sample": s,

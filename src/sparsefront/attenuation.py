@@ -46,6 +46,8 @@ class EnsembleConfig:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
         if self.mode not in ("semiwhite", "white"):
             raise ValueError(f"unknown attack mode {self.mode!r}")
+        if self.basis_kind == "identity" and self.levels != 1:
+            raise ValueError(f"levels={self.levels} needs the haar basis; identity has no levels")
         if self.basis_kind == "haar":
             side = math.isqrt(self.n)
             if side * side != self.n:
@@ -56,7 +58,6 @@ class EnsembleConfig:
 class AttenuationReport:
     mean_ratio: float
     stderr: float
-    config: EnsembleConfig
     samples: np.ndarray  # per-trial ratios
 
 
@@ -90,6 +91,5 @@ def run_ensemble(config: EnsembleConfig) -> AttenuationReport:
     return AttenuationReport(
         mean_ratio=mean,
         stderr=stderr,
-        config=config,
         samples=ratios,
     )

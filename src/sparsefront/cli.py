@@ -1,14 +1,14 @@
 """Experiment orchestration: train models, run attacks, sweeps, and reports.
 
-Every command but fetch-data writes a manifest.json (its command, every
-setting, package version) next to its outputs. `--config manifest.json`
-replays a run: the manifest's settings become the command's defaults and
-explicit flags win. Its `out` is never inherited, so a replay writes to
-`--out` (or the default output directory) and reproduces the run's model and
-report files byte for byte. The manifest is the only config format. Reports
-are CSV for tables and JSON for per-sample records. Files are written
-atomically so a crashed run never leaves a partial file where a complete one
-stood.
+Every command but fetch-data records its run: `main` makes `--out` and, once
+the command succeeds, writes there a manifest.json of the command, each
+setting it reads and the package version. `--config manifest.json` replays
+a run: the manifest's settings become the command's defaults and explicit
+flags win. Its `out` is never inherited, so a replay writes to `--out` (or
+the default output directory) and reproduces the run's model and report
+files byte for byte. The manifest is the only config format. Reports are CSV
+for tables and JSON for per-sample records. Files are written atomically so
+a crashed run never leaves a partial file where a complete one stood.
 
 Subcommands: fetch-data, train-svm, train-net, attack, sweep, attenuation,
 table1.
@@ -55,7 +55,7 @@ PAPER_TABLE = {
 SVM_DEFAULTS = dict(epochs=200, learning_rate=0.1, batch_size=64, weight_decay=1e-4)
 NET_DEFAULTS = {
     "reduced_dense": dict(epochs=10, learning_rate=0.1, batch_size=64,
-                          lr_decay_every=4, weight_decay=1e-4, dropout_rate=0.0),
+                          lr_decay_every=4, weight_decay=1e-4),
     "paper_cnn": dict(epochs=8, learning_rate=0.05, batch_size=64,
                       lr_decay_every=3, weight_decay=1e-4, dropout_rate=0.5),
 }
@@ -120,15 +120,13 @@ def _front_end(args):
 
 
 def _finish_training(args, model, prefix, test, summary):
-    """Save a trained model, evaluate it clean on `test`, write report and manifest."""
+    """Save a trained model, evaluate it clean on `test` and write its report."""
     name = prefix + ("plain" if model.front_end is None else f"sparse_rho{args.rho:g}")
     models_mod.save_model(model, Path(args.out) / f"{name}.model")
     clean = attacks_mod.evaluate(model, test, AttackSpec("none", 0.0, clip=args.clip))
     summary.update(model_file=f"{name}.model", clean_accuracy=clean.clean_accuracy)
     write_json(Path(args.out) / "report.json", {"summary": summary})
-    write_manifest(args)
     print(f"{name}: clean test accuracy {100 * clean.clean_accuracy:.2f}%")
-    return 0
 
 
 def _report_attack(out_dir, report, extra):
@@ -161,20 +159,17 @@ def _report_attack(out_dir, report, extra):
 
 def cmd_fetch_data(args):
     data_mod.fetch_mnist(args.data, args.base_url)
-    return 0
 
 
 def cmd_train_svm(args):
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    settings = dict(SVM_DEFAULTS, epochs=args.epochs, batch_size=args.batch_size,
-                    learning_rate=args.lr, weight_decay=args.weight_decay)
     config = TrainConfig(seed=args.seed, front_end=_front_end(args), clip_recon=args.clip,
-                         **settings)
+                         epochs=args.epochs, batch_size=args.batch_size,
+                         learning_rate=args.lr, weight_decay=args.weight_decay)
     a, b = _digit_pair(args.digits)
     train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
     test = data_mod.filter_pair(data_mod.load_mnist(args.data, "test"), a, b)
     model = models_mod.train_linear_svm(train.images, train.labels, config)
-    return _finish_training(args, model, f"svm_{a}v{b}_", test, {
+    _finish_training(args, model, f"svm_{a}v{b}_", test, {
         "digits": [a, b],
         "train_samples": len(train),
         "test_samples": len(test),
@@ -182,10 +177,12 @@ def cmd_train_svm(args):
 
 
 def cmd_train_net(args):
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     flags = dict(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
                  weight_decay=args.weight_decay, dropout_rate=args.dropout)
     settings = dict(_choice(NET_DEFAULTS, args.arch, "--arch"))
+    arch = models_mod.ARCH_PRESETS[args.arch]
+    if args.dropout is not None and ("dropout",) not in arch["layers"]:
+        raise ValueError(f"--dropout: {args.arch} has no dropout layer")
     settings.update((key, value) for key, value in flags.items() if value is not None)
     config = TrainConfig(seed=args.seed, front_end=_front_end(args), clip_recon=args.clip,
                          **settings)
@@ -198,11 +195,9 @@ def cmd_train_net(args):
         log_lines.append(line)
         print(line)
 
-    net = models_mod.train_network(
-        train.images, train.labels, config, models_mod.ARCH_PRESETS[args.arch], log=log
-    )
-    return _finish_training(args, net, f"net_{args.arch}_", test,
-                            {"arch": args.arch, "training_log": log_lines})
+    net = models_mod.train_network(train.images, train.labels, config, arch, log=log)
+    _finish_training(args, net, f"net_{args.arch}_", test,
+                     {"arch": args.arch, "training_log": log_lines})
 
 
 def cmd_attack(args):
@@ -212,32 +207,26 @@ def cmd_attack(args):
     spec = AttackSpec(args.attack, args.epsilon, clip=args.clip)
     if args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = models_mod.load_model(args.model)
     test = data_mod.load_mnist(args.data, "test")
     if isinstance(model, models_mod.LinearModel):
         test = data_mod.filter_pair(test, *_digit_pair(args.digits))
     if args.limit:
-        test = data_mod.Dataset(test.images[: args.limit], test.labels[: args.limit], test.split)
+        test = data_mod.Dataset(test.images[: args.limit], test.labels[: args.limit])
     report = attacks_mod.evaluate(model, test, spec)
-    summary = _report_attack(out, report, {
+    summary = _report_attack(args.out, report, {
         "model": str(args.model),
         "attack": args.attack,
         "epsilon": args.epsilon,
         "clip": args.clip,
     })
-    write_manifest(args)
     print(
         f"{args.attack} eps={args.epsilon:g}: clean {100 * summary['clean_accuracy']:.2f}% "
         f"-> attacked {100 * summary['attacked_accuracy']:.2f}%"
     )
-    return 0
 
 
 def cmd_sweep(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if not args.rhos or not args.epsilons:
         raise ValueError("sweep needs nonempty --rhos and --epsilons")
     a, b = _digit_pair(args.digits)
@@ -258,16 +247,12 @@ def cmd_sweep(args):
         for rho in args.rhos:
             rows.append([_fmt(rho), _fmt(eps), _fmt(acc[(rho, eps)]),
                          "best" if rho == best_rho else ""])
-    write_csv(out / "report.csv", ["rho", "epsilon", "attacked_accuracy", "note"], rows)
-    write_manifest(args)
+    write_csv(Path(args.out) / "report.csv", ["rho", "epsilon", "attacked_accuracy", "note"], rows)
     for row in rows:
         print(",".join(str(c) for c in row))
-    return 0
 
 
 def cmd_attenuation(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     modes = ["semiwhite", "white"] if args.mode == "both" else [args.mode]
     rows = []
     for mode in modes:
@@ -282,16 +267,13 @@ def cmd_attenuation(args):
             f"N={args.n} K={args.k} {args.basis_kind} {mode}: "
             f"mean ratio {report.mean_ratio:.6f} (stderr {report.stderr:.2g}, K/N={args.k / args.n:.6f})"
         )
-    write_csv(out / "report.csv",
+    write_csv(Path(args.out) / "report.csv",
               ["n", "k", "basis", "mode", "mean_ratio", "stderr", "trials", "seed"], rows)
-    write_manifest(args)
-    return 0
 
 
 def cmd_table1(args):
     """Train all four models and reproduce the headline accuracy table."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train = data_mod.load_mnist(args.data, "train")
     test = data_mod.load_mnist(args.data, "test")
     pair_train = data_mod.filter_pair(train, 3, 7)
@@ -352,7 +334,6 @@ def cmd_table1(args):
               ["task", "attack", "defense", "measured", "paper", "delta"], rows)
     write_csv(out / "clean.csv", ["model", "clean_accuracy"],
               [[task, _fmt(accuracy)] for task, accuracy in clean.items()])
-    write_manifest(args)
 
     ordered = (
         results[("cnn", "white", "sparse")]
@@ -360,7 +341,6 @@ def cmd_table1(args):
         <= results[("cnn", "fgsm", "sparse")]
     )
     print(f"defended CNN ordering white <= semiwhite <= fgsm: {'OK' if ordered else 'VIOLATED'}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +351,6 @@ def cmd_table1(args):
 def _add_common(p):
     p.add_argument("--data", default=None, help="MNIST directory (default: $SPARSEFRONT_DATA_DIR)")
     p.add_argument("--out", default="runs/out", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     _add_config_flag(p)
 
 
@@ -417,6 +396,7 @@ def build_parser(defaults=None):
 
     p = sub.add_parser("train-svm", help="train the binary linear SVM")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     _add_frontend_flags(p, rho=0.02)
     p.add_argument("--digits", type=_digits, default=[3, 7])
     p.add_argument("--epochs", type=int, default=SVM_DEFAULTS["epochs"])
@@ -427,6 +407,7 @@ def build_parser(defaults=None):
 
     p = sub.add_parser("train-net", help="train the feedforward network")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     _add_frontend_flags(p, rho=0.03)
     p.add_argument("--arch", choices=sorted(models_mod.ARCH_PRESETS), default="reduced_dense")
     p.add_argument("--epochs", type=int, default=None)
@@ -449,6 +430,7 @@ def build_parser(defaults=None):
 
     p = sub.add_parser("sweep", help="grid of rho x epsilon for the SVM task")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--digits", type=_digits, default=[3, 7])
     p.add_argument("--rhos", type=_float_list, default=[0.01, 0.02, 0.03, 0.04, 0.05])
     p.add_argument("--epsilons", type=_float_list, default=[0.12])
@@ -471,15 +453,15 @@ def build_parser(defaults=None):
 
     p = sub.add_parser("table1", help="full reproduction of the headline table")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--arch", choices=sorted(models_mod.ARCH_PRESETS), default="paper_cnn")
     _add_basis_flags(p)
     p.add_argument("--svm-epsilon", type=float, default=0.12)
     p.add_argument("--svm-rho", type=float, default=0.02)
     p.add_argument("--cnn-epsilon", type=float, default=0.25)
     p.add_argument("--cnn-rho", type=float, default=0.03)
-    p.add_argument("--clip", action="store_true", default=True,
-                   help="physical [0,1] pipeline (default on for this command)")
-    p.add_argument("--no-clip", dest="clip", action="store_false")
+    p.add_argument("--no-clip", dest="clip", action="store_false",
+                   help="drop the physical [0,1] pipeline, which this command runs by default")
     p.set_defaults(func=cmd_table1)
 
     for command, settings in (defaults or {}).items():
@@ -538,10 +520,15 @@ def main(argv=None):
     try:
         if getattr(args, "config", None):
             args = build_parser({args.command: _replay_settings(args)}).parse_args(argv)
-        return args.func(args)
+        if "out" in args:  # every command but fetch-data records its run
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        args.func(args)
+        if "out" in args:
+            write_manifest(args)
     except (ValueError, OSError, data_mod.IdxFormatError, models_mod.TrainingDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

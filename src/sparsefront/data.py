@@ -47,11 +47,10 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Flattened images in [0,1] plus integer labels and a split tag."""
+    """Flattened images in [0,1] plus integer labels."""
 
     images: np.ndarray  # (n, 784) float64 in [0, 1]
     labels: np.ndarray  # (n,) int64
-    split: str = ""
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
@@ -143,12 +142,10 @@ def load_mnist(directory=None, split="train") -> Dataset:
     """Load one MNIST split ('train' or 'test') from a directory of IDX files."""
     directory = data_dir(directory)
     prefix = {"train": "train", "test": "t10k"}[split]
-    ds = load_idx(
+    return load_idx(
         _find_idx(directory, f"{prefix}-images-idx3-ubyte"),
         _find_idx(directory, f"{prefix}-labels-idx1-ubyte"),
     )
-    ds.split = split
-    return ds
 
 
 def filter_pair(dataset: Dataset, a: int, b: int) -> Dataset:
@@ -161,10 +158,10 @@ def filter_pair(dataset: Dataset, a: int, b: int) -> Dataset:
     if not mask.any():
         raise ValueError(f"no samples labeled {a} or {b}")
     labels = np.where(dataset.labels[mask] == a, 1, -1).astype(np.int64)
-    return Dataset(dataset.images[mask].copy(), labels, dataset.split)
+    return Dataset(dataset.images[mask].copy(), labels)
 
 
-def fetch_mnist(directory=None, base_url=DEFAULT_BASE_URL, verbose=True) -> Path:
+def fetch_mnist(directory=None, base_url=DEFAULT_BASE_URL) -> Path:
     """Download the four canonical archives into ``directory`` and verify checksums.
 
     Files already present with a matching checksum are kept as-is.
@@ -177,18 +174,15 @@ def fetch_mnist(directory=None, base_url=DEFAULT_BASE_URL, verbose=True) -> Path
     for name, (size, md5) in MNIST_ARCHIVES.items():
         dest = directory / name
         if dest.exists() and _checksum_ok(dest, size, md5):
-            if verbose:
-                print(f"{name}: already present, checksum OK")
+            print(f"{name}: already present, checksum OK")
             continue
         url = f"{base_url.rstrip('/')}/{name}"
-        if verbose:
-            print(f"fetching {url}")
+        print(f"fetching {url}")
         with urllib.request.urlopen(url) as response, open(dest, "wb") as out:
             out.write(response.read())
         if not _checksum_ok(dest, size, md5):
             raise IOError(f"{dest}: downloaded file fails size/md5 verification")
-        if verbose:
-            print(f"{name}: {size} bytes, md5 OK")
+        print(f"{name}: {size} bytes, md5 OK")
     return directory
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -367,6 +368,9 @@ REDUCED_DENSE = {
 
 ARCH_PRESETS = {"paper_cnn": PAPER_CNN, "reduced_dense": REDUCED_DENSE}
 
+# layer kind -> the number of values that follow it in a layer entry
+LAYER_VALUES = {"conv": 3, "relu": 0, "maxpool": 0, "dropout": 1, "flatten": 0, "dense": 1}
+
 
 class FeedforwardNetwork:
     """Piecewise-linear logit map: an ordered stack of layers over flat inputs."""
@@ -436,8 +440,8 @@ class FeedforwardNetwork:
         return self.linearize(x)[1]
 
 
-def _assemble(arch, dropout_rate, front_end, weight):
-    """Layer stack of an architecture spec.
+def _assemble(arch, front_end, weight):
+    """Layer stack of an architecture spec whose entries carry all their values.
 
     weight(shape, fan_in) supplies each weight array, in layer order; biases
     start at zero.
@@ -447,6 +451,9 @@ def _assemble(arch, dropout_rate, front_end, weight):
     shape = input_shape
     for entry in arch["layers"]:
         kind = entry[0]
+        if LAYER_VALUES.get(kind) != len(entry) - 1:
+            raise ValueError(f"malformed layer entry {list(entry)!r}; "
+                             f"values per kind: {LAYER_VALUES}")
         if kind == "conv":
             _, out_ch, kh, kw = entry
             c, h, w = shape
@@ -459,8 +466,7 @@ def _assemble(arch, dropout_rate, front_end, weight):
             layers.append(MaxPool2())
             shape = (c, h // 2, w // 2)
         elif kind == "dropout":
-            rate = entry[1] if len(entry) > 1 else dropout_rate
-            layers.append(Dropout(rate))
+            layers.append(Dropout(entry[1]))
         elif kind == "flatten":
             layers.append(Flatten())
             shape = (int(np.prod(shape)),)
@@ -469,15 +475,16 @@ def _assemble(arch, dropout_rate, front_end, weight):
                 raise ValueError(f"dense layer on a {shape} input needs a ('flatten',) before it")
             layers.append(Dense(weight((shape[0], entry[1]), shape[0]), np.zeros(entry[1])))
             shape = (entry[1],)
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
     return FeedforwardNetwork(layers, input_shape, front_end)
 
 
 def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNetwork:
     """Instantiate an architecture spec with seeded He initialization."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7]))
-    return _assemble(arch, dropout_rate, front_end,
+    # a bare ("dropout",), as in the presets, takes dropout_rate
+    layers = [("dropout", dropout_rate) if tuple(entry) == ("dropout",) else entry
+              for entry in arch["layers"]]
+    return _assemble(dict(arch, layers=layers), front_end,
                      lambda shape, fan_in: rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
 
 
@@ -554,7 +561,7 @@ def _front_end_from_json(obj):
 
 
 def save_model(model, path):
-    """Write a LinearModel or FeedforwardNetwork to a versioned binary file."""
+    """Write a LinearModel or FeedforwardNetwork to a versioned binary file, atomically."""
     if isinstance(model, LinearModel):
         header = {
             "model": "linear_svm",
@@ -574,12 +581,14 @@ def save_model(model, path):
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
+    tmp = Path(f"{path}.tmp")
+    with open(tmp, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack(">I", len(blob)))
         f.write(blob)
         for a in arrays:
             f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    os.replace(tmp, path)
 
 
 def load_model(path):
@@ -603,9 +612,7 @@ def load_model(path):
             model = LinearModel(np.empty(header["dim"]), header["b"], fe)
             arrays = [model.w]
         elif kind == "feedforward":
-            arch = {"input_shape": header["input_shape"], "layers": header["layers"]}
-            # every saved dropout spec carries its rate, so the default is unused
-            model = _assemble(arch, 0.5, fe, lambda shape, fan_in: np.empty(shape))
+            model = _assemble(header, fe, lambda shape, fan_in: np.empty(shape))
             arrays = model.params()
         else:
             raise ValueError(f"unknown model type {kind!r}")

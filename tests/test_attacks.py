@@ -464,7 +464,7 @@ class TestEvaluate:
     def make_dataset(self, rng, net, n=40):
         x = rng.random((n, 64))
         labels = net.logits(x).argmax(axis=1)
-        return Dataset(x, labels.astype(np.int64), "synthetic")
+        return Dataset(x, labels.astype(np.int64))
 
     def test_zero_epsilon_attack_is_clean(self, rng):
         net = M.build_network(TINY_CNN, seed=13)
@@ -578,7 +578,7 @@ class TestEvaluate:
         # the attack's own forward pass supplies the clean logits, so the
         # network sees the clean rows once and the attacked rows once
         net = M.build_network(M.REDUCED_DENSE, seed=21)
-        ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300), "synthetic")
+        ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300))
         clean = net.logits(ds.images).argmax(axis=1)
         rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1), monkeypatch)
         assert rows == 600
@@ -592,7 +592,7 @@ class TestEvaluate:
         # separate defended clean pass
         fe = FrontEndConfig(CDF_28, rho=0.03)
         net = M.build_network(M.REDUCED_DENSE, seed=22, front_end=fe)
-        ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300), "synthetic")
+        ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300))
         clean = net.logits(F.defend(fe, ds.images, clip)).argmax(axis=1)
         rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1, clip), monkeypatch)
         assert rows == expected

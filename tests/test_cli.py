@@ -69,6 +69,8 @@ class TestSyntheticAttack:
             blobs.append(((out / "report.csv").read_bytes(),
                           (out / "report.json").read_bytes()))
         assert blobs[0] == blobs[1]
+        # no attack reads a seed, so its manifest records none
+        assert "seed" not in json.loads((out / "manifest.json").read_text())["config"]
         report = json.loads(blobs[0][1])
         assert report["summary"]["samples"] == len(report["records"]) > 0
         if attack == "none":
@@ -127,6 +129,29 @@ class TestBadTrainingSettings:
                      "--out", tmp_path / "x")
         assert rc == 2
         assert f"error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+class TestUnreadSettings:
+    """A run offers and records only the settings it reads."""
+
+    # each run would succeed if the setting were ignored
+    @pytest.mark.parametrize("argv,setting", [
+        (["attenuation", "--n", 64, "--k", 4, "--trials", 10, "--basis-kind", "identity",
+          "--levels", 2], "levels"),
+        (["train-net", "--arch", "reduced_dense", "--epochs", 1, "--dropout", 0.3], "--dropout"),
+    ], ids=["identity_levels", "reduced_dense_dropout"])
+    def test_ignored_setting_exits_2(self, argv, setting, synth_data, tmp_path, capsys):
+        data = ["--data", synth_data] if argv[0] == "train-net" else []
+        assert run_cli(*argv, *data, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and setting in err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,flag", [("attack", "--seed"), ("table1", "--clip")])
+    def test_flag_not_offered(self, command, flag, capsys):
+        assert run_cli(command, "--help") == 0
+        assert flag not in re.findall(r"--[\w-]+", capsys.readouterr().out)
 
 
 class TestMissingInputs:
@@ -212,6 +237,7 @@ class TestConfigFile:
         "one_digit": ("train-svm", "digits"), "net_float_epochs": ("train-net", "epochs"),
         "attack_one_digit": ("attack", "digits"), "attack_number_model": ("attack", "'5'"),
         "attack_list_epsilon": ("attack", "epsilon"), "net_bool_lr": ("train-net", "lr"),
+        "attack_seed": ("attack", "seed"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -238,6 +264,7 @@ class TestConfigFile:
             "attack_number_model": manifest(model=5),
             "attack_list_epsilon": manifest(epsilon=[0.1]),
             "net_bool_lr": manifest(lr=True),
+            "attack_seed": manifest(seed=0),
         }
         if case in content:
             path.write_text(content[case])

@@ -159,4 +159,4 @@ class TestNetworkStack:
         source = tmp_path / "empty"
         source.mkdir()
         with pytest.raises(OSError):
-            D.fetch_mnist(tmp_path / "dest", base_url=source.as_uri(), verbose=False)
+            D.fetch_mnist(tmp_path / "dest", base_url=source.as_uri())

@@ -461,6 +461,24 @@ class TestSerialization:
         assert back.b == svm.b
         assert back.front_end is None
 
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.model"
+        M.save_model(M.build_network(TINY_CNN, seed=9), path)
+        before = path.read_bytes()
+        other = M.build_network(TINY_CNN, seed=10)
+        real, calls = M.np.ascontiguousarray, []
+
+        def fail_on_second_array(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(M.np, "ascontiguousarray", fail_on_second_array)
+        with pytest.raises(OSError, match="disk full"):
+            M.save_model(other, path)
+        assert path.read_bytes() == before
+
     def test_identical_models_identical_bytes(self, tmp_path):
         a = M.build_network(TINY_DENSE, seed=42)
         b = M.build_network(TINY_DENSE, seed=42)
@@ -485,8 +503,11 @@ class TestSerialization:
         feedforward_file([["dense"]]),
         feedforward_file([[]]),
         feedforward_file([["dropout", "x"]]),
+        feedforward_file([["dropout"]]),
+        feedforward_file([["relu", 7]]),
     ], ids=["no_magic", "short_header_length", "header_without_fields",
-            "layer_without_size", "empty_layer", "non_numeric_dropout_rate"])
+            "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
+            "dropout_without_rate", "relu_with_value"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)
