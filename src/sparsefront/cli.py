@@ -116,7 +116,14 @@ def _digit_pair(digits):
 
 
 def _front_end(args):
-    return None if args.no_defense else FrontEndConfig(_basis(args), args.rho)
+    if not args.no_defense:
+        return FrontEndConfig(_basis(args), args.rho)
+    plain = build_parser().parse_args([args.command])
+    ignored = [f"--{key}" for key in ("rho", "basis", "levels")
+               if getattr(args, key) != getattr(plain, key)]
+    if ignored:
+        raise ValueError(f"{', '.join(ignored)}: --no-defense trains without the front end")
+    return None
 
 
 def _finish_training(args, model, prefix, test, summary):

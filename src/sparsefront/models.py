@@ -43,6 +43,7 @@ __all__ = [
 
 MODEL_MAGIC = b"SPFRONT1\n"
 LR_DECAY_FACTOR = 0.5  # learning-rate multiplier every lr_decay_every epochs
+CONV_ROWS = 16  # images per im2col block in Conv2d.forward
 
 
 class TrainingDivergence(RuntimeError):
@@ -164,9 +165,10 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
 # ---------------------------------------------------------------------------
 # Network layers. forward returns (output, cache); backward consumes the
 # cache and returns (input grad, [param grads]). Only a train=True forward
-# caches what parameter grads need (Dense's input, Conv2d's im2col cols); an
-# inference forward keeps switches and shapes, and the list comes back empty,
-# as it does for layers without parameters.
+# caches what parameter grads need (Dense's input, Conv2d's whole-batch im2col
+# cols); an inference forward keeps switches and shapes and never holds more
+# than one CONV_ROWS block of cols, and after it the list comes back empty, as
+# it does for layers without parameters.
 # ---------------------------------------------------------------------------
 
 
@@ -220,17 +222,27 @@ class Conv2d:
         # (B, C, H, W) -> (B, OH*OW, C*kh*kw)
         windows = np.lib.stride_tricks.sliding_window_view(x, (self.kh, self.kw), axis=(2, 3))
         b, c, oh, ow = windows.shape[:4]
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * self.kh * self.kw)
-        return cols, oh, ow
+        return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * self.kh * self.kw)
 
     def forward(self, x, train=False, rng=None):
-        cols, oh, ow = self._cols(x)
-        wmat = self.w.reshape(self.w.shape[0], -1)
-        out = cols @ wmat.T
-        out += self.b
+        b, _, h, w_ = x.shape
+        oc = self.w.shape[0]
+        oh, ow = h - self.kh + 1, w_ - self.kw + 1
+        wmat_t = self.w.reshape(oc, -1).T
+        # A training forward keeps one whole-batch cols for backward's single
+        # grad_w gemm; an inference forward builds cols one block at a time.
+        cols = self._cols(x) if train else None
         # channel-first memory, so the relu and pool that follow run unstrided
-        out = np.ascontiguousarray(out.transpose(0, 2, 1)).reshape(x.shape[0], -1, oh, ow)
-        return out, (cols if train else None, x.shape, oh, ow)
+        out = np.empty((b, oc, oh * ow))
+        for start in range(0, b, CONV_ROWS):
+            rows = slice(start, start + CONV_ROWS)
+            block = cols[rows] if train else self._cols(x[rows])
+            # a stacked matmul runs one gemm per image, so no row's bits
+            # depend on the block size
+            y = block @ wmat_t
+            y += self.b
+            out[rows] = y.transpose(0, 2, 1)
+        return out.reshape(b, oc, oh, ow), (cols, x.shape, oh, ow)
 
     def backward(self, g, cache):
         cols, x_shape, oh, ow = cache

@@ -140,13 +140,30 @@ class TestUnreadSettings:
         (["attenuation", "--n", 64, "--k", 4, "--trials", 10, "--basis-kind", "identity",
           "--levels", 2], "levels"),
         (["train-net", "--arch", "reduced_dense", "--epochs", 1, "--dropout", 0.3], "--dropout"),
-    ], ids=["identity_levels", "reduced_dense_dropout"])
+        (["train-svm", "--epochs", 1, "--no-defense", "--rho", 0.05], "--rho"),
+        (["train-svm", "--epochs", 1, "--no-defense", "--basis", "haar"], "--basis"),
+        (["train-net", "--arch", "reduced_dense", "--epochs", 1, "--no-defense",
+          "--levels", 2], "--levels"),
+        (["train-net", "--arch", "reduced_dense", "--epochs", 1, "--no-defense",
+          "--rho", 0.02], "--rho"),
+    ], ids=["identity_levels", "reduced_dense_dropout", "svm_no_defense_rho",
+            "svm_no_defense_basis", "net_no_defense_levels", "net_no_defense_rho"])
     def test_ignored_setting_exits_2(self, argv, setting, synth_data, tmp_path, capsys):
-        data = ["--data", synth_data] if argv[0] == "train-net" else []
+        data = ["--data", synth_data] if argv[0] != "attenuation" else []
         assert run_cli(*argv, *data, "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
         assert "error:" in err and setting in err
         assert not (tmp_path / "x" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,rho", [("train-svm", 0.02), ("train-net", 0.03)])
+    def test_no_defense_accepts_default_settings(self, command, rho, synth_data, tmp_path):
+        # the defaults spelled out are the defaults, so they are not settings the run ignores
+        arch = ["--arch", "reduced_dense"] if command == "train-net" else []
+        assert run_cli(command, *arch, "--epochs", 1, "--no-defense", "--rho", rho,
+                       "--basis", "cdf97", "--levels", 1, "--data", synth_data,
+                       "--out", tmp_path / "x") == 0
+        config = json.loads((tmp_path / "x" / "manifest.json").read_text())["config"]
+        assert (config["rho"], config["basis"], config["levels"]) == (rho, "cdf97", 1)
 
     @pytest.mark.parametrize("command,flag", [("attack", "--seed"), ("table1", "--clip")])
     def test_flag_not_offered(self, command, flag, capsys):

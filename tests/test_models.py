@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,72 @@ class TestCacheContract:
         _, caches = net.forward(x, train=True, rng=np.random.default_rng(1))
         _, grads = net.backward(g, caches)
         assert [gp.shape for gp in grads] == [p.shape for p in net.params()]
+
+
+def whole_batch_conv(layer, x):
+    """The convolution forward as one im2col over the whole batch: (output, cols)."""
+    b, _, h, w = x.shape
+    oc = layer.w.shape[0]
+    cols = layer._cols(x)
+    out = cols @ layer.w.reshape(oc, -1).T
+    out += layer.b
+    out = np.ascontiguousarray(out.transpose(0, 2, 1))
+    return out.reshape(b, oc, h - layer.kh + 1, w - layer.kw + 1), cols
+
+
+def traced_peak_mib(fn):
+    """Peak bytes traced while fn runs, in MiB; unlike RSS it ignores the heap's state."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# paper_cnn's conv-1 (one input channel) and conv-2 (20), with the shape each reads
+PAPER_CONVS = {"conv1": (0, (1, 28, 28)), "conv2": (3, (20, 12, 12))}
+
+
+class TestBlockedConv:
+    """Conv2d.forward builds its im2col M.CONV_ROWS images at a time, bit for bit."""
+
+    @pytest.mark.parametrize("train", [False, True], ids=["inference", "train"])
+    @pytest.mark.parametrize("batch", [0, 1, 15, 16, 17, 40, 256])
+    @pytest.mark.parametrize("conv", list(PAPER_CONVS))
+    def test_matches_whole_batch(self, conv, batch, train, rng):
+        index, shape = PAPER_CONVS[conv]
+        layer = M.build_network(M.PAPER_CNN, seed=5).layers[index]
+        layer.b[:] = rng.standard_normal(layer.b.shape)
+        x = rng.standard_normal((batch, *shape))
+        want, want_cols = whole_batch_conv(layer, x)
+        out, (cols, x_shape, oh, ow) = layer.forward(x, train=train)
+        assert out.shape == want.shape == (batch, layer.w.shape[0], oh, ow)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, want)
+        assert x_shape == x.shape
+        if train:
+            assert np.array_equal(cols, want_cols)
+        else:
+            assert cols is None
+
+    def test_inference_conv_peak(self, rng):
+        layer = M.build_network(M.PAPER_CNN, seed=0).layers[3]
+        x = rng.random((256, 20, 12, 12))
+        # the whole-batch im2col alone is 62.5 MiB
+        assert traced_peak_mib(lambda: layer.forward(x)) < 20
+
+    def test_logits_peak(self, rng):
+        net = M.build_network(M.PAPER_CNN, seed=0)
+        x = rng.random((256, net.n_inputs))
+        assert traced_peak_mib(lambda: net.logits(x)) < 60
+
+    def test_training_forward_peak(self, rng):
+        net = M.build_network(M.PAPER_CNN, seed=0)
+        x = rng.random((64, net.n_inputs))
+        peak = traced_peak_mib(lambda: net.forward(x, train=True, rng=np.random.default_rng(1)))
+        # 28.7 MiB with the whole-batch forward; blocks must not add to it
+        assert peak <= 29.7
 
 
 class TestLogitsOp:
