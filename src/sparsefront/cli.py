@@ -260,14 +260,15 @@ def cmd_sweep(args):
 
 
 def cmd_attenuation(args):
+    config = attenuation_mod.EnsembleConfig(
+        n=args.n, k=args.k, trials=args.trials, basis_kind=args.basis_kind,
+        seed=args.seed, levels=args.levels,
+    )
+    reports = attenuation_mod.run_ensemble(config)
     modes = ["semiwhite", "white"] if args.mode == "both" else [args.mode]
     rows = []
     for mode in modes:
-        config = attenuation_mod.EnsembleConfig(
-            n=args.n, k=args.k, trials=args.trials, basis_kind=args.basis_kind,
-            mode=mode, seed=args.seed, levels=args.levels,
-        )
-        report = attenuation_mod.run_ensemble(config)
+        report = reports[mode]
         rows.append([args.n, args.k, args.basis_kind, mode, _fmt(report.mean_ratio),
                      _fmt(report.stderr), args.trials, args.seed])
         print(

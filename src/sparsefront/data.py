@@ -9,6 +9,7 @@ existing directory (flag or SPARSEFRONT_DATA_DIR) skips any network use.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -76,45 +77,38 @@ def _read_be32(f, path, what):
     return struct.unpack(">I", raw)[0]
 
 
+def _read_idx(path, magic, dims, payload):
+    """One IDX file's header counts and flat uint8 payload.
+
+    ``dims`` names the big-endian counts that follow the magic number;
+    ``payload`` names the data in the truncation message.
+    """
+    with _open_maybe_gzip(path) as f:
+        found = _read_be32(f, path, "magic number")
+        if found != magic:
+            raise IdxFormatError(
+                f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}"
+            )
+        shape = tuple(_read_be32(f, path, f"{dim} count") for dim in dims)
+        size = math.prod(shape)
+        raw = f.read(size)
+    if len(raw) != size:
+        raise IdxFormatError(f"{path}: truncated {payload} data ({len(raw)} of {size} bytes)")
+    return shape, np.frombuffer(raw, dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair; pixels are scaled by 1/255."""
-    with _open_maybe_gzip(images_path) as f:
-        magic = _read_be32(f, images_path, "magic number")
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad magic 0x{magic:08x} at offset 0, "
-                f"expected 0x{IMAGE_MAGIC:08x}"
-            )
-        count = _read_be32(f, images_path, "image count")
-        rows = _read_be32(f, images_path, "row count")
-        cols = _read_be32(f, images_path, "column count")
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise IdxFormatError(
-                f"{images_path}: truncated pixel data "
-                f"({len(raw)} of {count * rows * cols} bytes)"
-            )
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    with _open_maybe_gzip(labels_path) as f:
-        magic = _read_be32(f, labels_path, "magic number")
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad magic 0x{magic:08x} at offset 0, "
-                f"expected 0x{LABEL_MAGIC:08x}"
-            )
-        n_labels = _read_be32(f, labels_path, "label count")
-        raw = f.read(n_labels)
-        if len(raw) != n_labels:
-            raise IdxFormatError(
-                f"{labels_path}: truncated label data ({len(raw)} of {n_labels} bytes)"
-            )
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    (count, rows, cols), pixels = _read_idx(images_path, IMAGE_MAGIC,
+                                            ("image", "row", "column"), "pixel")
+    (n_labels,), labels = _read_idx(labels_path, LABEL_MAGIC, ("label",), "label")
     if count != n_labels:
         raise IdxFormatError(
             f"image count {count} != label count {n_labels} "
             f"for {images_path} / {labels_path}"
         )
-    return Dataset(images.astype(np.float64) / 255.0, labels)
+    images = pixels.reshape(count, rows * cols)
+    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
 def data_dir(override=None) -> Path:
@@ -158,7 +152,7 @@ def filter_pair(dataset: Dataset, a: int, b: int) -> Dataset:
     if not mask.any():
         raise ValueError(f"no samples labeled {a} or {b}")
     labels = np.where(dataset.labels[mask] == a, 1, -1).astype(np.int64)
-    return Dataset(dataset.images[mask].copy(), labels)
+    return Dataset(dataset.images[mask], labels)
 
 
 def fetch_mnist(directory=None, base_url=DEFAULT_BASE_URL) -> Path:

@@ -158,7 +158,7 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
         if not np.isfinite(loss):
             raise TrainingDivergence(epoch, loss)
     if not np.any(w):
-        raise RuntimeError("SVM training produced an all-zero weight vector")
+        raise ValueError("SVM training produced an all-zero weight vector")
     return LinearModel(w, float(b), config.front_end)
 
 

@@ -276,8 +276,8 @@ class TestCriterion7:
     def test_attenuation_lab(self):
         t0 = time.perf_counter()
         base = dict(n=1024, k=32, trials=2000, basis_kind="identity", seed=0)
-        semi = AT.run_ensemble(AT.EnsembleConfig(mode="semiwhite", **base))
-        white = AT.run_ensemble(AT.EnsembleConfig(mode="white", **base))
+        reports = AT.run_ensemble(AT.EnsembleConfig(**base))
+        semi, white = reports["semiwhite"], reports["white"]
         seconds = time.perf_counter() - t0
         target = 32 / 1024
         rel_err = abs(semi.mean_ratio - target) / target

@@ -132,6 +132,21 @@ class TestBadTrainingSettings:
         assert not (tmp_path / "x" / "manifest.json").exists()
 
 
+    def test_all_zero_svm_exits_2(self, tmp_path, capsys):
+        # a split whose 3s and 7s are all blank trains an all-zero SVM
+        synth = _load_synth()
+        for prefix, stream in (("train", 0), ("t10k", 1)):
+            pixels, labels = synth.generate(3, 40, stream)
+            pixels[(labels == 3) | (labels == 7)] = 0
+            synth.write_idx(tmp_path / f"{prefix}-images-idx3-ubyte",
+                            tmp_path / f"{prefix}-labels-idx1-ubyte", pixels, labels)
+        rc = run_cli("train-svm", "--no-defense", "--epochs", 2, "--data", tmp_path,
+                     "--out", tmp_path / "x")
+        assert rc == 2
+        assert "error: SVM training produced an all-zero weight vector" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+
 class TestUnreadSettings:
     """A run offers and records only the settings it reads."""
 
@@ -208,6 +223,16 @@ class TestAttenuationCommand:
         cb = json.loads((b / "manifest.json").read_text())["config"]
         ca.pop("out"), cb.pop("out")
         assert ca == cb
+
+    @pytest.mark.parametrize("basis", ["identity", "haar"])
+    def test_both_rows_are_the_single_mode_rows(self, basis, tmp_path):
+        rows = {}
+        for mode in ("both", "semiwhite", "white"):
+            out = tmp_path / mode
+            assert run_cli("attenuation", "--n", 256, "--k", 8, "--trials", 100,
+                           "--basis-kind", basis, "--mode", mode, "--seed", 3, "--out", out) == 0
+            rows[mode] = (out / "report.csv").read_text().splitlines()[1:]
+        assert rows["both"] == rows["semiwhite"] + rows["white"]
 
     def test_invalid_k_exits_nonzero(self, tmp_path, capsys):
         rc = run_cli("attenuation", "--n", 16, "--k", 99, "--trials", 10,

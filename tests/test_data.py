@@ -14,7 +14,7 @@ from conftest import needs_mnist
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=D.IMAGE_MAGIC,
-                   label_magic=D.LABEL_MAGIC, truncate_images=0):
+                   label_magic=D.LABEL_MAGIC, truncate_images=0, truncate_labels=0):
     images = np.asarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
     n, rows, cols = images.shape
@@ -24,7 +24,10 @@ def write_idx_pair(tmp_path, images, labels, image_magic=D.IMAGE_MAGIC,
         blob = blob[:-truncate_images]
     img_path.write_bytes(blob)
     lbl_path = tmp_path / "labels-idx1-ubyte"
-    lbl_path.write_bytes(struct.pack(">II", label_magic, labels.size) + labels.tobytes())
+    blob = struct.pack(">II", label_magic, labels.size) + labels.tobytes()
+    if truncate_labels:
+        blob = blob[:-truncate_labels]
+    lbl_path.write_bytes(blob)
     return img_path, lbl_path
 
 
@@ -50,16 +53,18 @@ class TestLoadIdx:
         ds = D.load_idx(str(img) + ".gz", str(lbl) + ".gz")
         assert ds.images.shape == (2, 16)
 
-    def test_bad_magic_names_offset(self, tmp_path):
+    @pytest.mark.parametrize("damaged", ["images", "labels"])
+    def test_bad_magic_names_offset(self, tmp_path, damaged):
         img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0],
-                                  image_magic=0xDEADBEEF)
-        with pytest.raises(D.IdxFormatError, match="offset 0"):
+                                  **{f"{damaged[:-1]}_magic": 0xDEADBEEF})
+        with pytest.raises(D.IdxFormatError, match=f"{damaged}-idx.*offset 0"):
             D.load_idx(img, lbl)
 
-    def test_truncated_file(self, tmp_path):
+    @pytest.mark.parametrize("damaged", ["images", "labels"])
+    def test_truncated_file(self, tmp_path, damaged):
         img, lbl = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1],
-                                  truncate_images=5)
-        with pytest.raises(D.IdxFormatError, match="truncated"):
+                                  **{f"truncate_{damaged}": 1})
+        with pytest.raises(D.IdxFormatError, match=f"{damaged}-idx.*truncated"):
             D.load_idx(img, lbl)
 
     def test_count_mismatch(self, tmp_path):

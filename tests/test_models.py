@@ -356,6 +356,20 @@ class TestLinearSvm:
         with pytest.raises(ValueError):
             M.train_linear_svm(rng.random((10, 4)), np.ones(10), M.TrainConfig(dropout_rate=0.0))
 
+    def test_all_zero_weights_rejected(self):
+        # blank inputs give the hinge subgradient nothing to move w with
+        t = np.array([1, -1] * 10)
+        with pytest.raises(ValueError, match="all-zero weight vector"):
+            M.train_linear_svm(np.zeros((20, 16)), t, M.TrainConfig(epochs=2, batch_size=8))
+
+    def test_divergence_reported_with_epoch(self, rng):
+        x = rng.random((40, 16))
+        x[3, 5] = np.nan  # the epoch loss over all inputs is non-finite
+        t = np.where(x[:, 0] > 0.5, 1, -1)
+        with pytest.raises(M.TrainingDivergence, match="non-finite training loss nan at epoch 0") as err:
+            M.train_linear_svm(x, t, M.TrainConfig(epochs=3, batch_size=8))
+        assert err.value.epoch == 0
+
     def test_deterministic(self, rng):
         x = rng.random((60, 8))
         t = np.where(x[:, 0] > 0.5, 1, -1)
