@@ -131,7 +131,6 @@ class TestBadTrainingSettings:
         assert f"error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "x" / "manifest.json").exists()
 
-
     def test_all_zero_svm_exits_2(self, tmp_path, capsys):
         # a split whose 3s and 7s are all blank trains an all-zero SVM
         synth = _load_synth()

@@ -53,10 +53,11 @@ class TestLoadIdx:
         ds = D.load_idx(str(img) + ".gz", str(lbl) + ".gz")
         assert ds.images.shape == (2, 16)
 
-    @pytest.mark.parametrize("damaged", ["images", "labels"])
-    def test_bad_magic_names_offset(self, tmp_path, damaged):
+    @pytest.mark.parametrize("damaged,flag", [("images", "image_magic"),
+                                              ("labels", "label_magic")])
+    def test_bad_magic_names_offset(self, tmp_path, damaged, flag):
         img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0],
-                                  **{f"{damaged[:-1]}_magic": 0xDEADBEEF})
+                                  **{flag: 0xDEADBEEF})
         with pytest.raises(D.IdxFormatError, match=f"{damaged}-idx.*offset 0"):
             D.load_idx(img, lbl)
 

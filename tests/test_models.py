@@ -366,7 +366,8 @@ class TestLinearSvm:
         x = rng.random((40, 16))
         x[3, 5] = np.nan  # the epoch loss over all inputs is non-finite
         t = np.where(x[:, 0] > 0.5, 1, -1)
-        with pytest.raises(M.TrainingDivergence, match="non-finite training loss nan at epoch 0") as err:
+        with pytest.raises(M.TrainingDivergence,
+                           match="non-finite training loss nan at epoch 0") as err:
             M.train_linear_svm(x, t, M.TrainConfig(epochs=3, batch_size=8))
         assert err.value.epoch == 0
 
