@@ -115,12 +115,16 @@ def _digit_pair(digits):
     return digits
 
 
+def _changed(args, keys):
+    """The flags among `keys` whose values differ from the command's defaults."""
+    plain = build_parser().parse_args([args.command])
+    return [f"--{key}" for key in keys if getattr(args, key) != getattr(plain, key)]
+
+
 def _front_end(args):
     if not args.no_defense:
         return FrontEndConfig(_basis(args), args.rho)
-    plain = build_parser().parse_args([args.command])
-    ignored = [f"--{key}" for key in ("rho", "basis", "levels")
-               if getattr(args, key) != getattr(plain, key)]
+    ignored = _changed(args, ("rho", "basis", "levels", "clip"))
     if ignored:
         raise ValueError(f"{', '.join(ignored)}: --no-defense trains without the front end")
     return None
@@ -215,8 +219,11 @@ def cmd_attack(args):
     if args.limit < 0:
         raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     model = models_mod.load_model(args.model)
+    linear = isinstance(model, models_mod.LinearModel)
+    if not linear and _changed(args, ("digits",)):
+        raise ValueError("--digits: only an SVM model reads a digit pair")
     test = data_mod.load_mnist(args.data, "test")
-    if isinstance(model, models_mod.LinearModel):
+    if linear:
         test = data_mod.filter_pair(test, *_digit_pair(args.digits))
     if args.limit:
         test = data_mod.Dataset(test.images[: args.limit], test.labels[: args.limit])
@@ -280,74 +287,53 @@ def cmd_attenuation(args):
 
 
 def cmd_table1(args):
-    """Train all four models and reproduce the headline accuracy table."""
+    """Train the four models, keyed by (task, defense), and run PAPER_TABLE's rows in order."""
     out = Path(args.out)
     train = data_mod.load_mnist(args.data, "train")
     test = data_mod.load_mnist(args.data, "test")
-    pair_train = data_mod.filter_pair(train, 3, 7)
-    pair_test = data_mod.filter_pair(test, 3, 7)
+    pair_train, pair_test = (data_mod.filter_pair(split, 3, 7) for split in (train, test))
     basis = _basis(args)
-    net_settings = _choice(NET_DEFAULTS, args.arch, "--arch")
-    clip = args.clip
+    tasks = {
+        "svm": dict(name="SVMs", train=pair_train, test=pair_test, rho=args.svm_rho,
+                    epsilon=args.svm_epsilon, settings=SVM_DEFAULTS),
+        "cnn": dict(name="networks", train=train, test=test, rho=args.cnn_rho,
+                    epsilon=args.cnn_epsilon, settings=_choice(NET_DEFAULTS, args.arch, "--arch"),
+                    arch=models_mod.ARCH_PRESETS[args.arch]),
+    }
 
-    def svm_model(fe):
-        config = TrainConfig(seed=args.seed, front_end=fe, clip_recon=clip, **SVM_DEFAULTS)
-        return models_mod.train_linear_svm(pair_train.images, pair_train.labels, config)
+    models = {}
+    for task, spec in tasks.items():
+        print(f"training {spec['name']} (plain, defended)...")
+        for defense in ("none", "sparse"):
+            fe = FrontEndConfig(basis, spec["rho"]) if defense == "sparse" else None
+            config = TrainConfig(seed=args.seed, front_end=fe, clip_recon=args.clip,
+                                 **spec["settings"])
+            x, y = spec["train"].images, spec["train"].labels
+            models[task, defense] = (models_mod.train_linear_svm(x, y, config) if task == "svm"
+                                     else models_mod.train_network(x, y, config, spec["arch"]))
 
-    def net_model(fe):
-        config = TrainConfig(seed=args.seed, front_end=fe, clip_recon=clip, **net_settings)
-        return models_mod.train_network(train.images, train.labels, config,
-                                        models_mod.ARCH_PRESETS[args.arch])
-
-    print("training SVMs (plain, defended)...")
-    svm_plain = svm_model(None)
-    svm_def = svm_model(FrontEndConfig(basis, args.svm_rho))
-    print("training networks (plain, defended)...")
-    net_plain = net_model(None)
-    net_def = net_model(FrontEndConfig(basis, args.cnn_rho))
-
-    rows = []
-    results = {}
+    measured = {}  # attacked accuracy in percent, keyed like PAPER_TABLE
     clean = {}  # clean accuracy in percent, by model name
-
-    def run(task, model, attack, defense, epsilon):
-        report = attacks_mod.evaluate(
-            model,
-            pair_test if task == "svm" else test,
-            AttackSpec(attack, epsilon, clip=clip),
-        )
-        measured = 100 * report.attacked_accuracy
-        paper = PAPER_TABLE[(task, attack, defense)]
-        rows.append([task, attack, defense, _fmt(measured), _fmt(paper),
-                     _fmt(measured - paper)])
-        results[(task, attack, defense)] = measured
+    for (task, attack, defense), paper in PAPER_TABLE.items():
+        spec = tasks[task]
+        report = attacks_mod.evaluate(models[task, defense], spec["test"],
+                                      AttackSpec(attack, spec["epsilon"], clip=args.clip))
+        accuracy = measured[task, attack, defense] = 100 * report.attacked_accuracy
         # every report measures clean accuracy on the same split with the same clip
         clean.setdefault(task + ("_defended" if defense == "sparse" else ""),
                          100 * report.clean_accuracy)
-        print(f"{task:>4} {attack:>10} {defense:>7}: measured {measured:6.2f}  paper {paper:6.2f}")
+        print(f"{task:>4} {attack:>10} {defense:>7}: measured {accuracy:6.2f}  paper {paper:6.2f}")
 
-    for attack in ("semiwhite", "white"):
-        run("svm", svm_plain, attack, "none", args.svm_epsilon)
-    for attack in ("semiwhite", "white"):
-        run("svm", svm_def, attack, "sparse", args.svm_epsilon)
-    for attack in ("fgsm", "semiwhite", "white"):
-        run("cnn", net_plain, attack, "none", args.cnn_epsilon)
-    for attack in ("fgsm", "semiwhite", "white"):
-        run("cnn", net_def, attack, "sparse", args.cnn_epsilon)
-
-    for task, accuracy in clean.items():
-        print(f"clean {task}: {accuracy:.2f}")
-
-    write_csv(out / "report.csv",
-              ["task", "attack", "defense", "measured", "paper", "delta"], rows)
+    for name, accuracy in clean.items():
+        print(f"clean {name}: {accuracy:.2f}")
+    write_csv(out / "report.csv", ["task", "attack", "defense", "measured", "paper", "delta"],
+              [[*key, _fmt(measured[key]), _fmt(paper), _fmt(measured[key] - paper)]
+               for key, paper in PAPER_TABLE.items()])
     write_csv(out / "clean.csv", ["model", "clean_accuracy"],
-              [[task, _fmt(accuracy)] for task, accuracy in clean.items()])
+              [[name, _fmt(accuracy)] for name, accuracy in clean.items()])
 
-    ordered = (
-        results[("cnn", "white", "sparse")]
-        <= results[("cnn", "semiwhite", "sparse")]
-        <= results[("cnn", "fgsm", "sparse")]
-    )
+    ordered = (measured["cnn", "white", "sparse"] <= measured["cnn", "semiwhite", "sparse"]
+               <= measured["cnn", "fgsm", "sparse"])
     print(f"defended CNN ordering white <= semiwhite <= fgsm: {'OK' if ordered else 'VIOLATED'}")
 
 
@@ -533,7 +519,7 @@ def main(argv=None):
         args.func(args)
         if "out" in args:
             write_manifest(args)
-    except (ValueError, OSError, data_mod.IdxFormatError, models_mod.TrainingDivergence) as exc:
+    except (ValueError, OSError, models_mod.TrainingDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -12,6 +12,7 @@ import gzip
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,19 +82,27 @@ def _read_idx(path, magic, dims, payload):
     """One IDX file's header counts and flat uint8 payload.
 
     ``dims`` names the big-endian counts that follow the magic number;
-    ``payload`` names the data in the truncation message.
+    ``payload`` names the data in the error messages. A damaged gzip archive
+    and bytes after the payload are errors too.
     """
-    with _open_maybe_gzip(path) as f:
-        found = _read_be32(f, path, "magic number")
-        if found != magic:
-            raise IdxFormatError(
-                f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}"
-            )
-        shape = tuple(_read_be32(f, path, f"{dim} count") for dim in dims)
-        size = math.prod(shape)
-        raw = f.read(size)
+    try:
+        with _open_maybe_gzip(path) as f:
+            found = _read_be32(f, path, "magic number")
+            if found != magic:
+                raise IdxFormatError(
+                    f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}"
+                )
+            shape = tuple(_read_be32(f, path, f"{dim} count") for dim in dims)
+            size = math.prod(shape)
+            raw = f.read(size)
+            # reading on to the end makes gzip check the archive's CRC and length
+            trailing = f.read(1)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise IdxFormatError(f"{path}: damaged gzip archive ({exc})") from None
     if len(raw) != size:
         raise IdxFormatError(f"{path}: truncated {payload} data ({len(raw)} of {size} bytes)")
+    if trailing:
+        raise IdxFormatError(f"{path}: trailing bytes after the {size} bytes of {payload} data")
     return shape, np.frombuffer(raw, dtype=np.uint8)
 
 

@@ -452,11 +452,11 @@ class FeedforwardNetwork:
         return self.linearize(x)[1]
 
 
-def _assemble(arch, front_end, weight):
+def _assemble(arch, front_end, weight, bias=np.zeros):
     """Layer stack of an architecture spec whose entries carry all their values.
 
-    weight(shape, fan_in) supplies each weight array, in layer order; biases
-    start at zero.
+    weight(shape, fan_in) supplies each weight array and bias(size) each bias,
+    in layer order; biases start at zero by default.
     """
     input_shape = tuple(arch["input_shape"])
     layers = []
@@ -469,7 +469,7 @@ def _assemble(arch, front_end, weight):
         if kind == "conv":
             _, out_ch, kh, kw = entry
             c, h, w = shape
-            layers.append(Conv2d(weight((out_ch, c, kh, kw), c * kh * kw), np.zeros(out_ch)))
+            layers.append(Conv2d(weight((out_ch, c, kh, kw), c * kh * kw), bias(out_ch)))
             shape = (out_ch, h - kh + 1, w - kw + 1)
         elif kind == "relu":
             layers.append(Relu())
@@ -485,7 +485,7 @@ def _assemble(arch, front_end, weight):
         elif kind == "dense":
             if len(shape) > 1:
                 raise ValueError(f"dense layer on a {shape} input needs a ('flatten',) before it")
-            layers.append(Dense(weight((shape[0], entry[1]), shape[0]), np.zeros(entry[1])))
+            layers.append(Dense(weight((shape[0], entry[1]), shape[0]), bias(entry[1])))
             shape = (entry[1],)
     return FeedforwardNetwork(layers, input_shape, front_end)
 
@@ -609,6 +609,7 @@ def load_model(path):
     Raises ValueError when the file is not a model file, when its header is
     truncated, lacks a field or holds a malformed layer entry, or when its
     payload is shorter or longer than the header's parameter shapes imply.
+    No array is allocated before the payload is known to hold it.
     """
     raw = Path(path).read_bytes()
     off = len(MODEL_MAGIC)
@@ -616,24 +617,36 @@ def load_model(path):
         raise ValueError(f"{path}: not a sparsefront model file")
     (hlen,) = struct.unpack_from(">I", raw, off)
     off += 4
+    payload = len(raw) - off - hlen
+    unclaimed = payload  # bytes no array has claimed yet
+
+    def claim(shape, fan_in=None):
+        nonlocal unclaimed
+        dims = shape if isinstance(shape, tuple) else (shape,)
+        if not all(type(d) is int and d >= 0 for d in dims):
+            raise ValueError(f"bad array shape {shape!r}")
+        unclaimed -= 8 * math.prod(dims)
+        if unclaimed < 0:
+            raise ValueError(f"payload is {payload} bytes, too short for a {dims} array")
+        return np.empty(dims)
+
     try:
         header = json.loads(raw[off : off + hlen])
         fe = _front_end_from_json(header["front_end"])
         kind = header["model"]
         if kind == "linear_svm":
-            model = LinearModel(np.empty(header["dim"]), header["b"], fe)
+            model = LinearModel(claim(header["dim"]), header["b"], fe)
             arrays = [model.w]
         elif kind == "feedforward":
-            model = _assemble(header, fe, lambda shape, fan_in: np.empty(shape))
+            model = _assemble(header, fe, claim, claim)
             arrays = model.params()
         else:
             raise ValueError(f"unknown model type {kind!r}")
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from None
     off += hlen
-    expected = 8 * sum(a.size for a in arrays)
-    if len(raw) - off != expected:
-        raise ValueError(f"{path}: payload is {len(raw) - off} bytes, header implies {expected}")
+    if unclaimed:  # every array fits, so only trailing bytes are left
+        raise ValueError(f"{path}: payload is {payload} bytes, header implies {payload - unclaimed}")
     for a in arrays:
         a[...] = np.frombuffer(raw, "<f8", count=a.size, offset=off).reshape(a.shape)
         off += 8 * a.size

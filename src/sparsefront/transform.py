@@ -19,7 +19,7 @@ constant image gains a factor of 2 per 2D level.
 
 Coefficient vectors are flat, length N = height*width, in subband-major
 order: the coarsest LL block first, then per level from coarsest to finest
-the LH, HL, HH blocks, each flattened row-major. ``SubbandLayout`` describes
+the LH, HL, HH blocks, each flattened row-major. ``subband_layout`` gives
 the extents.
 """
 
@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Basis",
-    "SubbandLayout",
     "forward_batch",
     "inverse_batch",
     "max_l1_norm",
@@ -75,49 +74,6 @@ class Basis:
                 f"levels must be in [1, {max_levels}] for a "
                 f"{self.height}x{self.width} image, got {self.levels}"
             )
-
-    @property
-    def size(self) -> int:
-        return self.height * self.width
-
-
-@dataclass(frozen=True)
-class SubbandLayout:
-    """Extents of each subband in the flat coefficient vector.
-
-    ``bands`` is a tuple of (name, level, rows, cols, offset) entries where
-    name is "ll", "lh", "hl" or "hh" (first letter = vertical band, second =
-    horizontal band), rows/cols are (start, stop) slices into the 2D pyramid
-    arrangement and offset is the subband's start in the flat vector. The
-    order is LL at the deepest level, then (lh, hl, hh) per level from
-    deepest to level 1.
-    """
-
-    height: int
-    width: int
-    levels: int
-    bands: tuple = field(default=())
-
-    @staticmethod
-    def build(height, width, levels) -> "SubbandLayout":
-        dims = _level_extents(height, width, levels)
-        bands = []
-        offset = 0
-        hL, wL = dims[levels]
-        bands.append(("ll", levels, (0, hL), (0, wL), offset))
-        offset += hL * wL
-        for lev in range(levels, 0, -1):
-            hp, wp = dims[lev - 1]  # parent extents
-            hc, wc = dims[lev]
-            for name, rows, cols in (
-                ("lh", (0, hc), (wc, wp)),
-                ("hl", (hc, hp), (0, wc)),
-                ("hh", (hc, hp), (wc, wp)),
-            ):
-                bands.append((name, lev, rows, cols, offset))
-                offset += (rows[1] - rows[0]) * (cols[1] - cols[0])
-        assert offset == height * width
-        return SubbandLayout(height, width, levels, tuple(bands))
 
     @property
     def size(self) -> int:
@@ -225,26 +181,45 @@ def _along_axis(fn, block, axis):
 # Public API
 # ---------------------------------------------------------------------------
 
-# The public builders stay plain functions and call these cached helpers, so
-# that a tracer patching the module's functions still sees every call.
-_layout = functools.cache(SubbandLayout.build)
+@functools.cache
+def subband_layout(basis: Basis) -> tuple:
+    """Extents of each subband in the flat coefficient vector. Cached.
+
+    A tuple of (name, level, rows, cols, offset) entries where name is "ll",
+    "lh", "hl" or "hh" (first letter = vertical band, second = horizontal
+    band), rows/cols are (start, stop) slices into the 2D pyramid arrangement
+    and offset is the subband's start in the flat vector. The order is LL at
+    the deepest level, then (lh, hl, hh) per level from deepest to level 1.
+    """
+    dims = _level_extents(basis.height, basis.width, basis.levels)
+    hL, wL = dims[basis.levels]
+    bands = [("ll", basis.levels, (0, hL), (0, wL), 0)]
+    offset = hL * wL
+    for lev in range(basis.levels, 0, -1):
+        hp, wp = dims[lev - 1]  # parent extents
+        hc, wc = dims[lev]
+        for name, rows, cols in (
+            ("lh", (0, hc), (wc, wp)),
+            ("hl", (hc, hp), (0, wc)),
+            ("hh", (hc, hp), (wc, wp)),
+        ):
+            bands.append((name, lev, rows, cols, offset))
+            offset += (rows[1] - rows[0]) * (cols[1] - cols[0])
+    assert offset == basis.size
+    return tuple(bands)
 
 
-def subband_layout(basis: Basis) -> SubbandLayout:
-    return _layout(basis.height, basis.width, basis.levels)
-
-
-def _pyramid_to_flat(pyr, layout):
+def _pyramid_to_flat(pyr, basis):
     """(batch, h, w) pyramid -> (batch, N) subband-major flat vectors."""
     parts = []
-    for _, _, rows, cols, _ in layout.bands:
+    for _, _, rows, cols, _ in subband_layout(basis):
         parts.append(pyr[:, rows[0] : rows[1], cols[0] : cols[1]].reshape(pyr.shape[0], -1))
     return np.concatenate(parts, axis=-1)
 
 
-def _flat_to_pyramid(flat, layout):
-    pyr = np.empty((flat.shape[0], layout.height, layout.width))
-    for _, _, rows, cols, offset in layout.bands:
+def _flat_to_pyramid(flat, basis):
+    pyr = np.empty((flat.shape[0], basis.height, basis.width))
+    for _, _, rows, cols, offset in subband_layout(basis):
         h = rows[1] - rows[0]
         w = cols[1] - cols[0]
         pyr[:, rows[0] : rows[1], cols[0] : cols[1]] = flat[
@@ -267,7 +242,7 @@ def forward_batch(basis: Basis, images) -> np.ndarray:
         sub = _along_axis(_ANALYZE[basis.kind], sub, 2)
         sub = _along_axis(_ANALYZE[basis.kind], sub, 1)
         block[:, :h, :w] = sub
-    return _pyramid_to_flat(block, subband_layout(basis))
+    return _pyramid_to_flat(block, basis)
 
 
 def inverse_batch(basis: Basis, coeffs) -> np.ndarray:
@@ -277,7 +252,7 @@ def inverse_batch(basis: Basis, coeffs) -> np.ndarray:
         raise ValueError(
             f"expected (batch, {basis.size}) coefficient vectors, got {coeffs.shape}"
         )
-    block = _flat_to_pyramid(coeffs, subband_layout(basis))
+    block = _flat_to_pyramid(coeffs, basis)
     for h, w in reversed(_level_extents(basis.height, basis.width, basis.levels)[:-1]):
         sub = block[:, :h, :w]
         sub = _along_axis(_SYNTHESIZE[basis.kind], sub, 1)
@@ -311,13 +286,21 @@ def _atoms_1d(kind, extents):
 
 
 @functools.cache
-def _atoms(basis: Basis):
+def atom_tables(basis: Basis):
+    """Separable atoms of every coefficient: (fy (N, h), fx (N, w), gy (N, h), gx (N, w)).
+
+    Every wavelet atom has rank one. Row k of the analysis operator, as an
+    h x w image, is the outer product of fy[k] and fx[k]; column k of the
+    synthesis operator is that of gy[k] and gx[k]. For a coefficient of a
+    level-l band at pyramid position (p, q), fy[k] is row p of the l-level
+    1-D analysis operator along the height, and so on. Cached.
+    """
     dims = _level_extents(basis.height, basis.width, basis.levels)
     fh, gh = _atoms_1d(basis.kind, [h for h, _ in dims])
     fw, gw = _atoms_1d(basis.kind, [w for _, w in dims])
     # level, pyramid row and pyramid column of each flat coefficient
     lev, p, q = [], [], []
-    for _, level, rows, cols, _ in subband_layout(basis).bands:
+    for _, level, rows, cols, _ in subband_layout(basis):
         pp, qq = np.meshgrid(np.arange(*rows), np.arange(*cols), indexing="ij")
         lev.append(np.full(pp.size, level - 1))
         p.append(pp.ravel())
@@ -329,18 +312,8 @@ def _atoms(basis: Basis):
     return tables
 
 
-def atom_tables(basis: Basis):
-    """Separable atoms of every coefficient: (fy (N, h), fx (N, w), gy (N, h), gx (N, w)).
-
-    Every wavelet atom has rank one. Row k of the analysis operator, as an
-    h x w image, is the outer product of fy[k] and fx[k]; column k of the
-    synthesis operator is that of gy[k] and gx[k]. For a coefficient of a
-    level-l band at pyramid position (p, q), fy[k] is row p of the l-level
-    1-D analysis operator along the height, and so on. Cached.
-    """
-    return _atoms(basis)
-
-
+# The dense builders stay plain functions over this cached helper, so that a
+# tracer patching the module's functions still sees every call.
 @functools.cache
 def _operator(basis: Basis, side: str) -> np.ndarray:
     build = inverse_batch if side == "synthesis" else forward_batch

@@ -78,6 +78,19 @@ class TestSyntheticAttack:
             assert all(r["predicted_gap"] == r["achieved_gap"] == 0.0
                        for r in report["records"])
 
+    def test_limit_keeps_the_first_samples(self, trained, synth_data, tmp_path):
+        records = {}
+        for limit in (0, 50):
+            out = tmp_path / f"limit{limit}"
+            assert run_cli("attack", "--data", synth_data, "--model", trained["net_defended"],
+                           "--attack", "white", "--epsilon", 0.2, "--clip", "--limit", limit,
+                           "--out", out) == 0
+            report = json.loads((out / "report.json").read_text())
+            records[limit] = [(r["sample"], r["label"]) for r in report["records"]]
+        # evaluation batches of other sizes may move the last bits, so compare no floats
+        assert report["summary"]["samples"] == len(records[50]) == 50
+        assert records[50] == records[0][:50]
+
     @pytest.mark.parametrize("model", ["svm_defended", "net_defended"])
     def test_white_attack_builds_no_dense_operator(self, model, trained, synth_data, tmp_path,
                                                    monkeypatch):
@@ -160,9 +173,17 @@ class TestUnreadSettings:
           "--levels", 2], "--levels"),
         (["train-net", "--arch", "reduced_dense", "--epochs", 1, "--no-defense",
           "--rho", 0.02], "--rho"),
+        (["train-svm", "--epochs", 1, "--no-defense", "--clip"], "--clip"),
+        (["train-net", "--arch", "reduced_dense", "--epochs", 1, "--no-defense",
+          "--clip"], "--clip"),
+        (["attack", "--model", "net_defended", "--attack", "none", "--epsilon", 0,
+          "--digits", "4,9"], "--digits"),
     ], ids=["identity_levels", "reduced_dense_dropout", "svm_no_defense_rho",
-            "svm_no_defense_basis", "net_no_defense_levels", "net_no_defense_rho"])
-    def test_ignored_setting_exits_2(self, argv, setting, synth_data, tmp_path, capsys):
+            "svm_no_defense_basis", "net_no_defense_levels", "net_no_defense_rho",
+            "svm_no_defense_clip", "net_no_defense_clip", "network_digits"])
+    def test_ignored_setting_exits_2(self, argv, setting, synth_data, trained, tmp_path,
+                                     capsys):
+        argv = [trained.get(a, a) if isinstance(a, str) else a for a in argv]  # model files
         data = ["--data", synth_data] if argv[0] != "attenuation" else []
         assert run_cli(*argv, *data, "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err

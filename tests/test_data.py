@@ -68,6 +68,31 @@ class TestLoadIdx:
         with pytest.raises(D.IdxFormatError, match=f"{damaged}-idx.*truncated"):
             D.load_idx(img, lbl)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda gz: gz[: len(gz) // 2], "damaged gzip"),
+        (lambda gz: gz[:-8] + bytes([gz[-8] ^ 0xFF]) + gz[-7:], "damaged gzip"),
+        (lambda gz: gzip.compress(gzip.decompress(gz) + b"\x00"), "trailing bytes"),
+    ], ids=["truncated", "crc_flipped", "trailing"])
+    def test_damaged_gzip_rejected(self, tmp_path, edit, message):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])
+        gz = Path(str(img) + ".gz")
+        gz.write_bytes(edit(gzip.compress(img.read_bytes())))
+        with pytest.raises(D.IdxFormatError, match=f"images-idx.*{message}"):
+            D.load_idx(gz, lbl)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])
+        lbl.write_bytes(lbl.read_bytes() + b"\x00")
+        with pytest.raises(D.IdxFormatError, match="labels-idx.*trailing bytes"):
+            D.load_idx(img, lbl)
+
+    @pytest.mark.parametrize("keep", [2, 6])
+    def test_cut_inside_header(self, tmp_path, keep):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])
+        img.write_bytes(img.read_bytes()[:keep])
+        with pytest.raises(D.IdxFormatError, match="images-idx.*truncated while reading"):
+            D.load_idx(img, lbl)
+
     def test_count_mismatch(self, tmp_path):
         other = tmp_path / "other"
         other.mkdir()
@@ -113,6 +138,25 @@ class TestFilterPair:
         ds = D.load_idx(img, lbl)
         with pytest.raises(ValueError):
             D.filter_pair(ds, 3, 7)
+
+    @pytest.mark.parametrize("a,b", [(3, 10), (-1, 7)])
+    def test_digit_outside_0_to_9_rejected(self, a, b):
+        ds = D.Dataset(np.zeros((2, 4)), np.array([3, 7]))
+        with pytest.raises(ValueError, match="0..9"):
+            D.filter_pair(ds, a, b)
+
+
+class TestDataset:
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="sample count"):
+            D.Dataset(np.zeros((3, 4)), np.zeros(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("pixel", [-0.01, 1.01])
+    def test_pixel_outside_unit_interval_rejected(self, pixel):
+        images = np.zeros((2, 4))
+        images[1, 2] = pixel
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            D.Dataset(images, np.zeros(2, dtype=np.int64))
 
     @needs_mnist
     def test_mnist_pair_counts(self, mnist_test, pair_test):

@@ -53,6 +53,13 @@ def feedforward_file(layers):
     return M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header
 
 
+def linear_file(dim, payload=b""):
+    """Model file bytes: a linear_svm header of dimension dim, then payload."""
+    header = json.dumps({"model": "linear_svm", "dim": dim, "b": 0.0,
+                         "front_end": None}).encode()
+    return M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header + payload
+
+
 def mean_ce(net, x, t):
     y, _ = net.forward(x)
     p = M.softmax(y)
@@ -332,10 +339,16 @@ class TestTrainConfig:
         ("learning_rate", float("inf")), ("learning_rate", -float("inf")),
         ("weight_decay", -1.0), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("epochs", 0), ("epochs", 1.5), ("batch_size", 0), ("batch_size", 64.0),
+        ("dropout_rate", 1.0),
     ])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             M.TrainConfig(**{field: value})
+
+    def test_dropout_layer_rejects_rate_one(self):
+        # a rate of 1 drops every unit and scales the survivors by 1/0
+        with pytest.raises(ValueError, match="dropout rate"):
+            M.Dropout(1.0)
 
     def test_zero_weight_decay_accepted(self):
         assert M.TrainConfig(weight_decay=0.0).weight_decay == 0.0
@@ -587,9 +600,14 @@ class TestSerialization:
         feedforward_file([["dropout", "x"]]),
         feedforward_file([["dropout"]]),
         feedforward_file([["relu", 7]]),
+        # shapes far beyond the payload, rejected before any allocation
+        linear_file(2**50, payload=bytes(16)),
+        feedforward_file([["dense", 2**45]]),
+        feedforward_file([["dense", "7"]]),
     ], ids=["no_magic", "short_header_length", "header_without_fields",
             "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
-            "dropout_without_rate", "relu_with_value"])
+            "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
+            "non_integer_dense_size"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)

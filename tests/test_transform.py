@@ -60,7 +60,7 @@ def fir_analyze_2d(image, levels):
 
 def pyramid_of(basis, flat_coeffs):
     pyr = np.empty((basis.height, basis.width))
-    for _, _, rows, cols, offset in T.subband_layout(basis).bands:
+    for _, _, rows, cols, offset in T.subband_layout(basis):
         hh = rows[1] - rows[0]
         ww = cols[1] - cols[0]
         pyr[rows[0]:rows[1], cols[0]:cols[1]] = flat_coeffs[offset:offset + hh * ww].reshape(hh, ww)
@@ -273,6 +273,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Basis("dct", 28, 28, 1)
 
+    @pytest.mark.parametrize("height,width", [(0, 28), (28, 0)])
+    def test_zero_dimension(self, height, width):
+        with pytest.raises(ValueError, match="positive"):
+            Basis("haar_orthonormal", height, width, 1)
+
     def test_dimension_mismatch(self):
         basis = Basis("haar_orthonormal", 28, 28, 1)
         with pytest.raises(ValueError):
@@ -285,7 +290,7 @@ class TestValidation:
     def test_layout_tiles_grid(self):
         for basis in ALL_BASES:
             layout = T.subband_layout(basis)
-            total = sum((r1 - r0) * (c1 - c0) for _, _, (r0, r1), (c0, c1), _ in layout.bands)
+            total = sum((r1 - r0) * (c1 - c0) for _, _, (r0, r1), (c0, c1), _ in layout)
             assert total == basis.size
 
     def test_zero_coeffs_synthesize_zero(self):
