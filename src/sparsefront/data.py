@@ -68,7 +68,8 @@ def _open_maybe_gzip(path):
     path = Path(path)
     if path.suffix == ".gz":
         return gzip.open(path, "rb")
-    return open(path, "rb")
+    # unbuffered, so reading to the end copies no payload out of a buffer
+    return open(path, "rb", buffering=0)
 
 
 def _read_be32(f, path, what):
@@ -93,15 +94,15 @@ def _read_idx(path, magic, dims, payload):
                     f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}"
                 )
             shape = tuple(_read_be32(f, path, f"{dim} count") for dim in dims)
-            size = math.prod(shape)
-            raw = f.read(size)
-            # reading on to the end makes gzip check the archive's CRC and length
-            trailing = f.read(1)
+            # what the file holds, never the size its header claims; reading to
+            # the end also makes gzip check the archive's CRC and length
+            raw = f.read()
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise IdxFormatError(f"{path}: damaged gzip archive ({exc})") from None
-    if len(raw) != size:
+    size = math.prod(shape)
+    if len(raw) < size:
         raise IdxFormatError(f"{path}: truncated {payload} data ({len(raw)} of {size} bytes)")
-    if trailing:
+    if len(raw) > size:
         raise IdxFormatError(f"{path}: trailing bytes after the {size} bytes of {payload} data")
     return shape, np.frombuffer(raw, dtype=np.uint8)
 

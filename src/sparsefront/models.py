@@ -101,11 +101,13 @@ class LinearModel:
 
     As a two-logit model its logits are (score, 0): class 0 is label +1 and
     class 1 is label -1, and argmax's first-max rule gives +1 at score 0.
+    `digits` is the MNIST digit pair (label +1, label -1) it was trained on.
     """
 
     w: np.ndarray
     b: float
     front_end: FrontEndConfig | None = None
+    digits: tuple | None = None
 
     def score(self, images):
         return np.asarray(images) @ self.w + self.b
@@ -580,6 +582,7 @@ def save_model(model, path):
             "dim": int(model.w.shape[0]),
             "b": model.b,
             "front_end": _front_end_to_json(model.front_end),
+            "digits": model.digits,
         }
         arrays = [model.w]
     elif isinstance(model, FeedforwardNetwork):
@@ -607,9 +610,9 @@ def load_model(path):
     """Inverse of save_model; round-trip is exact.
 
     Raises ValueError when the file is not a model file, when its header is
-    truncated, lacks a field or holds a malformed layer entry, or when its
-    payload is shorter or longer than the header's parameter shapes imply.
-    No array is allocated before the payload is known to hold it.
+    truncated, lacks a field or holds a malformed layer entry or digit pair,
+    or when its payload is shorter or longer than the header's parameter
+    shapes imply. No array is allocated before the payload is known to hold it.
     """
     raw = Path(path).read_bytes()
     off = len(MODEL_MAGIC)
@@ -635,7 +638,12 @@ def load_model(path):
         fe = _front_end_from_json(header["front_end"])
         kind = header["model"]
         if kind == "linear_svm":
-            model = LinearModel(claim(header["dim"]), header["b"], fe)
+            digits = header.get("digits")  # absent from files written before it was recorded
+            if digits is not None and not (isinstance(digits, list) and len(digits) == 2
+                                           and all(type(d) is int for d in digits)):
+                raise ValueError(f"digits must be null or two ints, got {digits!r}")
+            model = LinearModel(claim(header["dim"]), header["b"], fe,
+                                None if digits is None else tuple(digits))
             arrays = [model.w]
         elif kind == "feedforward":
             model = _assemble(header, fe, claim, claim)

@@ -516,7 +516,7 @@ class TestCriterion14:
                                  "--no-defense", "--seed", "5"], "t")
         model_file = trains[0] / "svm_3v7_plain.model"
         attacks = run_and_replay(["attack", "--model", str(model_file), "--attack", "semiwhite",
-                                  "--epsilon", "0.12", "--digits", "3,7", "--limit", "150"], "a")
+                                  "--epsilon", "0.12", "--limit", "150"], "a")
         outputs = [(out / "report.csv").read_bytes() for out in runs]
         models = [(out / "svm_3v7_plain.model").read_bytes() for out in trains]
         atk = [(out / "report.csv").read_bytes() + (out / "report.json").read_bytes()

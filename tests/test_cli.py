@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -176,14 +177,10 @@ class TestUnreadSettings:
         (["train-svm", "--epochs", 1, "--no-defense", "--clip"], "--clip"),
         (["train-net", "--arch", "reduced_dense", "--epochs", 1, "--no-defense",
           "--clip"], "--clip"),
-        (["attack", "--model", "net_defended", "--attack", "none", "--epsilon", 0,
-          "--digits", "4,9"], "--digits"),
     ], ids=["identity_levels", "reduced_dense_dropout", "svm_no_defense_rho",
             "svm_no_defense_basis", "net_no_defense_levels", "net_no_defense_rho",
-            "svm_no_defense_clip", "net_no_defense_clip", "network_digits"])
-    def test_ignored_setting_exits_2(self, argv, setting, synth_data, trained, tmp_path,
-                                     capsys):
-        argv = [trained.get(a, a) if isinstance(a, str) else a for a in argv]  # model files
+            "svm_no_defense_clip", "net_no_defense_clip"])
+    def test_ignored_setting_exits_2(self, argv, setting, synth_data, tmp_path, capsys):
         data = ["--data", synth_data] if argv[0] != "attenuation" else []
         assert run_cli(*argv, *data, "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
@@ -200,10 +197,56 @@ class TestUnreadSettings:
         config = json.loads((tmp_path / "x" / "manifest.json").read_text())["config"]
         assert (config["rho"], config["basis"], config["levels"]) == (rho, "cdf97", 1)
 
-    @pytest.mark.parametrize("command,flag", [("attack", "--seed"), ("table1", "--clip")])
+    # the SVM's digit pair comes from its model file and table1 runs at PAPER_SETTINGS
+    @pytest.mark.parametrize("command,flag", [
+        ("attack", "--seed"), ("table1", "--clip"), ("attack", "--digits"),
+        ("table1", "--svm-epsilon"), ("table1", "--svm-rho"), ("table1", "--cnn-epsilon"),
+        ("table1", "--cnn-rho"),
+    ])
     def test_flag_not_offered(self, command, flag, capsys):
         assert run_cli(command, "--help") == 0
         assert flag not in re.findall(r"--[\w-]+", capsys.readouterr().out)
+        assert run_cli(command, flag, "1") == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestSvmDigitPair:
+    """attack evaluates an SVM on the digit pair its model file records."""
+
+    def test_attack_reads_the_trained_pair(self, synth_data, tmp_path):
+        train, atk = tmp_path / "train", tmp_path / "atk"
+        assert run_cli("train-svm", "--digits", "4,9", "--epochs", 20, "--no-defense",
+                       "--data", synth_data, "--out", train) == 0
+        model_file = train / "svm_4v9_plain.model"
+        assert run_cli("attack", "--data", synth_data, "--model", model_file,
+                       "--attack", "none", "--epsilon", 0, "--out", atk) == 0
+        trained = json.loads((train / "report.json").read_text())["summary"]
+        attacked = json.loads((atk / "report.json").read_text())["summary"]
+        assert attacked["samples"] == trained["test_samples"]
+        assert attacked["clean_accuracy"] == trained["clean_accuracy"]
+        assert M.load_model(model_file).digits == (4, 9)
+
+    @pytest.mark.parametrize("header", ["null", "absent"])
+    def test_model_without_pair_exits_2(self, header, trained, synth_data, tmp_path, capsys):
+        model_file = tmp_path / "old.model"
+        model = M.load_model(trained["svm_plain"])
+        model.digits = None  # a model trained through the library
+        M.save_model(model, model_file)
+        if header == "absent":  # a file written before the pair was recorded
+            blob = model_file.read_bytes()
+            start = len(M.MODEL_MAGIC) + 4
+            size = int.from_bytes(blob[len(M.MODEL_MAGIC):start], "big")
+            fields = json.loads(blob[start:start + size])
+            del fields["digits"]
+            head = json.dumps(fields, sort_keys=True).encode()
+            model_file.write_bytes(M.MODEL_MAGIC + len(head).to_bytes(4, "big") + head
+                                   + blob[start + size:])
+        assert M.load_model(model_file).digits is None
+        rc = run_cli("attack", "--data", synth_data, "--model", model_file,
+                     "--attack", "none", "--epsilon", 0, "--out", tmp_path / "x")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {model_file}" in err and "train-svm" in err
 
 
 class TestMissingInputs:
@@ -297,9 +340,11 @@ class TestConfigFile:
         "unknown_key": ("train-svm", "trails"), "bad_basis": ("train-svm", "basis"),
         "float_epochs": ("train-svm", "epochs"), "string_clip": ("train-svm", "clip"),
         "one_digit": ("train-svm", "digits"), "net_float_epochs": ("train-net", "epochs"),
-        "attack_one_digit": ("attack", "digits"), "attack_number_model": ("attack", "'5'"),
+        "attack_digits": ("attack", "digits"), "attack_number_model": ("attack", "'5'"),
         "attack_list_epsilon": ("attack", "epsilon"), "net_bool_lr": ("train-net", "lr"),
-        "attack_seed": ("attack", "seed"),
+        "attack_seed": ("attack", "seed"), "attenuation_bad_mode": ("attenuation", "--mode"),
+        "sweep_attack_none": ("sweep", "--attack"),
+        "table1_settings": ("table1", "cnn_epsilon, cnn_rho, svm_epsilon, svm_rho"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -322,11 +367,15 @@ class TestConfigFile:
             "string_clip": manifest(clip="no"),
             "one_digit": manifest(digits=[3]),
             "net_float_epochs": manifest(epochs=1.5),
-            "attack_one_digit": manifest(digits=[3]),
+            "attack_digits": manifest(digits=[3, 7]),
             "attack_number_model": manifest(model=5),
             "attack_list_epsilon": manifest(epsilon=[0.1]),
             "net_bool_lr": manifest(lr=True),
             "attack_seed": manifest(seed=0),
+            "attenuation_bad_mode": manifest(mode="bogus"),
+            "sweep_attack_none": manifest(attack="none"),
+            "table1_settings": manifest(svm_epsilon=0.12, svm_rho=0.02, cnn_epsilon=0.25,
+                                        cnn_rho=0.03),
         }
         if case in content:
             path.write_text(content[case])
@@ -336,12 +385,15 @@ class TestConfigFile:
             "train-svm": ["--epochs", 1],
             "train-net": [],
             "attack": ["--model", trained["svm_plain"], "--attack", "none", "--epsilon", 0.1],
+            "attenuation": ["--n", 64, "--k", 4, "--trials", 10],
+            "sweep": ["--rhos", 0.02, "--epsilons", 0.1],
+            "table1": ["--arch", "reduced_dense"],
         }[command]
         # a flag would win over the manifest's value
         flags = {"attack_number_model": flags[2:],
                  "attack_list_epsilon": flags[:-2]}.get(case, flags)
-        rc = run_cli(command, "--config", path, "--data", synth_data, *flags,
-                     "--out", tmp_path / "o")
+        data = ["--data", synth_data] if command != "attenuation" else []  # it reads no data
+        rc = run_cli(command, "--config", path, *data, *flags, "--out", tmp_path / "o")
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and setting in err
@@ -438,8 +490,7 @@ class TestTrainAndAttack:
 
         atk = tmp_path / "atk"
         rc = run_cli("attack", "--model", model_file, "--attack", "white",
-                     "--epsilon", "0.12", "--digits", "3,7", "--clip",
-                     "--limit", 200, "--out", atk)
+                     "--epsilon", "0.12", "--clip", "--limit", 200, "--out", atk)
         assert rc == 0
         report = json.loads((atk / "report.json").read_text())
         assert report["summary"]["samples"] == 200
@@ -466,8 +517,7 @@ class TestTrainAndAttack:
         for name in ("a1", "a2"):
             atk = tmp_path / name
             assert run_cli("attack", "--model", model_file, "--attack", "semiwhite",
-                           "--epsilon", "0.12", "--digits", "3,7", "--limit", 100,
-                           "--out", atk) == 0
+                           "--epsilon", "0.12", "--limit", 100, "--out", atk) == 0
             blobs.append(((atk / "report.csv").read_bytes(),
                           (atk / "report.json").read_bytes()))
         assert blobs[0] == blobs[1]
@@ -478,8 +528,7 @@ class TestTrainAndAttack:
                        "--no-defense", "--out", out, "--seed", 0) == 0
         atk = tmp_path / "atk0"
         assert run_cli("attack", "--model", out / "svm_3v7_plain.model",
-                       "--attack", "none", "--epsilon", "0",
-                       "--digits", "3,7", "--out", atk) == 0
+                       "--attack", "none", "--epsilon", "0", "--out", atk) == 0
         summary = json.loads((atk / "report.json").read_text())["summary"]
         assert summary["attacked_accuracy"] == summary["clean_accuracy"]
 
@@ -516,3 +565,29 @@ class TestNetworkTraining:
         assert net.n_classes == 10
         summary = json.loads((out / "report.json").read_text())["summary"]
         assert summary["clean_accuracy"] > 0.9
+
+
+def _readme_commands():
+    """Every `sparsefront ...` line of README's fenced sh blocks, as an argv list."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["sparsefront"]:
+                commands.append(argv[1:])
+    return commands
+
+
+class TestReadme:
+    def test_command_lines_parse(self, capsys):
+        # parse only: nothing runs
+        commands = _readme_commands()
+        assert len(commands) > 5
+        refused = []
+        for argv in commands:
+            try:
+                cli.build_parser().parse_args(argv)
+            except SystemExit:
+                refused.append(f"sparsefront {shlex.join(argv)}: {capsys.readouterr().err}")
+        assert not refused, "\n".join(refused)

@@ -86,6 +86,19 @@ class TestLoadIdx:
         with pytest.raises(D.IdxFormatError, match="labels-idx.*trailing bytes"):
             D.load_idx(img, lbl)
 
+    @pytest.mark.parametrize("compress", [False, True], ids=["raw", "gzip"])
+    def test_huge_claimed_payload_rejected(self, tmp_path, compress):
+        # 2**20 images of 4096 x 4096 claimed over a 100-byte payload: the
+        # claimed size must never be allocated
+        img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+        blob = struct.pack(">IIII", D.IMAGE_MAGIC, 2**20, 4096, 4096) + bytes(100)
+        if compress:
+            img = Path(str(img) + ".gz")
+            blob = gzip.compress(blob)
+        img.write_bytes(blob)
+        with pytest.raises(D.IdxFormatError, match="images-idx.*truncated"):
+            D.load_idx(img, lbl)
+
     @pytest.mark.parametrize("keep", [2, 6])
     def test_cut_inside_header(self, tmp_path, keep):
         img, lbl = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])

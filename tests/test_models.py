@@ -53,10 +53,10 @@ def feedforward_file(layers):
     return M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header
 
 
-def linear_file(dim, payload=b""):
-    """Model file bytes: a linear_svm header of dimension dim, then payload."""
+def linear_file(dim, payload=b"", **fields):
+    """Model file bytes: a linear_svm header of dimension dim and `fields`, then payload."""
     header = json.dumps({"model": "linear_svm", "dim": dim, "b": 0.0,
-                         "front_end": None}).encode()
+                         "front_end": None, **fields}).encode()
     return M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header + payload
 
 
@@ -548,13 +548,14 @@ class TestSerialization:
         assert np.array_equal(net.logits(x), back.logits(x))
 
     def test_svm_roundtrip_exact(self, tmp_path, rng):
-        svm = M.LinearModel(rng.standard_normal(784), -0.125)
+        svm = M.LinearModel(rng.standard_normal(784), -0.125, digits=(4, 9))
         path = tmp_path / "svm.model"
         M.save_model(svm, path)
         back = M.load_model(path)
         assert np.array_equal(back.w, svm.w)
         assert back.b == svm.b
         assert back.front_end is None
+        assert back.digits == (4, 9)
 
     def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch):
         path = tmp_path / "net.model"
@@ -604,10 +605,16 @@ class TestSerialization:
         linear_file(2**50, payload=bytes(16)),
         feedforward_file([["dense", 2**45]]),
         feedforward_file([["dense", "7"]]),
+        linear_file(2, payload=bytes(16), digits=[3]),
+        linear_file(2, payload=bytes(16), digits=["3", "7"]),
+        linear_file(2, payload=bytes(16), digits=[3, 7, 9]),
+        linear_file(2, payload=bytes(16), digits=37),
+        linear_file(2, payload=bytes(16), digits=[True, False]),
     ], ids=["no_magic", "short_header_length", "header_without_fields",
             "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
             "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
-            "non_integer_dense_size"])
+            "non_integer_dense_size", "one_digit", "string_digits", "three_digits",
+            "number_digits", "bool_digits"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)
