@@ -44,6 +44,7 @@ __all__ = [
 MODEL_MAGIC = b"SPFRONT1\n"
 LR_DECAY_FACTOR = 0.5  # learning-rate multiplier every lr_decay_every epochs
 CONV_ROWS = 16  # images per im2col block in Conv2d.forward
+UPDATE_BLOCK = 65536  # weight-gradient elements per block handed to update (512 KiB)
 
 
 class TrainingDivergence(RuntimeError):
@@ -69,6 +70,9 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.lr_decay_every, (int, np.integer)) or self.lr_decay_every < 0:
+            raise ValueError("lr_decay_every must be a nonnegative integer (0 = constant), "
+                             f"got {self.lr_decay_every!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
@@ -77,7 +81,7 @@ class TrainConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
 
     def lr_at(self, epoch):
-        if self.lr_decay_every <= 0:
+        if self.lr_decay_every == 0:
             return self.learning_rate
         return self.learning_rate * LR_DECAY_FACTOR ** (epoch // self.lr_decay_every)
 
@@ -166,12 +170,32 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
 
 # ---------------------------------------------------------------------------
 # Network layers. forward returns (output, cache); backward consumes the
-# cache and returns (input grad, [param grads]). Only a train=True forward
-# caches what parameter grads need (Dense's input, Conv2d's whole-batch im2col
-# cols); an inference forward keeps switches and shapes and never holds more
-# than one CONV_ROWS block of cols, and after it the list comes back empty, as
-# it does for layers without parameters.
+# cache and returns the input grad. A layer with parameters also has
+# param_grads(g, cache, update), which hands update(p, rows, gp) the gradient
+# gp of p[rows] for each parameter p, a weight in blocks of rows. Only a
+# train=True forward caches what parameter grads need (Dense's input, Conv2d's
+# whole-batch im2col cols), and after an inference forward param_grads hands
+# over nothing; an inference forward keeps switches and shapes and never holds
+# more than one CONV_ROWS block of cols.
 # ---------------------------------------------------------------------------
+
+
+def _weight_grad(a, g, w, update):
+    """Hand update the weight gradient a.T @ g of w in blocks of whole rows.
+
+    A block holds at most UPDATE_BLOCK elements (or one row), so update finds
+    it in cache. Each row of the product is its own sum over the batch, and
+    row blocks of paper_cnn's and reduced_dense's wide weights match the whole
+    product bit for bit. A weight of at most UPDATE_BLOCK elements is one
+    block: 64-row blocks of a 1000x10 weight changed bits at batch 400.
+    """
+    n_rows = w.shape[0]
+    step = max(1, UPDATE_BLOCK // max(1, math.prod(w.shape[1:])))
+    buf = np.empty((min(step, n_rows), g.shape[1]))
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
+        block = np.matmul(a[:, rows].T, g, out=buf[: rows.stop - start])
+        update(w, rows, block.reshape((-1,) + w.shape[1:]))
 
 
 class Dense:
@@ -188,8 +212,13 @@ class Dense:
         return x @ self.w + self.b, (x if train else None)
 
     def backward(self, g, cache):
+        return g @ self.w.T
+
+    def param_grads(self, g, cache, update):
         x = cache
-        return g @ self.w.T, ([] if x is None else [x.T @ g, g.sum(axis=0)])
+        if x is not None:
+            _weight_grad(x, g, self.w, update)
+            update(self.b, slice(None), g.sum(axis=0))
 
 
 class Relu:
@@ -204,7 +233,7 @@ class Relu:
         return x * mask, mask
 
     def backward(self, g, cache):
-        return g * cache, []
+        return g * cache
 
 
 class Conv2d:
@@ -246,15 +275,22 @@ class Conv2d:
             out[rows] = y.transpose(0, 2, 1)
         return out.reshape(b, oc, oh, ow), (cols, x.shape, oh, ow)
 
+    def _gmat(self, g):
+        b, oc, oh, ow = g.shape
+        return g.reshape(b, oc, oh * ow).transpose(0, 2, 1).reshape(b * oh * ow, oc)  # (B*P, OC)
+
+    def param_grads(self, g, cache, update):
+        cols = cache[0]
+        if cols is not None:
+            gmat = self._gmat(g)
+            _weight_grad(gmat, cols.reshape(gmat.shape[0], -1), self.w, update)
+            update(self.b, slice(None), gmat.sum(axis=0))
+
     def backward(self, g, cache):
-        cols, x_shape, oh, ow = cache
+        _, x_shape, oh, ow = cache
         b, c, h, w_ = x_shape
         oc = self.w.shape[0]
-        gmat = g.reshape(b, oc, oh * ow).transpose(0, 2, 1).reshape(b * oh * ow, oc)  # (B*P, OC)
-        grads = []
-        if cols is not None:
-            grad_w = gmat.T @ cols.reshape(b * oh * ow, -1)
-            grads = [grad_w.reshape(self.w.shape), gmat.sum(axis=0)]
+        gmat = self._gmat(g)
         # Weight columns in (kh, kw, C) order make each kernel offset's slice
         # of dcols a run of contiguous channels, added into a channel-last gx.
         wmat = self.w.transpose(0, 2, 3, 1).reshape(oc, -1)
@@ -263,7 +299,7 @@ class Conv2d:
         for i in range(self.kh):
             for j in range(self.kw):
                 gx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
-        return gx.transpose(0, 3, 1, 2), grads
+        return gx.transpose(0, 3, 1, 2)
 
 
 class MaxPool2:
@@ -305,7 +341,7 @@ class MaxPool2:
         pos = corner + (w - 2) * (idx // 2) + idx
         gx = np.zeros(b * c * h * w)
         gx[pos.ravel()] = g.ravel()
-        return gx.reshape(x_shape), []
+        return gx.reshape(x_shape)
 
 
 class Dropout:
@@ -330,7 +366,7 @@ class Dropout:
         return x * mask, mask
 
     def backward(self, g, cache):
-        return (g if cache is None else g * cache), []
+        return g if cache is None else g * cache
 
 
 class Flatten:
@@ -344,7 +380,7 @@ class Flatten:
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, g, cache):
-        return g.reshape(cache), []
+        return g.reshape(cache)
 
 
 # Architecture presets. PAPER_CNN is the full-scale topology; REDUCED_DENSE
@@ -420,18 +456,34 @@ class FeedforwardNetwork:
             caches.append(cache)
         return h, caches
 
-    def backward(self, g, caches):
-        """Output grad (B, L) -> (input grad (B, N), param grads list).
+    def backward(self, g, caches, update=None):
+        """Output grad (B, L) -> (input grad (B, N), param grads list), or None.
 
-        The param grads come back, one per parameter in params() order,
-        exactly when the caches came from a train=True forward; after an
-        inference forward the list is empty.
+        With update=None the param grads come back, one per parameter in
+        params() order, exactly when the caches came from a train=True
+        forward; after an inference forward the list is empty. Otherwise each
+        layer's parameter gradients go to update(p, rows, gp) as they are made,
+        after the layer's input grad has read its weights, so update may change
+        p[rows] in place; no input grad is made for the first parametric layer
+        or below it, and None is returned.
         """
-        grads = []
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            g, pg = layer.backward(g, cache)
-            grads[:0] = pg
-        return g.reshape(g.shape[0], -1), grads
+        grads = {}
+        collect = update is None
+        if collect:
+            def update(p, rows, gp):
+                grads.setdefault(id(p), np.empty_like(p))[rows] = gp
+            first = 0
+        else:
+            first = next(i for i, layer in enumerate(self.layers) if layer.params())
+        for i in range(len(self.layers) - 1, first - 1, -1):
+            layer, cache = self.layers[i], caches[i]
+            gx = layer.backward(g, cache) if collect or i > first else None
+            if layer.params():
+                layer.param_grads(g, cache, update)
+            g = gx
+        if not collect:
+            return None
+        return g.reshape(g.shape[0], -1), [grads[id(p)] for p in self.params() if id(p) in grads]
 
     def logits(self, x):
         """(B, N) inputs -> (B, L) logits, dropout disabled."""
@@ -512,6 +564,20 @@ def _xent_and_grad(y, labels):
     return loss, g / n
 
 
+def sgd_update(lr, weight_decay):
+    """backward's update callback for one SGD step: p -= lr * (gp + weight_decay * p).
+
+    Weight decay applies to weights (ndim > 1), not biases. The step works
+    in place on the block gp and rounds exactly as that expression does.
+    """
+    def update(p, rows, gp):
+        if p.ndim > 1 and weight_decay:
+            gp += weight_decay * p[rows]
+        gp *= lr
+        p[rows] -= gp
+    return update
+
+
 def train_network(images, labels, config: TrainConfig, arch=REDUCED_DENSE,
                   log=None) -> FeedforwardNetwork:
     """SGD on softmax cross-entropy. Deterministic given config.seed.
@@ -527,7 +593,7 @@ def train_network(images, labels, config: TrainConfig, arch=REDUCED_DENSE,
     dropout_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
     n = images.shape[0]
     for epoch in range(config.epochs):
-        lr = config.lr_at(epoch)
+        step = sgd_update(config.lr_at(epoch), config.weight_decay)
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
@@ -537,12 +603,7 @@ def train_network(images, labels, config: TrainConfig, arch=REDUCED_DENSE,
             epoch_loss += loss * idx.size
             if not np.isfinite(loss):
                 raise TrainingDivergence(epoch, loss)
-            _, grads = net.backward(g, caches)
-            params = net.params()
-            for p, gp in zip(params, grads):
-                if p.ndim > 1 and config.weight_decay:
-                    gp = gp + config.weight_decay * p
-                p -= lr * gp
+            net.backward(g, caches, step)
         if log is not None:
             log(epoch, epoch_loss / n)
     return net

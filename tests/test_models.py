@@ -220,8 +220,7 @@ class TestMaxPoolBackward:
         dwin = np.zeros((b, c, h // 2, w // 2, 4))
         np.put_along_axis(dwin, cache[0][..., None], g[..., None], axis=-1)
         ref = dwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(shape)
-        gx, grads = pool.backward(g, cache)
-        assert grads == []
+        gx = pool.backward(g, cache)
         assert gx.shape == shape
         assert gx.tobytes() == ref.tobytes()
 
@@ -339,7 +338,7 @@ class TestTrainConfig:
         ("learning_rate", float("inf")), ("learning_rate", -float("inf")),
         ("weight_decay", -1.0), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("epochs", 0), ("epochs", 1.5), ("batch_size", 0), ("batch_size", 64.0),
-        ("dropout_rate", 1.0),
+        ("dropout_rate", 1.0), ("lr_decay_every", -3), ("lr_decay_every", 1.5),
     ])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -352,6 +351,9 @@ class TestTrainConfig:
 
     def test_zero_weight_decay_accepted(self):
         assert M.TrainConfig(weight_decay=0.0).weight_decay == 0.0
+
+    def test_zero_lr_decay_every_is_constant(self):
+        assert M.TrainConfig(lr_decay_every=0).lr_at(7) == M.TrainConfig().learning_rate
 
 
 class TestLinearSvm:
@@ -496,6 +498,79 @@ class TestBlockedConv:
         peak = traced_peak_mib(lambda: net.forward(x, train=True, rng=np.random.default_rng(1)))
         # 28.7 MiB with the whole-batch forward; blocks must not add to it
         assert peak <= 29.7
+
+
+def single_dense(n_in, n_out):
+    return M.build_network({"input_shape": (n_in,), "layers": [("dense", n_out)]}, seed=0)
+
+
+class TestFusedUpdate:
+    """backward(g, caches, update) applies SGD inside the backward, bit for bit."""
+
+    @pytest.mark.parametrize("weight_decay", [1e-4, 0.0])
+    @pytest.mark.parametrize("batch", [1, 16, 40, 64])
+    @pytest.mark.parametrize("arch", [M.PAPER_CNN, M.REDUCED_DENSE],
+                             ids=["paper_cnn", "reduced_dense"])
+    def test_step_matches_reference(self, arch, batch, weight_decay, rng):
+        lr = 0.01
+        fused, ref = M.build_network(arch, seed=2), M.build_network(arch, seed=2)
+        x = rng.random((batch, fused.n_inputs))
+        t = rng.integers(0, fused.n_classes, batch)
+        y, caches = ref.forward(x, train=True, rng=np.random.default_rng(5))
+        _, g = M._xent_and_grad(y, t)
+        _, grads = ref.backward(g, caches)
+        for p, gp in zip(ref.params(), grads):
+            if p.ndim > 1 and weight_decay:
+                gp = gp + weight_decay * p
+            p -= lr * gp
+        y, caches = fused.forward(x, train=True, rng=np.random.default_rng(5))
+        _, g = M._xent_and_grad(y, t)
+        assert fused.backward(g, caches, M.sgd_update(lr, weight_decay)) is None
+        for a, b in zip(fused.params(), ref.params()):
+            assert a.tobytes() == b.tobytes()
+
+    # paper_cnn's and reduced_dense's row-blocked weights, and the 1000x10
+    # output layer at a batch where 64-row blocks of it change bits
+    @pytest.mark.parametrize("n_in,n_out,batch", [
+        *[(n_in, n_out, batch)
+          for n_in, n_out in [(640, 1000), (1000, 1000), (784, 256), (256, 256)]
+          for batch in (1, 16, 40, 64)],
+        (1000, 10, 600),
+    ])
+    def test_blocks_match_whole_product(self, n_in, n_out, batch, rng):
+        net = single_dense(n_in, n_out)
+        x = rng.standard_normal((batch, n_in))
+        g = rng.standard_normal((batch, n_out))
+        _, caches = net.forward(x, train=True)
+        _, (grad_w, grad_b) = net.backward(g, caches)
+        assert grad_w.tobytes() == (x.T @ g).tobytes()
+        assert grad_b.tobytes() == g.sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("n_in,n_out,rows", [
+        (1000, 10, [1000]),  # at most UPDATE_BLOCK elements: one block
+        (640, 1000, [65] * 9 + [55]),
+        (3, 70000, [1, 1, 1]),  # a row wider than UPDATE_BLOCK is its own block
+    ])
+    def test_block_rows(self, n_in, n_out, rows):
+        net = single_dense(n_in, n_out)
+        _, caches = net.forward(np.ones((2, n_in)), train=True)
+        seen = []
+        net.backward(np.ones((2, n_out)), caches,
+                     lambda p, r, gp: seen.append((p.ndim, len(range(*r.indices(len(p)))))))
+        assert seen == [(2, n) for n in rows] + [(1, n_out)]
+
+    def test_training_step_peak(self, rng):
+        net = M.build_network(M.PAPER_CNN, seed=0)
+        x = rng.random((64, net.n_inputs))
+        t = rng.integers(0, net.n_classes, 64)
+
+        def step():
+            y, caches = net.forward(x, train=True, rng=np.random.default_rng(1))
+            _, g = M._xent_and_grad(y, t)
+            net.backward(g, caches, M.sgd_update(0.01, 1e-4))
+
+        # 60.3 MiB with the gradient list and the update's temporaries
+        assert traced_peak_mib(step) <= 50
 
 
 class TestLogitsOp:
