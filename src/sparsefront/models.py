@@ -471,7 +471,9 @@ class FeedforwardNetwork:
         collect = update is None
         if collect:
             def update(p, rows, gp):
-                grads.setdefault(id(p), np.empty_like(p))[rows] = gp
+                if id(p) not in grads:
+                    grads[id(p)] = np.empty_like(p)
+                grads[id(p)][rows] = gp
             first = 0
         else:
             first = next(i for i, layer in enumerate(self.layers) if layer.params())
