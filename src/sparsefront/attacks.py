@@ -145,7 +145,7 @@ def fgsm_batch(net: FeedforwardNetwork, x, t, epsilon):
     y, caches = net.forward(x)
     g_out = softmax(y)
     g_out[np.arange(x.shape[0]), t] -= 1.0  # d CE / d logits
-    g_x, _ = net.backward(g_out, caches)
+    g_x = net.backward(g_out, caches)
     return epsilon * np.sign(g_x), ~np.any(g_x, axis=1), y
 
 

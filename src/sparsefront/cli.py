@@ -249,6 +249,9 @@ def cmd_attack(args):
 def cmd_sweep(args):
     if not args.rhos or not args.epsilons:
         raise ValueError("sweep needs nonempty --rhos and --epsilons")
+    for flag, values in (("--rhos", args.rhos), ("--epsilons", args.epsilons)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{flag} repeats a value: {','.join(f'{v:g}' for v in values)}")
     _choice(dict.fromkeys(SWEEP_ATTACKS), args.attack, "--attack")
     a, b = _digit_pair(args.digits)
     train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
@@ -398,7 +401,7 @@ def build_parser(defaults=None):
     p = sub.add_parser("train-svm", help="train the binary linear SVM")
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
-    _add_frontend_flags(p, rho=0.02)
+    _add_frontend_flags(p, rho=PAPER_SETTINGS["svm"]["rho"])
     p.add_argument("--digits", type=_digits, default=[3, 7])
     p.add_argument("--epochs", type=int, default=SVM_DEFAULTS["epochs"])
     p.add_argument("--lr", type=float, default=SVM_DEFAULTS["learning_rate"])
@@ -409,7 +412,7 @@ def build_parser(defaults=None):
     p = sub.add_parser("train-net", help="train the feedforward network")
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
-    _add_frontend_flags(p, rho=0.03)
+    _add_frontend_flags(p, rho=PAPER_SETTINGS["cnn"]["rho"])
     p.add_argument("--arch", choices=sorted(models_mod.ARCH_PRESETS), default="reduced_dense")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -433,7 +436,7 @@ def build_parser(defaults=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--digits", type=_digits, default=[3, 7])
     p.add_argument("--rhos", type=_float_list, default=[0.01, 0.02, 0.03, 0.04, 0.05])
-    p.add_argument("--epsilons", type=_float_list, default=[0.12])
+    p.add_argument("--epsilons", type=_float_list, default=[PAPER_SETTINGS["svm"]["epsilon"]])
     p.add_argument("--attack", choices=SWEEP_ATTACKS, default="white")
     _add_basis_flags(p)
     p.add_argument("--clip", action="store_true")

@@ -47,7 +47,7 @@ class FrontEndConfig:
     rho: float
 
     def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
+        if isinstance(self.rho, bool) or not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must be in (0, 1], got {self.rho}")
 
     @property

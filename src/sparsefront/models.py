@@ -173,10 +173,9 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
 # cache and returns the input grad. A layer with parameters also has
 # param_grads(g, cache, update), which hands update(p, rows, gp) the gradient
 # gp of p[rows] for each parameter p, a weight in blocks of rows. Only a
-# train=True forward caches what parameter grads need (Dense's input, Conv2d's
-# whole-batch im2col cols), and after an inference forward param_grads hands
-# over nothing; an inference forward keeps switches and shapes and never holds
-# more than one CONV_ROWS block of cols.
+# train=True forward caches what param_grads reads (Dense's input, Conv2d's
+# whole-batch im2col cols); an inference forward keeps switches and shapes and
+# never holds more than one CONV_ROWS block of cols.
 # ---------------------------------------------------------------------------
 
 
@@ -202,9 +201,6 @@ class Dense:
     def __init__(self, w, b):
         self.w, self.b = w, b  # (n_in, n_out), (n_out,)
 
-    def spec(self):
-        return ("dense", self.w.shape[1])
-
     def params(self):
         return [self.w, self.b]
 
@@ -215,16 +211,11 @@ class Dense:
         return g @ self.w.T
 
     def param_grads(self, g, cache, update):
-        x = cache
-        if x is not None:
-            _weight_grad(x, g, self.w, update)
-            update(self.b, slice(None), g.sum(axis=0))
+        _weight_grad(cache, g, self.w, update)
+        update(self.b, slice(None), g.sum(axis=0))
 
 
 class Relu:
-    def spec(self):
-        return ("relu",)
-
     def params(self):
         return []
 
@@ -242,9 +233,6 @@ class Conv2d:
     def __init__(self, w, b):
         self.w, self.b = w, b  # (out_ch, in_ch, kh, kw), (out_ch,)
         self.kh, self.kw = w.shape[2:]
-
-    def spec(self):
-        return ("conv", self.w.shape[0], self.kh, self.kw)
 
     def params(self):
         return [self.w, self.b]
@@ -280,11 +268,9 @@ class Conv2d:
         return g.reshape(b, oc, oh * ow).transpose(0, 2, 1).reshape(b * oh * ow, oc)  # (B*P, OC)
 
     def param_grads(self, g, cache, update):
-        cols = cache[0]
-        if cols is not None:
-            gmat = self._gmat(g)
-            _weight_grad(gmat, cols.reshape(gmat.shape[0], -1), self.w, update)
-            update(self.b, slice(None), gmat.sum(axis=0))
+        gmat = self._gmat(g)
+        _weight_grad(gmat, cache[0].reshape(gmat.shape[0], -1), self.w, update)
+        update(self.b, slice(None), gmat.sum(axis=0))
 
     def backward(self, g, cache):
         _, x_shape, oh, ow = cache
@@ -304,9 +290,6 @@ class Conv2d:
 
 class MaxPool2:
     """2x2 max pooling, stride 2; the argmax within each window is the switch."""
-
-    def spec(self):
-        return ("maxpool",)
 
     def params(self):
         return []
@@ -352,9 +335,6 @@ class Dropout:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate!r}")
         self.rate = rate
 
-    def spec(self):
-        return ("dropout", self.rate)
-
     def params(self):
         return []
 
@@ -370,9 +350,6 @@ class Dropout:
 
 
 class Flatten:
-    def spec(self):
-        return ("flatten",)
-
     def params(self):
         return []
 
@@ -425,9 +402,10 @@ LAYER_VALUES = {"conv": 3, "relu": 0, "maxpool": 0, "dropout": 1, "flatten": 0, 
 class FeedforwardNetwork:
     """Piecewise-linear logit map: an ordered stack of layers over flat inputs."""
 
-    def __init__(self, layers, input_shape, front_end=None):
+    def __init__(self, layers, arch, front_end=None):
         self.layers = layers
-        self.input_shape = tuple(input_shape)
+        self.arch = arch  # the validated architecture the layers were built from
+        self.input_shape = tuple(arch["input_shape"])
         self.front_end = front_end
 
     @property
@@ -457,35 +435,26 @@ class FeedforwardNetwork:
         return h, caches
 
     def backward(self, g, caches, update=None):
-        """Output grad (B, L) -> (input grad (B, N), param grads list), or None.
+        """Output grad (B, L) -> input grad (B, N); with update, one training step.
 
-        With update=None the param grads come back, one per parameter in
-        params() order, exactly when the caches came from a train=True
-        forward; after an inference forward the list is empty. Otherwise each
-        layer's parameter gradients go to update(p, rows, gp) as they are made,
-        after the layer's input grad has read its weights, so update may change
-        p[rows] in place; no input grad is made for the first parametric layer
-        or below it, and None is returned.
+        Without update no parameter gradient is made. With update the caches
+        must come from a train=True forward: each layer's parameter gradients
+        go to update(p, rows, gp) as they are made, after the layer's input
+        grad has read its weights, so update may change p[rows] in place; no
+        input grad is made for the first parametric layer or below it, and
+        None is returned.
         """
-        grads = {}
-        collect = update is None
-        if collect:
-            def update(p, rows, gp):
-                if id(p) not in grads:
-                    grads[id(p)] = np.empty_like(p)
-                grads[id(p)][rows] = gp
-            first = 0
-        else:
-            first = next(i for i, layer in enumerate(self.layers) if layer.params())
+        if update is None:
+            for layer, cache in zip(reversed(self.layers), reversed(caches)):
+                g = layer.backward(g, cache)
+            return g.reshape(g.shape[0], -1)
+        first = next(i for i, layer in enumerate(self.layers) if layer.params())
         for i in range(len(self.layers) - 1, first - 1, -1):
             layer, cache = self.layers[i], caches[i]
-            gx = layer.backward(g, cache) if collect or i > first else None
+            gx = layer.backward(g, cache) if i > first else None
             if layer.params():
                 layer.param_grads(g, cache, update)
             g = gx
-        if not collect:
-            return None
-        return g.reshape(g.shape[0], -1), [grads[id(p)] for p in self.params() if id(p) in grads]
 
     def logits(self, x):
         """(B, N) inputs -> (B, L) logits, dropout disabled."""
@@ -500,27 +469,32 @@ class FeedforwardNetwork:
         for i in range(self.n_classes):
             g = np.zeros((b, self.n_classes))
             g[:, i] = 1.0
-            jac[:, i, :], _ = self.backward(g, caches)
+            jac[:, i, :] = self.backward(g, caches)
         return y, jac
 
     def input_jacobian(self, x):
-        """(B, N) inputs -> (B, L, N) Jacobian of the logits at each input."""
+        """(B, N) inputs -> (B, L, N) Jacobian; kept while the tracer wraps it (ROADMAP item 4)."""
         return self.linearize(x)[1]
 
 
 def _assemble(arch, front_end, weight, bias=np.zeros):
-    """Layer stack of an architecture spec whose entries carry all their values.
+    """Network of an architecture spec whose entries carry all their values.
 
     weight(shape, fan_in) supplies each weight array and bias(size) each bias,
-    in layer order; biases start at zero by default.
+    in layer order; biases start at zero by default. The network records the
+    spec as input_shape plus [kind, *values] entries, which save_model writes.
     """
     input_shape = tuple(arch["input_shape"])
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+               for d in input_shape):
+        raise ValueError(f"input_shape must be positive integers, got {list(input_shape)!r}")
+    entries = [list(entry) for entry in arch["layers"]]
     layers = []
     shape = input_shape
-    for entry in arch["layers"]:
+    for entry in entries:
         kind = entry[0]
         if LAYER_VALUES.get(kind) != len(entry) - 1:
-            raise ValueError(f"malformed layer entry {list(entry)!r}; "
+            raise ValueError(f"malformed layer entry {entry!r}; "
                              f"values per kind: {LAYER_VALUES}")
         if kind == "conv":
             _, out_ch, kh, kw = entry
@@ -543,7 +517,8 @@ def _assemble(arch, front_end, weight, bias=np.zeros):
                 raise ValueError(f"dense layer on a {shape} input needs a ('flatten',) before it")
             layers.append(Dense(weight((shape[0], entry[1]), shape[0]), bias(entry[1])))
             shape = (entry[1],)
-    return FeedforwardNetwork(layers, input_shape, front_end)
+    return FeedforwardNetwork(layers, {"input_shape": list(input_shape), "layers": entries},
+                              front_end)
 
 
 def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNetwork:
@@ -649,12 +624,8 @@ def save_model(model, path):
         }
         arrays = [model.w]
     elif isinstance(model, FeedforwardNetwork):
-        header = {
-            "model": "feedforward",
-            "input_shape": list(model.input_shape),
-            "layers": [list(layer.spec()) for layer in model.layers],
-            "front_end": _front_end_to_json(model.front_end),
-        }
+        header = {"model": "feedforward", **model.arch,
+                  "front_end": _front_end_to_json(model.front_end)}
         arrays = model.params()
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")

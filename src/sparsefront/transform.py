@@ -66,6 +66,10 @@ class Basis:
     def __post_init__(self):
         if self.kind not in ("haar_orthonormal", "cdf97_biorthogonal"):
             raise ValueError(f"unknown basis kind: {self.kind!r}")
+        for name in ("height", "width", "levels"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.height < 1 or self.width < 1:
             raise ValueError("image dimensions must be positive")
         max_levels = int(math.floor(math.log2(min(self.height, self.width))))

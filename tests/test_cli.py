@@ -551,6 +551,16 @@ class TestSweep:
                      "--out", tmp_path / "s")
         assert rc != 0
 
+    @pytest.mark.parametrize("flag,grid", [
+        ("--rhos", ["--rhos", "0.02,0.02,0.05", "--epsilons", "0.12"]),
+        ("--epsilons", ["--rhos", "0.02,0.05", "--epsilons", "0.12,0.12"]),
+    ])
+    def test_repeated_grid_value_rejected(self, tmp_path, capsys, flag, grid):
+        # checked before any data is read, so no MNIST is needed
+        assert run_cli("sweep", *grid, "--out", tmp_path / "s") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+
 
 class TestNetworkTraining:
     @needs_mnist

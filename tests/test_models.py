@@ -9,6 +9,7 @@ from sparsefront.frontend import FrontEndConfig
 from sparsefront.transform import Basis
 
 from conftest import needs_mnist
+from param_grads import param_grads
 from switch_replay import forward_frozen, pool_windows, switch_state
 
 TINY_CNN = {
@@ -46,11 +47,24 @@ TINY_DENSE = {
 }
 
 
-def feedforward_file(layers):
-    """Model file bytes: a feedforward header over a length-4 input, and no payload."""
-    header = json.dumps({"model": "feedforward", "input_shape": [4], "layers": layers,
-                         "front_end": None}).encode()
+def feedforward_file(layers, input_shape=(4,)):
+    """Model file bytes: a feedforward header over input_shape, and no payload."""
+    header = json.dumps({"model": "feedforward", "input_shape": list(input_shape),
+                         "layers": layers, "front_end": None}).encode()
     return M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header
+
+
+def model_header(path):
+    """The JSON header bytes of a model file."""
+    raw = path.read_bytes()
+    start = len(M.MODEL_MAGIC) + 4
+    return raw[start : start + int.from_bytes(raw[start - 4 : start], "big")]
+
+
+def front_end_json(**fields):
+    """A model file's front-end record, with `fields` replacing its values."""
+    return {"kind": "cdf97_biorthogonal", "height": 28, "width": 28, "levels": 1, "rho": 0.02,
+            **fields}
 
 
 def linear_file(dim, payload=b"", **fields):
@@ -107,7 +121,8 @@ class TestBackpropOracle:
         g = p.copy()
         g[np.arange(3), t] -= 1.0
         g /= 3
-        gx, grads = net.backward(g, caches)
+        gx = net.backward(g, caches)
+        grads = param_grads(net, g, caches)
 
         for prm, grd in zip(net.params(), grads):
             flat = prm.reshape(-1)
@@ -156,7 +171,7 @@ class TestBackpropOracle:
         g = p.copy()
         g[np.arange(4), t] -= 1.0
         g /= 4
-        gx, grads = net.backward(g, caches)
+        grads = param_grads(net, g, caches)
         h = 1e-6
 
         def loss_with_mask():
@@ -428,10 +443,11 @@ class TestCacheContract:
                 assert cache[0] is None  # no im2col columns
             elif isinstance(layer, M.Dense):
                 assert cache is None  # no layer input
-        assert net.backward(g, caches)[1] == []
+        assert net.backward(g, caches).shape == x.shape
         _, caches = net.forward(x, train=True, rng=np.random.default_rng(1))
-        _, grads = net.backward(g, caches)
+        grads = param_grads(net, g, caches)
         assert [gp.shape for gp in grads] == [p.shape for p in net.params()]
+        assert all(np.isfinite(gp).all() for gp in grads)
 
 
 def whole_batch_conv(layer, x):
@@ -518,7 +534,7 @@ class TestFusedUpdate:
         t = rng.integers(0, fused.n_classes, batch)
         y, caches = ref.forward(x, train=True, rng=np.random.default_rng(5))
         _, g = M._xent_and_grad(y, t)
-        _, grads = ref.backward(g, caches)
+        grads = param_grads(ref, g, caches)
         for p, gp in zip(ref.params(), grads):
             if p.ndim > 1 and weight_decay:
                 gp = gp + weight_decay * p
@@ -542,7 +558,7 @@ class TestFusedUpdate:
         x = rng.standard_normal((batch, n_in))
         g = rng.standard_normal((batch, n_out))
         _, caches = net.forward(x, train=True)
-        _, (grad_w, grad_b) = net.backward(g, caches)
+        grad_w, grad_b = param_grads(net, g, caches)
         assert grad_w.tobytes() == (x.T @ g).tobytes()
         assert grad_b.tobytes() == g.sum(axis=0).tobytes()
 
@@ -650,6 +666,27 @@ class TestSerialization:
             M.save_model(other, path)
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("arch,front_end", [
+        (M.PAPER_CNN, None),
+        (M.REDUCED_DENSE, None),
+        (TINY_CNN, FrontEndConfig(Basis("haar_orthonormal", 8, 8, 2), rho=0.25)),
+    ], ids=["paper_cnn", "reduced_dense", "tiny_cnn_front_end"])
+    def test_save_load_save_same_bytes(self, tmp_path, arch, front_end):
+        first, second = tmp_path / "first.model", tmp_path / "second.model"
+        M.save_model(M.build_network(arch, seed=1, front_end=front_end), first)
+        M.save_model(M.load_model(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_paper_cnn_header(self, tmp_path):
+        path = tmp_path / "net.model"
+        M.save_model(M.build_network(M.PAPER_CNN, seed=0), path)
+        assert model_header(path) == (
+            b'{"front_end": null, "input_shape": [1, 28, 28], "layers": [["conv", 20, 5, 5], '
+            b'["relu"], ["maxpool"], ["conv", 40, 5, 5], ["relu"], ["maxpool"], ["flatten"], '
+            b'["dense", 1000], ["relu"], ["dropout", 0.5], ["dense", 1000], ["relu"], '
+            b'["dropout", 0.5], ["dense", 10]], "model": "feedforward"}'
+        )
+
     def test_identical_models_identical_bytes(self, tmp_path):
         a = M.build_network(TINY_DENSE, seed=42)
         b = M.build_network(TINY_DENSE, seed=42)
@@ -685,11 +722,20 @@ class TestSerialization:
         linear_file(2, payload=bytes(16), digits=[3, 7, 9]),
         linear_file(2, payload=bytes(16), digits=37),
         linear_file(2, payload=bytes(16), digits=[True, False]),
+        linear_file(2, payload=bytes(16), front_end=front_end_json(levels=1.5)),
+        linear_file(2, payload=bytes(16), front_end=front_end_json(height=28.0)),
+        linear_file(2, payload=bytes(16), front_end=front_end_json(levels=True)),
+        linear_file(2, payload=bytes(16), front_end=front_end_json(rho=True)),
+        feedforward_file([["flatten"]], input_shape=[1, 28.0, 28]),
+        feedforward_file([["dense", 2]], input_shape=[True]),
+        feedforward_file([["dense", 2]], input_shape=[0]),
     ], ids=["no_magic", "short_header_length", "header_without_fields",
             "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
             "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
             "non_integer_dense_size", "one_digit", "string_digits", "three_digits",
-            "number_digits", "bool_digits"])
+            "number_digits", "bool_digits", "fractional_levels", "float_height",
+            "bool_levels", "bool_rho", "float_input_shape", "bool_input_shape",
+            "zero_input_shape"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)
