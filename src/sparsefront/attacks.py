@@ -20,7 +20,7 @@ step changes S, D or a switch. That is no claim about the paper's body,
 which the repository does not hold. FGSM differentiates the bare network's
 cross-entropy and needs a network.
 
-Each ``evaluate`` record gives the chosen pair's predicted attacked gap,
+Per sample, ``evaluate`` reports the chosen pair's predicted attacked gap,
 y_i - y_t + epsilon * ||p||_1, and the achieved signed change of y_i - y_t;
 for an SVM that gap is -label * score. sign(0) = 0, so zero coordinates of
 the steering vector are left unspent. ``evaluate`` checks that every
@@ -30,7 +30,7 @@ perturbation satisfies ||e||_inf <= epsilon; perturbed inputs are clipped to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +80,7 @@ class EvalReport:
     clean_accuracy: float
     attacked_accuracy: float
     mean_distortion: float
-    n: int
-    records: list = field(default_factory=list)
+    columns: dict  # name -> (n,) or (n, k) array; evaluate's batch dict declares them
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +183,18 @@ def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
     """Clean and attacked accuracy of a LinearModel or FeedforwardNetwork over a dataset.
 
     The model is attacked through the front end it was trained with, if any.
-    Records name the chosen pair (i, t) as labels. Raises ValueError on a
-    label the model has no class for and if an attack's perturbation
-    exceeds its l-infinity budget. Perturbed inputs are clipped to [0, 1]
-    only when attack.clip is set.
+    Its columns give labels, predictions and the chosen pair (i, t) as
+    dataset labels. Raises ValueError on a label the model has no class for
+    and if an attack's perturbation exceeds its l-infinity budget. Perturbed
+    inputs are clipped to [0, 1] only when attack.clip is set.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     classes, label_of = _class_indices(model, dataset.labels, attack.kind)
     fe = model.front_end
     clip = attack.clip
-    n = len(dataset)
-    parts = []
-    for start in range(0, n, EVAL_BATCH):
+    batches = []
+    for start in range(0, len(dataset), EVAL_BATCH):
         x = dataset.images[start : start + EVAL_BATCH]
         t = classes[start : start + EVAL_BATCH]
         rows = np.arange(x.shape[0])
@@ -229,23 +227,19 @@ def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
         achieved = (y_adv[rows, i_rec] - y_adv[rows, t]) - (
             y_clean[rows, i_rec] - y_clean[rows, t]
         )
-        parts.append((y_clean.argmax(axis=1), y_adv.argmax(axis=1), i_rec, predicted, achieved))
-    clean_pred, adv_pred, pair_i, predicted, achieved = map(np.concatenate, zip(*parts))
+        batches.append({
+            "sample": start + rows,
+            "label": label_of[t],
+            "clean_prediction": label_of[y_clean.argmax(axis=1)],
+            "attacked_prediction": label_of[y_adv.argmax(axis=1)],
+            "chosen_pair": label_of[np.stack([i_rec, t], axis=1)],
+            "predicted_gap": predicted,
+            "achieved_gap": achieved,
+        })
+    columns = {name: np.concatenate([batch[name] for batch in batches]) for name in batches[0]}
     return EvalReport(
-        clean_accuracy=float((clean_pred == classes).mean()),
-        attacked_accuracy=float((adv_pred == classes).mean()),
-        mean_distortion=float(np.abs(achieved).mean()),
-        n=n,
-        records=[
-            {
-                "sample": s,
-                "label": int(label_of[classes[s]]),
-                "clean_prediction": int(label_of[clean_pred[s]]),
-                "attacked_prediction": int(label_of[adv_pred[s]]),
-                "chosen_pair": [int(label_of[pair_i[s]]), int(label_of[classes[s]])],
-                "predicted_gap": float(predicted[s]),
-                "achieved_gap": float(achieved[s]),
-            }
-            for s in range(n)
-        ],
+        clean_accuracy=float((columns["clean_prediction"] == columns["label"]).mean()),
+        attacked_accuracy=float((columns["attacked_prediction"] == columns["label"]).mean()),
+        mean_distortion=float(np.abs(columns["achieved_gap"]).mean()),
+        columns=columns,
     )

@@ -166,7 +166,7 @@ def filter_pair(dataset: Dataset, a: int, b: int) -> Dataset:
 
 
 def fetch_mnist(directory=None, base_url=DEFAULT_BASE_URL) -> Path:
-    """Download the four canonical archives into ``directory`` and verify checksums.
+    """Download the four canonical archives and move each into ``directory`` once verified.
 
     Files already present with a matching checksum are kept as-is.
     """
@@ -177,23 +177,26 @@ def fetch_mnist(directory=None, base_url=DEFAULT_BASE_URL) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     for name, (size, md5) in MNIST_ARCHIVES.items():
         dest = directory / name
-        if dest.exists() and _checksum_ok(dest, size, md5):
+        if dest.exists() and _checksum_ok(dest.read_bytes(), size, md5):
             print(f"{name}: already present, checksum OK")
             continue
         url = f"{base_url.rstrip('/')}/{name}"
         print(f"fetching {url}")
-        with urllib.request.urlopen(url) as response, open(dest, "wb") as out:
-            out.write(response.read())
-        if not _checksum_ok(dest, size, md5):
-            raise IOError(f"{dest}: downloaded file fails size/md5 verification")
+        with urllib.request.urlopen(url) as response:
+            blob = response.read()
+        if not _checksum_ok(blob, size, md5):
+            raise IOError(f"{url}: downloaded file fails size/md5 verification")
+        tmp = dest.with_name(name + ".tmp")
+        try:
+            tmp.write_bytes(blob)
+            os.replace(tmp, dest)
+        finally:
+            tmp.unlink(missing_ok=True)
         print(f"{name}: {size} bytes, md5 OK")
     return directory
 
 
-def _checksum_ok(path, size, md5):
+def _checksum_ok(blob, size, md5):
     import hashlib
 
-    if path.stat().st_size != size:
-        return False
-    digest = hashlib.md5(path.read_bytes()).hexdigest()
-    return digest == md5
+    return len(blob) == size and hashlib.md5(blob).hexdigest() == md5

@@ -644,9 +644,9 @@ def load_model(path):
     """Inverse of save_model; round-trip is exact.
 
     Raises ValueError when the file is not a model file, when its header is
-    truncated, lacks a field or holds a malformed layer entry or digit pair,
-    or when its payload is shorter or longer than the header's parameter
-    shapes imply. No array is allocated before the payload is known to hold it.
+    truncated, lacks a field or holds a malformed layer entry, digit pair or
+    bias, or when its payload is not the size the header implies or holds a
+    non-finite value. No array is allocated before the payload is known to hold it.
     """
     raw = Path(path).read_bytes()
     off = len(MODEL_MAGIC)
@@ -676,6 +676,8 @@ def load_model(path):
             if digits is not None and not (isinstance(digits, list) and len(digits) == 2
                                            and all(type(d) is int for d in digits)):
                 raise ValueError(f"digits must be null or two ints, got {digits!r}")
+            if type(header["b"]) not in (int, float) or not math.isfinite(header["b"]):
+                raise ValueError(f"b must be a finite number, got {header['b']!r}")
             model = LinearModel(claim(header["dim"]), header["b"], fe,
                                 None if digits is None else tuple(digits))
             arrays = [model.w]
@@ -684,7 +686,7 @@ def load_model(path):
             arrays = model.params()
         else:
             raise ValueError(f"unknown model type {kind!r}")
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from None
     off += hlen
     if unclaimed:  # every array fits, so only trailing bytes are left
@@ -692,4 +694,6 @@ def load_model(path):
     for a in arrays:
         a[...] = np.frombuffer(raw, "<f8", count=a.size, offset=off).reshape(a.shape)
         off += 8 * a.size
+        if not np.isfinite(a).all():
+            raise ValueError(f"{path}: a parameter array holds a non-finite value")
     return model

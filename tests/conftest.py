@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,32 @@ needs_mnist = pytest.mark.skipif(
     not MNIST_AVAILABLE,
     reason="MNIST not found; run `sparsefront fetch-data` or set SPARSEFRONT_DATA_DIR",
 )
+
+
+def load_synth():
+    """The synthetic-digit IDX writer, perfbench/synth.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def synth_data(tmp_path_factory):
+    """A small synthetic-digit IDX split (coverage only, never a paper number)."""
+    return load_synth().write_split(tmp_path_factory.mktemp("synth"), 3, 1000, 300)
+
+
+@pytest.fixture(scope="session")
+def digits(request):
+    """The MNIST directory when present, else the synthetic split.
+
+    For checks that need digits but no number calibrated on MNIST.
+    """
+    if MNIST_AVAILABLE:
+        return data_mod.data_dir()
+    return request.getfixturevalue("synth_data")
 
 
 @pytest.fixture(scope="session")

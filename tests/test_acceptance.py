@@ -1,8 +1,9 @@
 """Acceptance gate: every criterion checked at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per
-criterion. C1-C6, C12 and C14 need the MNIST IDX files (see `sparsefront
-fetch-data`) and skip without them; C7-C11 and C13 need no data.
+criterion. C1-C6 need the MNIST IDX files (see `sparsefront fetch-data`)
+and skip without them. C12 and C14 run on MNIST when present and on a small
+synthetic split otherwise; C7-C11 and C13 need no data.
 
 Modes, selected by SPARSEFRONT_ACCEPTANCE:
   full (default)  - paper-scale CNN; trains two conv networks on the full
@@ -28,6 +29,7 @@ import pytest
 
 from sparsefront import attacks as A
 from sparsefront import attenuation as AT
+from sparsefront import data as D
 from sparsefront import frontend as F
 from sparsefront import models as M
 from sparsefront import transform as T
@@ -441,9 +443,10 @@ class TestCriterion11:
         )
 
 
-@needs_mnist
 class TestCriterion12:
-    def test_binary_fgsm_equals_semi_white(self, pair_train, pair_test):
+    def test_binary_fgsm_equals_semi_white(self, digits):
+        pair_train, pair_test = (D.filter_pair(D.load_mnist(digits, split), 3, 7)
+                                 for split in ("train", "test"))
         arch = {"input_shape": (784,), "layers": [("dense", 32), ("relu",), ("dense", 2)]}
         labels01 = (pair_train.labels == 1).astype(np.int64)
         cfg = M.TrainConfig(seed=0, epochs=2, batch_size=64, learning_rate=0.1,
@@ -499,9 +502,8 @@ class TestCriterion13:
         )
 
 
-@needs_mnist
 class TestCriterion14:
-    def test_reports_reproduce_byte_for_byte(self, tmp_path):
+    def test_reports_reproduce_byte_for_byte(self, digits, tmp_path):
         from sparsefront import cli
 
         def run_and_replay(argv, name):
@@ -514,11 +516,13 @@ class TestCriterion14:
 
         runs = run_and_replay(["attenuation", "--n", "256", "--k", "8", "--trials", "300",
                                "--mode", "both", "--seed", "17"], "run")
-        trains = run_and_replay(["train-svm", "--digits", "3,7", "--epochs", "3", "--lr", "0.3",
-                                 "--no-defense", "--seed", "5"], "t")
+        trains = run_and_replay(["train-svm", "--data", str(digits), "--digits", "3,7",
+                                 "--epochs", "3", "--lr", "0.3", "--no-defense", "--seed", "5"],
+                                "t")
         model_file = trains[0] / "svm_3v7_plain.model"
-        attacks = run_and_replay(["attack", "--model", str(model_file), "--attack", "semiwhite",
-                                  "--epsilon", "0.12", "--limit", "150"], "a")
+        attacks = run_and_replay(["attack", "--data", str(digits), "--model", str(model_file),
+                                  "--attack", "semiwhite", "--epsilon", "0.12", "--limit", "150"],
+                                 "a")
         outputs = [(out / "report.csv").read_bytes() for out in runs]
         models = [(out / "svm_3v7_plain.model").read_bytes() for out in trains]
         atk = [(out / "report.csv").read_bytes() + (out / "report.json").read_bytes()

@@ -395,8 +395,8 @@ class TestWhiteExactness:
             labels = np.where(rng.random(n) < 0.5, 1, -1)
             classes = (labels == -1).astype(int)
         report = A.evaluate(model, Dataset(x, labels), AttackSpec("white", eps, clip))
-        predicted = np.array([r["predicted_gap"] for r in report.records])
-        achieved = np.array([r["achieved_gap"] for r in report.records])
+        predicted = report.columns["predicted_gap"]
+        achieved = report.columns["achieved_gap"]
 
         # the same attack again, for its perturbation and clean gaps
         y, jac = A.frozen_linearize(model, fe, x, clip)
@@ -487,12 +487,13 @@ class TestEvaluate:
         net = M.build_network(TINY_CNN, seed=15)
         ds = self.make_dataset(rng, net, n=10)
         report = A.evaluate(net, ds, AttackSpec("semiwhite", 0.1))
-        assert len(report.records) == 10
-        rec = report.records[0]
-        assert set(rec) == {
+        # report order, which report.json records and report.csv columns follow
+        assert list(report.columns) == [
             "sample", "label", "clean_prediction", "attacked_prediction",
             "chosen_pair", "predicted_gap", "achieved_gap",
-        }
+        ]
+        assert all(len(col) == 10 for col in report.columns.values())
+        assert report.columns["chosen_pair"].shape == (10, 2)
 
     def test_empty_dataset_rejected(self, rng):
         net = M.build_network(TINY_CNN, seed=16)
@@ -534,10 +535,12 @@ class TestEvaluate:
         score = model.score(x)
         clean_gap = -labels * score  # score of the other label's logit over the true one's
         gain = 0.05 * np.abs(w).sum()
-        for r, gap, label in zip(report.records, clean_gap, labels):
-            assert r["chosen_pair"] == [-label, label]
-            assert r["predicted_gap"] == pytest.approx(gap + gain, rel=1e-12, abs=1e-12)
-            assert r["achieved_gap"] == pytest.approx(gain, rel=1e-12)
+        columns = report.columns
+        assert columns["chosen_pair"].tolist() == np.stack([-labels, labels], axis=1).tolist()
+        for predicted, achieved, gap in zip(columns["predicted_gap"], columns["achieved_gap"],
+                                            clean_gap):
+            assert predicted == pytest.approx(gap + gain, rel=1e-12, abs=1e-12)
+            assert achieved == pytest.approx(gain, rel=1e-12)
         assert report.mean_distortion == pytest.approx(gain, rel=1e-12)
 
     def test_svm_semi_white_flips_weak_margins(self, rng):
@@ -582,7 +585,7 @@ class TestEvaluate:
         clean = net.logits(ds.images).argmax(axis=1)
         rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1), monkeypatch)
         assert rows == 600
-        assert [r["clean_prediction"] for r in report.records] == clean.tolist()
+        assert report.columns["clean_prediction"].tolist() == clean.tolist()
 
     @pytest.mark.parametrize("kind,expected", [("fgsm", 900), ("semiwhite", 900), ("white", 600)])
     @pytest.mark.parametrize("clip", [False, True])
@@ -596,7 +599,7 @@ class TestEvaluate:
         clean = net.logits(F.defend(fe, ds.images, clip)).argmax(axis=1)
         rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1, clip), monkeypatch)
         assert rows == expected
-        assert [r["clean_prediction"] for r in report.records] == clean.tolist()
+        assert report.columns["clean_prediction"].tolist() == clean.tolist()
 
     def test_svm_budget_overrun_rejected(self, rng, monkeypatch):
         model = LinearModel(rng.standard_normal(4), 0.0)
@@ -612,7 +615,7 @@ class TestEvaluate:
         net = M.build_network(TINY_CNN, seed=17)
         ds = self.make_dataset(rng, net, n=8)
         report = A.evaluate(net, ds, AttackSpec("semiwhite", 5.0, clip=True))
-        assert report.n == 8  # smoke: huge epsilon stays finite under clip
+        assert len(report.columns["sample"]) == 8  # smoke: huge epsilon stays finite under clip
 
 
 class TestEvaluateDefended:

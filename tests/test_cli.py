@@ -1,4 +1,5 @@
-import importlib.util
+import csv
+import io
 import json
 import re
 import shlex
@@ -10,7 +11,7 @@ from sparsefront import cli
 from sparsefront import models as M
 from sparsefront import transform as T
 
-from conftest import needs_mnist
+from conftest import load_synth, needs_mnist
 
 
 def run_cli(*argv):
@@ -19,20 +20,6 @@ def run_cli(*argv):
         return cli.main([str(a) for a in argv])
     except SystemExit as exc:
         return exc.code
-
-
-def _load_synth():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
-    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def synth_data(tmp_path_factory):
-    """A small synthetic-digit IDX split (coverage only, never a paper number)."""
-    return _load_synth().write_split(tmp_path_factory.mktemp("synth"), 3, 1000, 300)
 
 
 # model name -> (train argv, model file, attacks run against it)
@@ -74,6 +61,14 @@ class TestSyntheticAttack:
         assert "seed" not in json.loads((out / "manifest.json").read_text())["config"]
         report = json.loads(blobs[0][1])
         assert report["summary"]["samples"] == len(report["records"]) > 0
+        # each report.csv row is its report.json record, the pair split in two
+        rows = list(csv.DictReader(io.StringIO(blobs[0][0].decode())))
+        assert len(rows) == len(report["records"])
+        for row, record in zip(rows, report["records"]):
+            expected = {name: cli._fmt(value) if isinstance(value, float) else str(value)
+                        for name, value in record.items() if name != "chosen_pair"}
+            expected["pair_i"], expected["pair_t"] = map(str, record["chosen_pair"])
+            assert row == expected
         if attack == "none":
             assert report["summary"]["attacked_accuracy"] == report["summary"]["clean_accuracy"]
             assert all(r["predicted_gap"] == r["achieved_gap"] == 0.0
@@ -119,7 +114,7 @@ class TestSyntheticAttack:
 
     def test_label_outside_the_classes_exits_2(self, trained, synth_data, tmp_path, capsys):
         # IDX labels are bytes, so a corrupt label file can hold 12
-        synth = _load_synth()
+        synth = load_synth()
         pixels, labels = synth.generate(3, 20, 1)
         labels[7] = 12
         synth.write_idx(tmp_path / "t10k-images-idx3-ubyte", tmp_path / "t10k-labels-idx1-ubyte",
@@ -147,7 +142,7 @@ class TestBadTrainingSettings:
 
     def test_all_zero_svm_exits_2(self, tmp_path, capsys):
         # a split whose 3s and 7s are all blank trains an all-zero SVM
-        synth = _load_synth()
+        synth = load_synth()
         for prefix, stream in (("train", 0), ("t10k", 1)):
             pixels, labels = synth.generate(3, 40, stream)
             pixels[(labels == 3) | (labels == 7)] = 0

@@ -223,3 +223,13 @@ class TestNetworkStack:
         source.mkdir()
         with pytest.raises(OSError):
             D.fetch_mnist(tmp_path / "dest", base_url=source.as_uri())
+
+    def test_fetch_leaves_no_unverified_archive(self, tmp_path):
+        # a wrong first archive fails its size/md5 check; the loader must not find it
+        source = tmp_path / "source"
+        source.mkdir()
+        (source / "train-images-idx3-ubyte.gz").write_bytes(b"not the archive")
+        dest = tmp_path / "dest"
+        with pytest.raises(OSError, match="md5"):
+            D.fetch_mnist(dest, base_url=source.as_uri())
+        assert list(dest.iterdir()) == []

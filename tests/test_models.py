@@ -729,13 +729,25 @@ class TestSerialization:
         feedforward_file([["flatten"]], input_shape=[1, 28.0, 28]),
         feedforward_file([["dense", 2]], input_shape=[True]),
         feedforward_file([["dense", 2]], input_shape=[0]),
+        linear_file(2, payload=bytes(16), b="1"),
+        linear_file(2, payload=bytes(16), b=None),
+        linear_file(2, payload=bytes(16), b=[1]),
+        linear_file(2, payload=bytes(16), b=True),
+        linear_file(2, payload=bytes(16), b=float("nan")),
+        linear_file(2, payload=bytes(16), b=float("-inf")),
+        linear_file(2, payload=bytes(16), b=10**400),
+        linear_file(2, payload=np.array([0.0, np.nan], "<f8").tobytes()),
+        feedforward_file([["dense", 1]], input_shape=[1])
+        + np.array([np.inf, 0.0], "<f8").tobytes(),
     ], ids=["no_magic", "short_header_length", "header_without_fields",
             "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
             "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
             "non_integer_dense_size", "one_digit", "string_digits", "three_digits",
             "number_digits", "bool_digits", "fractional_levels", "float_height",
             "bool_levels", "bool_rho", "float_input_shape", "bool_input_shape",
-            "zero_input_shape"])
+            "zero_input_shape", "string_bias", "null_bias", "list_bias", "bool_bias",
+            "nan_bias", "infinite_bias", "overflowing_bias", "nan_svm_weight",
+            "infinite_dense_weight"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)
