@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -63,19 +62,12 @@ NET_DEFAULTS = {
     "reduced_dense": dict(epochs=10, learning_rate=0.1, batch_size=64,
                           lr_decay_every=4, weight_decay=1e-4),
     "paper_cnn": dict(epochs=8, learning_rate=0.05, batch_size=64,
-                      lr_decay_every=3, weight_decay=1e-4, dropout_rate=0.5),
+                      lr_decay_every=3, weight_decay=1e-4),
 }
 
 
-def _atomic_write(path: Path, payload: bytes):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-
-
 def write_json(path, obj):
-    path = Path(path)
-    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+    data_mod.write_atomically(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def write_csv(path, header, rows):
@@ -84,7 +76,7 @@ def write_csv(path, header, rows):
     writer.writerow(header)
     for row in rows:
         writer.writerow(row)
-    _atomic_write(Path(path), buf.getvalue().encode())
+    data_mod.write_atomically(path, [buf.getvalue().encode()])
 
 
 def _args_config(args):
@@ -190,11 +182,15 @@ def cmd_train_svm(args):
 
 def cmd_train_net(args):
     flags = dict(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
-                 weight_decay=args.weight_decay, dropout_rate=args.dropout)
+                 weight_decay=args.weight_decay)
     settings = dict(_choice(NET_DEFAULTS, args.arch, "--arch"))
     arch = models_mod.ARCH_PRESETS[args.arch]
-    if args.dropout is not None and ("dropout",) not in arch["layers"]:
-        raise ValueError(f"--dropout: {args.arch} has no dropout layer")
+    if args.dropout is not None:
+        if not any(entry[0] == "dropout" for entry in arch["layers"]):
+            raise ValueError(f"--dropout: {args.arch} has no dropout layer")
+        models_mod.Dropout(args.dropout)  # checks the rate before any data is read
+        arch = dict(arch, layers=[("dropout", args.dropout) if entry[0] == "dropout" else entry
+                                  for entry in arch["layers"]])
     settings.update((key, value) for key, value in flags.items() if value is not None)
     config = TrainConfig(seed=args.seed, front_end=_front_end(args), clip_recon=args.clip,
                          **settings)
@@ -249,18 +245,19 @@ def cmd_sweep(args):
             raise ValueError(f"{flag} repeats a value: {','.join(f'{v:g}' for v in values)}")
     _choice(dict.fromkeys(SWEEP_ATTACKS), args.attack, "--attack")
     a, b = _digit_pair(args.digits)
+    basis = _basis(args)
+    # the whole grid is checked before any data is read
+    front_ends = [FrontEndConfig(basis, rho) for rho in args.rhos]
+    specs = [AttackSpec(args.attack, eps, clip=args.clip) for eps in args.epsilons]
     train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
     test = data_mod.filter_pair(data_mod.load_mnist(args.data, "test"), a, b)
-    basis = _basis(args)
     rows = []
     acc = {}
-    for rho in args.rhos:
-        config = TrainConfig(seed=args.seed, front_end=FrontEndConfig(basis, rho),
-                             clip_recon=args.clip, **SVM_DEFAULTS)
+    for rho, fe in zip(args.rhos, front_ends):
+        config = TrainConfig(seed=args.seed, front_end=fe, clip_recon=args.clip, **SVM_DEFAULTS)
         model = models_mod.train_linear_svm(train.images, train.labels, config)
-        for eps in args.epsilons:
-            report = attacks_mod.evaluate(model, test, AttackSpec(args.attack, eps, clip=args.clip))
-            acc[(rho, eps)] = report.attacked_accuracy
+        for eps, spec in zip(args.epsilons, specs):
+            acc[(rho, eps)] = attacks_mod.evaluate(model, test, spec).attacked_accuracy
     for eps in args.epsilons:
         best_rho = max(args.rhos, key=lambda r: acc[(r, eps)])
         for rho in args.rhos:

@@ -186,14 +186,23 @@ def fetch_mnist(directory=None, base_url=DEFAULT_BASE_URL) -> Path:
             blob = response.read()
         if not _checksum_ok(blob, size, md5):
             raise IOError(f"{url}: downloaded file fails size/md5 verification")
-        tmp = dest.with_name(name + ".tmp")
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, dest)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_atomically(dest, [blob])
         print(f"{name}: {size} bytes, md5 OK")
     return directory
+
+
+def write_atomically(path, chunks):
+    """Write the byte chunks to ``<name>.tmp`` and rename it to ``path``; the package's one writer.
+
+    A failure removes the temporary file and keeps any earlier file at ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _checksum_ok(blob, size, md5):

@@ -13,9 +13,9 @@ iteration order).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import frontend as frontend_mod
+from .data import write_atomically
 from .frontend import FrontEndConfig
 from .transform import Basis
 
@@ -61,7 +62,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     lr_decay_every: int = 0  # 0 = constant schedule
     weight_decay: float = 1e-4
-    dropout_rate: float = 0.5
     front_end: FrontEndConfig | None = None
     clip_recon: bool = False  # clamp sparsified training inputs to [0, 1]
 
@@ -77,8 +77,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
     def lr_at(self, epoch):
         if self.lr_decay_every == 0:
@@ -374,10 +372,10 @@ PAPER_CNN = {
         ("flatten",),
         ("dense", 1000),
         ("relu",),
-        ("dropout",),
+        ("dropout", 0.5),
         ("dense", 1000),
         ("relu",),
-        ("dropout",),
+        ("dropout", 0.5),
         ("dense", 10),
     ],
 }
@@ -517,17 +515,16 @@ def _assemble(arch, front_end, weight, bias=np.zeros):
                 raise ValueError(f"dense layer on a {shape} input needs a ('flatten',) before it")
             layers.append(Dense(weight((shape[0], entry[1]), shape[0]), bias(entry[1])))
             shape = (entry[1],)
+    if not layers or not isinstance(layers[-1], Dense):
+        raise ValueError(f"a network must end in a dense layer, got {entries[-1:]!r}")
     return FeedforwardNetwork(layers, {"input_shape": list(input_shape), "layers": entries},
                               front_end)
 
 
-def build_network(arch, seed, dropout_rate=0.5, front_end=None) -> FeedforwardNetwork:
+def build_network(arch, seed, front_end=None) -> FeedforwardNetwork:
     """Instantiate an architecture spec with seeded He initialization."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1A7]))
-    # a bare ("dropout",), as in the presets, takes dropout_rate
-    layers = [("dropout", dropout_rate) if tuple(entry) == ("dropout",) else entry
-              for entry in arch["layers"]]
-    return _assemble(dict(arch, layers=layers), front_end,
+    return _assemble(arch, front_end,
                      lambda shape, fan_in: rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
 
 
@@ -565,7 +562,7 @@ def train_network(images, labels, config: TrainConfig, arch=REDUCED_DENSE,
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     images = frontend_mod.defend(config.front_end, images, config.clip_recon)
-    net = build_network(arch, config.seed, config.dropout_rate, config.front_end)
+    net = build_network(arch, config.seed, config.front_end)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5F]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
     n = images.shape[0]
@@ -630,14 +627,10 @@ def save_model(model, path):
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     blob = json.dumps(header, sort_keys=True).encode()
-    tmp = Path(f"{path}.tmp")
-    with open(tmp, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack(">I", len(blob)))
-        f.write(blob)
-        for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    # one array at a time, and a contiguous <f8 array is written with no copy
+    arrays = (np.ascontiguousarray(a, dtype="<f8") for a in arrays)
+    write_atomically(path, itertools.chain([MODEL_MAGIC, struct.pack(">I", len(blob)), blob],
+                                           arrays))
 
 
 def load_model(path):

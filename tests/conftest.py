@@ -50,6 +50,12 @@ def digits(request):
 
 
 @pytest.fixture(scope="session")
+def digits_test(digits):
+    """The test split of `digits`."""
+    return data_mod.load_mnist(digits, "test")
+
+
+@pytest.fixture(scope="session")
 def mnist_train():
     return data_mod.load_mnist(split="train")
 

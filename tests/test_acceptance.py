@@ -89,7 +89,7 @@ def _cached_train(key, train_fn):
 def svm_config(front_end):
     return M.TrainConfig(
         seed=0, epochs=200, batch_size=64, learning_rate=0.1,
-        weight_decay=1e-4, dropout_rate=0.0, front_end=front_end,
+        weight_decay=1e-4, front_end=front_end,
         clip_recon=front_end is not None,
     )
 
@@ -98,14 +98,12 @@ def cnn_config(front_end):
     if FULL:
         return M.TrainConfig(
             seed=0, epochs=8, batch_size=64, learning_rate=0.05,
-            lr_decay_every=3, weight_decay=1e-4,
-            dropout_rate=0.5, front_end=front_end,
+            lr_decay_every=3, weight_decay=1e-4, front_end=front_end,
             clip_recon=front_end is not None,
         )
     return M.TrainConfig(
         seed=0, epochs=10, batch_size=64, learning_rate=0.1,
-        lr_decay_every=4, weight_decay=1e-4,
-        dropout_rate=0.0, front_end=front_end,
+        lr_decay_every=4, weight_decay=1e-4, front_end=front_end,
         clip_recon=front_end is not None,
     )
 
@@ -449,8 +447,7 @@ class TestCriterion12:
                                  for split in ("train", "test"))
         arch = {"input_shape": (784,), "layers": [("dense", 32), ("relu",), ("dense", 2)]}
         labels01 = (pair_train.labels == 1).astype(np.int64)
-        cfg = M.TrainConfig(seed=0, epochs=2, batch_size=64, learning_rate=0.1,
-                            dropout_rate=0.0)
+        cfg = M.TrainConfig(seed=0, epochs=2, batch_size=64, learning_rate=0.1)
         net = M.train_network(pair_train.images, labels01, cfg, arch)
         test01 = (pair_test.labels == 1).astype(np.int64)
         x = pair_test.images

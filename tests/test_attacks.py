@@ -6,12 +6,11 @@ from sparsefront import frontend as F
 from sparsefront import models as M
 from sparsefront import transform as T
 from sparsefront.attacks import AttackSpec
-from sparsefront.data import Dataset
+from sparsefront.data import Dataset, filter_pair, load_mnist
 from sparsefront.frontend import FrontEndConfig
 from sparsefront.models import LinearModel
 from sparsefront.transform import Basis
 
-from conftest import needs_mnist
 from switch_replay import same_switches
 
 HAAR_28 = Basis("haar_orthonormal", 28, 28, 2)
@@ -619,11 +618,12 @@ class TestEvaluate:
 
 
 class TestEvaluateDefended:
-    @needs_mnist
-    def test_defended_svm_uses_model_front_end(self, pair_train, pair_test):
+    def test_defended_svm_uses_model_front_end(self, digits, digits_test):
+        pair_train = filter_pair(load_mnist(digits, "train"), 3, 7)
+        pair_test = filter_pair(digits_test, 3, 7)
         fe = FrontEndConfig(Basis("cdf97_biorthogonal", 28, 28, 1), rho=0.02)
         cfg = M.TrainConfig(seed=0, epochs=30, batch_size=64, learning_rate=0.3,
-                            weight_decay=1e-4, dropout_rate=0.0, front_end=fe,
+                            weight_decay=1e-4, front_end=fe,
                             clip_recon=True)
         svm = M.train_linear_svm(pair_train.images[:2000], pair_train.labels[:2000], cfg)
         small = Dataset(pair_test.images[:300], pair_test.labels[:300])

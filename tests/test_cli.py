@@ -10,6 +10,7 @@ import pytest
 from sparsefront import cli
 from sparsefront import models as M
 from sparsefront import transform as T
+from sparsefront.data import filter_pair
 
 from conftest import load_synth, needs_mnist
 
@@ -123,6 +124,21 @@ class TestSyntheticAttack:
                      "--attack", "white", "--epsilon", 0.1, "--out", tmp_path / "x")
         assert rc == 2
         assert "error: label 12 " in capsys.readouterr().err
+
+
+class TestMalformedNetwork:
+    def test_attack_on_a_network_without_final_dense_exits_2(self, synth_data, tmp_path, capsys):
+        # a payload of the size the layers imply, so the file is complete but for its last layer
+        header = json.dumps({"model": "feedforward", "input_shape": [784], "front_end": None,
+                             "layers": [["dense", 10], ["relu"]]}).encode()
+        model_file = tmp_path / "relu_last.model"
+        model_file.write_bytes(M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header
+                               + bytes(8 * (784 * 10 + 10)))
+        rc = run_cli("attack", "--data", synth_data, "--model", model_file,
+                     "--attack", "none", "--epsilon", 0, "--out", tmp_path / "x")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_file}") and "dense layer" in err
 
 
 class TestBadTrainingSettings:
@@ -471,68 +487,77 @@ class TestReplay:
                 assert (run / file).read_bytes() == (replay / file).read_bytes(), file
 
 
-@needs_mnist
+def train_defended_svm(digits, out):
+    """The exit status of train-svm for a defended 3-vs-7 SVM written to `out`."""
+    return run_cli("train-svm", "--data", digits, "--digits", "3,7", "--epochs", 30, "--lr", "0.3",
+                   "--rho", "0.02", "--levels", 1, "--clip", "--out", out, "--seed", 0)
+
+
 class TestTrainAndAttack:
-    def test_svm_train_attack_roundtrip(self, tmp_path):
+    @needs_mnist
+    def test_svm_train_attack_roundtrip(self, digits, tmp_path):
         out = tmp_path / "svm"
-        rc = run_cli("train-svm", "--digits", "3,7", "--epochs", 30, "--lr", "0.3",
-                     "--rho", "0.02", "--levels", 1, "--clip", "--out", out, "--seed", 0)
-        assert rc == 0
-        model_file = out / "svm_3v7_sparse_rho0.02.model"
-        assert model_file.exists()
+        assert train_defended_svm(digits, out) == 0
         summary = json.loads((out / "report.json").read_text())["summary"]
         assert summary["clean_accuracy"] > 0.9
 
+    def test_svm_train_attack_files(self, digits, digits_test, tmp_path):
+        # on MNIST the limit keeps 200 samples; the synthetic split holds fewer 3s and 7s
+        samples = min(200, len(filter_pair(digits_test, 3, 7)))
+        out = tmp_path / "svm"
+        assert train_defended_svm(digits, out) == 0
+        model_file = out / "svm_3v7_sparse_rho0.02.model"
+        assert model_file.exists()
+
         atk = tmp_path / "atk"
-        rc = run_cli("attack", "--model", model_file, "--attack", "white",
+        rc = run_cli("attack", "--data", digits, "--model", model_file, "--attack", "white",
                      "--epsilon", "0.12", "--clip", "--limit", 200, "--out", atk)
         assert rc == 0
         report = json.loads((atk / "report.json").read_text())
-        assert report["summary"]["samples"] == 200
-        assert len(report["records"]) == 200
+        assert report["summary"]["samples"] == samples
+        assert len(report["records"]) == samples
         csv_lines = (atk / "report.csv").read_text().splitlines()
-        assert len(csv_lines) == 201
+        assert len(csv_lines) == samples + 1
 
-    def test_train_deterministic_model_bytes(self, tmp_path):
+    def test_train_deterministic_model_bytes(self, digits, tmp_path):
         outs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            rc = run_cli("train-svm", "--digits", "3,7", "--epochs", 5, "--lr", "0.3",
-                         "--no-defense", "--out", out, "--seed", 7)
+            rc = run_cli("train-svm", "--data", digits, "--digits", "3,7", "--epochs", 5,
+                         "--lr", "0.3", "--no-defense", "--out", out, "--seed", 7)
             assert rc == 0
             outs.append(out / "svm_3v7_plain.model")
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_attack_reports_reproducible(self, tmp_path):
+    def test_attack_reports_reproducible(self, digits, tmp_path):
         out = tmp_path / "svm"
-        assert run_cli("train-svm", "--digits", "3,7", "--epochs", 5, "--lr", "0.3",
-                       "--no-defense", "--out", out, "--seed", 0) == 0
+        assert run_cli("train-svm", "--data", digits, "--digits", "3,7", "--epochs", 5,
+                       "--lr", "0.3", "--no-defense", "--out", out, "--seed", 0) == 0
         model_file = out / "svm_3v7_plain.model"
         blobs = []
         for name in ("a1", "a2"):
             atk = tmp_path / name
-            assert run_cli("attack", "--model", model_file, "--attack", "semiwhite",
-                           "--epsilon", "0.12", "--limit", 100, "--out", atk) == 0
+            assert run_cli("attack", "--data", digits, "--model", model_file, "--attack",
+                           "semiwhite", "--epsilon", "0.12", "--limit", 100, "--out", atk) == 0
             blobs.append(((atk / "report.csv").read_bytes(),
                           (atk / "report.json").read_bytes()))
         assert blobs[0] == blobs[1]
 
-    def test_zero_epsilon_attack_matches_clean(self, tmp_path):
+    def test_zero_epsilon_attack_matches_clean(self, digits, tmp_path):
         out = tmp_path / "svm"
-        assert run_cli("train-svm", "--digits", "3,7", "--epochs", 5, "--lr", "0.3",
-                       "--no-defense", "--out", out, "--seed", 0) == 0
+        assert run_cli("train-svm", "--data", digits, "--digits", "3,7", "--epochs", 5,
+                       "--lr", "0.3", "--no-defense", "--out", out, "--seed", 0) == 0
         atk = tmp_path / "atk0"
-        assert run_cli("attack", "--model", out / "svm_3v7_plain.model",
+        assert run_cli("attack", "--data", digits, "--model", out / "svm_3v7_plain.model",
                        "--attack", "none", "--epsilon", "0", "--out", atk) == 0
         summary = json.loads((atk / "report.json").read_text())["summary"]
         assert summary["attacked_accuracy"] == summary["clean_accuracy"]
 
 
 class TestSweep:
-    @needs_mnist
-    def test_single_point_matches_attack(self, tmp_path):
+    def test_single_point_matches_attack(self, digits, tmp_path):
         out = tmp_path / "sweep"
-        rc = run_cli("sweep", "--digits", "3,7", "--rhos", "0.02",
+        rc = run_cli("sweep", "--data", digits, "--digits", "3,7", "--rhos", "0.02",
                      "--epsilons", "0.12", "--attack", "white", "--levels", 1,
                      "--clip", "--seed", 0, "--out", out)
         assert rc == 0
@@ -556,20 +581,50 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("grid,named", [
+        (["--rhos", "0.02,2", "--epsilons", "0.12"], "rho"),
+        (["--rhos", "0.02", "--epsilons", "0.1,nan"], "epsilon"),
+    ], ids=["rho", "epsilon"])
+    def test_bad_grid_value_rejected_before_data(self, tmp_path, capsys, grid, named):
+        # the data directory does not exist, so reading any data would fail first
+        assert run_cli("sweep", *grid, "--data", tmp_path / "absent", "--out", tmp_path / "s") == 2
+        assert capsys.readouterr().err.startswith(f"error: {named} ")
+
+
+def train_net(data, out, *flags):
+    """The exit status of a one-epoch undefended train-net run on `data`."""
+    return run_cli("train-net", "--data", data, "--epochs", 1, "--no-defense", "--seed", 0,
+                   "--out", out, *flags)
+
 
 class TestNetworkTraining:
+    # tiny runs: one epoch for speed, reduced preset
     @needs_mnist
-    def test_train_net_smoke(self, tmp_path):
-        # tiny run: limit epochs for speed, reduced preset
-        out = tmp_path / "net"
-        rc = run_cli("train-net", "--arch", "reduced_dense", "--epochs", 1,
-                     "--no-defense", "--out", out, "--seed", 0)
-        assert rc == 0
-        model_file = out / "net_reduced_dense_plain.model"
-        net = M.load_model(model_file)
-        assert net.n_classes == 10
-        summary = json.loads((out / "report.json").read_text())["summary"]
+    def test_train_net_smoke(self, digits, tmp_path):
+        assert train_net(digits, tmp_path, "--arch", "reduced_dense") == 0
+        summary = json.loads((tmp_path / "report.json").read_text())["summary"]
         assert summary["clean_accuracy"] > 0.9
+
+    def test_train_net_writes_a_loadable_model(self, digits, tmp_path):
+        assert train_net(digits, tmp_path, "--arch", "reduced_dense") == 0
+        assert M.load_model(tmp_path / "net_reduced_dense_plain.model").n_classes == 10
+
+    def test_dropout_rewrites_the_preset_entries(self, tmp_path):
+        data = load_synth().write_split(tmp_path / "data", 3, 60, 20)
+        models = {}
+        for name, flags in (("default", []), ("half", ["--dropout", 0.5]),
+                            ("low", ["--dropout", 0.3])):
+            assert train_net(data, tmp_path / name, "--arch", "paper_cnn", "--batch-size", 16,
+                             *flags) == 0
+            models[name] = tmp_path / name / "net_paper_cnn_plain.model"
+        rates = [e for e in M.load_model(models["low"]).arch["layers"] if e[0] == "dropout"]
+        assert rates == [["dropout", 0.3], ["dropout", 0.3]]
+        assert models["half"].read_bytes() == models["default"].read_bytes()
+
+    def test_bad_dropout_rate_exits_2(self, synth_data, tmp_path, capsys):
+        assert train_net(synth_data, tmp_path / "x", "--arch", "paper_cnn", "--dropout", 1.5) == 2
+        assert "error: dropout rate must be in [0, 1), got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
 
 def _readme_commands():

@@ -121,10 +121,9 @@ class TestLoadIdx:
         assert mnist_train.images.min() >= 0.0 and mnist_train.images.max() <= 1.0
         assert set(np.unique(mnist_test.labels)) == set(range(10))
 
-    @needs_mnist
-    def test_repeated_loads_identical(self):
-        a = D.load_mnist(split="test")
-        b = D.load_mnist(split="test")
+    def test_repeated_loads_identical(self, digits):
+        a = D.load_mnist(digits, "test")
+        b = D.load_mnist(digits, "test")
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
 
@@ -171,17 +170,18 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             D.Dataset(images, np.zeros(2, dtype=np.int64))
 
-    @needs_mnist
-    def test_mnist_pair_counts(self, mnist_test, pair_test):
-        threes = int((mnist_test.labels == 3).sum())
-        sevens = int((mnist_test.labels == 7).sum())
+    def test_mnist_pair_counts(self, digits_test):
+        pair_test = D.filter_pair(digits_test, 3, 7)
+        threes = int((digits_test.labels == 3).sum())
+        sevens = int((digits_test.labels == 7).sum())
         assert len(pair_test) == threes + sevens
         assert int((pair_test.labels == 1).sum()) == threes
 
-    @needs_mnist
-    def test_no_label_leakage(self, mnist_test, pair_test):
+    def test_no_label_leakage(self, digits_test):
         # every retained (image, label) pair appears unchanged in the source
-        src = {hash(img.tobytes()): lab for img, lab in zip(mnist_test.images, mnist_test.labels)}
+        pair_test = D.filter_pair(digits_test, 3, 7)
+        src = {hash(img.tobytes()): lab
+               for img, lab in zip(digits_test.images, digits_test.labels)}
         for img, lab in zip(pair_test.images[:200], pair_test.labels[:200]):
             digit = src[hash(img.tobytes())]
             assert lab == (1 if digit == 3 else -1)

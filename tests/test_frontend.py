@@ -6,8 +6,6 @@ from sparsefront import transform as T
 from sparsefront.frontend import FrontEndConfig
 from sparsefront.transform import Basis
 
-from conftest import needs_mnist
-
 HAAR_28 = Basis("haar_orthonormal", 28, 28, 2)
 CDF_28 = Basis("cdf97_biorthogonal", 28, 28, 2)
 
@@ -98,10 +96,9 @@ class TestApply:
         out = F.apply_batch(config, x)
         assert np.all(np.linalg.norm(out, axis=1) <= np.linalg.norm(x, axis=1) + 1e-9)
 
-    @needs_mnist
-    def test_against_sort_oracle_on_digit(self, mnist_test):
+    def test_against_sort_oracle_on_digit(self, digits_test):
         config = FrontEndConfig(HAAR_28, rho=0.02)
-        x = mnist_test.images[17:18]
+        x = digits_test.images[17:18]
         coeffs = T.forward_batch(HAAR_28, x)[0]
         # independent oracle: full value sort, zero everything below the
         # K-th magnitude, synthesize
@@ -130,10 +127,9 @@ class TestSupport:
         assert np.array_equal(supports[0], supports[1])
         assert np.array_equal(supports[0], supports[2])
 
-    @needs_mnist
-    def test_digit_against_sort_oracle(self, mnist_test):
+    def test_digit_against_sort_oracle(self, digits_test):
         config = FrontEndConfig(HAAR_28, rho=0.02)
-        x = mnist_test.images[3:4]
+        x = digits_test.images[3:4]
         coeffs = T.forward_batch(HAAR_28, x)[0]
         order = sorted(range(784), key=lambda j: (-abs(coeffs[j]), j))
         oracle = sorted(j for j in order[: config.k] if coeffs[j] != 0.0)

@@ -288,7 +288,7 @@ class TestTrainingDeterminism:
         x = rng.random((200, 16))
         t = rng.integers(0, 3, 200)
         cfg = M.TrainConfig(seed=11, epochs=3, batch_size=32, learning_rate=0.05,
-                            dropout_rate=0.0, weight_decay=1e-4)
+                            weight_decay=1e-4)
         a = M.train_network(x, t, cfg, TINY_DENSE)
         b = M.train_network(x, t, cfg, TINY_DENSE)
         for pa, pb in zip(a.params(), b.params()):
@@ -297,20 +297,23 @@ class TestTrainingDeterminism:
     def test_different_seed_differs(self, rng):
         x = rng.random((200, 16))
         t = rng.integers(0, 3, 200)
-        cfg1 = M.TrainConfig(seed=11, epochs=1, batch_size=32, learning_rate=0.05,
-                             dropout_rate=0.0)
-        cfg2 = M.TrainConfig(seed=12, epochs=1, batch_size=32, learning_rate=0.05,
-                             dropout_rate=0.0)
+        cfg1 = M.TrainConfig(seed=11, epochs=1, batch_size=32, learning_rate=0.05)
+        cfg2 = M.TrainConfig(seed=12, epochs=1, batch_size=32, learning_rate=0.05)
         a = M.train_network(x, t, cfg1, TINY_DENSE)
         b = M.train_network(x, t, cfg2, TINY_DENSE)
         assert any(not np.array_equal(pa, pb) for pa, pb in zip(a.params(), b.params()))
 
     def test_dropout_off_at_inference(self, rng):
-        net = M.build_network(TINY_CNN, seed=1, dropout_rate=0.9)
+        def at_rate(rate):
+            layers = [("dropout", rate) if e[0] == "dropout" else e for e in TINY_CNN["layers"]]
+            return M.build_network({**TINY_CNN, "layers": layers}, seed=1)
+
+        net, low = at_rate(0.9), at_rate(0.1)
+        assert [e for e in net.arch["layers"] if e[0] == "dropout"] == [["dropout", 0.9]]
+        assert [e for e in low.arch["layers"] if e[0] == "dropout"] == [["dropout", 0.1]]
         x = rng.standard_normal((5, 64))
         assert np.array_equal(net.logits(x), net.logits(x))
-        high = M.build_network(TINY_CNN, seed=1, dropout_rate=0.1)
-        assert np.array_equal(net.logits(x), high.logits(x))
+        assert np.array_equal(net.logits(x), low.logits(x))
 
 
 class TestTrainingBehavior:
@@ -318,8 +321,7 @@ class TestTrainingBehavior:
         x = rng.random((500, 16))
         w_true = rng.standard_normal((16, 3))
         t = (x @ w_true).argmax(axis=1)
-        cfg = M.TrainConfig(seed=0, epochs=1, batch_size=32, learning_rate=0.1,
-                            dropout_rate=0.0, weight_decay=0.0)
+        cfg = M.TrainConfig(seed=0, epochs=1, batch_size=32, learning_rate=0.1, weight_decay=0.0)
         init = M.build_network(TINY_DENSE, seed=0)
         loss0 = mean_ce(init, x, t)
         net = M.train_network(x, t, cfg, TINY_DENSE)
@@ -329,8 +331,7 @@ class TestTrainingBehavior:
         x = rng.random((100, 16))
         x[3, 5] = np.nan  # poisoned batch makes the loss non-finite at once
         t = rng.integers(0, 3, 100)
-        cfg = M.TrainConfig(seed=0, epochs=3, batch_size=100, learning_rate=0.1,
-                            dropout_rate=0.0)
+        cfg = M.TrainConfig(seed=0, epochs=3, batch_size=100, learning_rate=0.1)
         with pytest.raises(M.TrainingDivergence) as err:
             M.train_network(x, t, cfg, TINY_DENSE)
         assert err.value.epoch == 0
@@ -340,8 +341,7 @@ class TestTrainingBehavior:
         arch = {"input_shape": (784,), "layers": [("dense", 32), ("relu",), ("dense", 10)]}
         x = mnist_train.images[:1000]
         t = mnist_train.labels[:1000]
-        cfg = M.TrainConfig(seed=0, epochs=5, batch_size=32, learning_rate=0.1,
-                            dropout_rate=0.0, weight_decay=0.0)
+        cfg = M.TrainConfig(seed=0, epochs=5, batch_size=32, learning_rate=0.1, weight_decay=0.0)
         net = M.train_network(x, t, cfg, arch)
         acc = (net.logits(x).argmax(axis=1) == t).mean()
         assert acc > 0.90
@@ -353,7 +353,7 @@ class TestTrainConfig:
         ("learning_rate", float("inf")), ("learning_rate", -float("inf")),
         ("weight_decay", -1.0), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("epochs", 0), ("epochs", 1.5), ("batch_size", 0), ("batch_size", 64.0),
-        ("dropout_rate", 1.0), ("lr_decay_every", -3), ("lr_decay_every", 1.5),
+        ("lr_decay_every", -3), ("lr_decay_every", 1.5),
     ])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -378,13 +378,13 @@ class TestLinearSvm:
                        base[1] + 0.1 * rng.standard_normal((100, 2))])
         t = np.array([1] * 100 + [-1] * 100)
         cfg = M.TrainConfig(seed=0, epochs=50, batch_size=16, learning_rate=0.1,
-                            weight_decay=1e-4, dropout_rate=0.0)
+                            weight_decay=1e-4)
         svm = M.train_linear_svm(x, t, cfg)
         assert ((svm.score(x) >= 0) == (t == 1)).all()
 
     def test_single_class_rejected(self, rng):
         with pytest.raises(ValueError):
-            M.train_linear_svm(rng.random((10, 4)), np.ones(10), M.TrainConfig(dropout_rate=0.0))
+            M.train_linear_svm(rng.random((10, 4)), np.ones(10), M.TrainConfig())
 
     def test_all_zero_weights_rejected(self):
         # blank inputs give the hinge subgradient nothing to move w with
@@ -404,8 +404,7 @@ class TestLinearSvm:
     def test_deterministic(self, rng):
         x = rng.random((60, 8))
         t = np.where(x[:, 0] > 0.5, 1, -1)
-        cfg = M.TrainConfig(seed=4, epochs=10, batch_size=8, learning_rate=0.1,
-                            dropout_rate=0.0)
+        cfg = M.TrainConfig(seed=4, epochs=10, batch_size=8, learning_rate=0.1)
         a = M.train_linear_svm(x, t, cfg)
         b = M.train_linear_svm(x, t, cfg)
         assert np.array_equal(a.w, b.w) and a.b == b.b
@@ -414,10 +413,10 @@ class TestLinearSvm:
     def test_front_end_training_keeps_accuracy(self, pair_train, pair_test):
         fe = FrontEndConfig(Basis("cdf97_biorthogonal", 28, 28, 1), rho=0.02)
         cfg = M.TrainConfig(seed=0, epochs=50, batch_size=64, learning_rate=0.3,
-                            weight_decay=1e-4, dropout_rate=0.0)
+                            weight_decay=1e-4)
         plain = M.train_linear_svm(pair_train.images, pair_train.labels, cfg)
         cfg_fe = M.TrainConfig(seed=0, epochs=50, batch_size=64, learning_rate=0.3,
-                               weight_decay=1e-4, dropout_rate=0.0, front_end=fe,
+                               weight_decay=1e-4, front_end=fe,
                                clip_recon=True)
         defended = M.train_linear_svm(pair_train.images, pair_train.labels, cfg_fe)
         from sparsefront import frontend as fmod
@@ -665,6 +664,7 @@ class TestSerialization:
         with pytest.raises(OSError, match="disk full"):
             M.save_model(other, path)
         assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.model"]  # no net.model.tmp
 
     @pytest.mark.parametrize("arch,front_end", [
         (M.PAPER_CNN, None),
@@ -739,6 +739,10 @@ class TestSerialization:
         linear_file(2, payload=np.array([0.0, np.nan], "<f8").tobytes()),
         feedforward_file([["dense", 1]], input_shape=[1])
         + np.array([np.inf, 0.0], "<f8").tobytes(),
+        # payloads of the size the layers imply, so only the missing final dense fails
+        feedforward_file([["dense", 10], ["relu"]]) + bytes(8 * (4 * 10 + 10)),
+        feedforward_file([["flatten"]]),
+        feedforward_file([]),
     ], ids=["no_magic", "short_header_length", "header_without_fields",
             "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
             "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
@@ -747,7 +751,7 @@ class TestSerialization:
             "bool_levels", "bool_rho", "float_input_shape", "bool_input_shape",
             "zero_input_shape", "string_bias", "null_bias", "list_bias", "bool_bias",
             "nan_bias", "infinite_bias", "overflowing_bias", "nan_svm_weight",
-            "infinite_dense_weight"])
+            "infinite_dense_weight", "ends_in_relu", "ends_in_flatten", "no_layers"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)
