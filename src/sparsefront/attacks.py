@@ -46,6 +46,7 @@ __all__ = [
     "evaluate",
 ]
 
+ATTACK_KINDS = ("none", "fgsm", "semiwhite", "white")
 BUDGET_SLACK = 1e-12
 EVAL_BATCH = 256  # rows per attack pass in evaluate
 
@@ -65,12 +66,12 @@ class AttackSpec:
     leaves both unconstrained, matching the closed-form distortion analysis.
     """
 
-    kind: str  # "none" | "fgsm" | "semiwhite" | "white"
+    kind: str  # one of ATTACK_KINDS
     epsilon: float
     clip: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("none", "fgsm", "semiwhite", "white"):
+        if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         _check_epsilon(self.epsilon)
 

@@ -28,13 +28,15 @@ from .transform import Basis
 
 __all__ = ["EnsembleConfig", "AttenuationReport", "run_ensemble"]
 
+BASIS_KINDS = ("identity", "haar")
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
     n: int
     k: int
     trials: int
-    basis_kind: str = "identity"  # "identity" | "haar"
+    basis_kind: str = "identity"  # one of BASIS_KINDS
     seed: int = 0
     levels: int = 1  # haar only
 
@@ -43,7 +45,7 @@ class EnsembleConfig:
             raise ValueError(f"need 1 <= K <= N, got K={self.k}, N={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.basis_kind not in ("identity", "haar"):
+        if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
         if self.basis_kind == "identity" and self.levels != 1:
             raise ValueError(f"levels={self.levels} needs the haar basis; identity has no levels")

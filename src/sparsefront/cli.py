@@ -6,9 +6,12 @@ setting it reads and the package version. `--config manifest.json` replays
 a run: the manifest's settings become the command's defaults and explicit
 flags win. Its `out` is never inherited, so a replay writes to `--out` (or
 the default output directory) and reproduces the run's model and report
-files byte for byte. The manifest is the only config format. Reports are CSV
-for tables and JSON for per-sample records. Files are written atomically so
-a crashed run never leaves a partial file where a complete one stood.
+files byte for byte, given the same numpy, the same BLAS and the same BLAS
+thread count: at another thread count a network's model file and an attack's
+report.json can differ in their last digits. The manifest is the only config
+format. Reports are CSV for tables and JSON for per-sample records. Files
+are written atomically so a crashed run never leaves a partial file where a
+complete one stood.
 
 Subcommands: fetch-data, train-svm, train-net, attack, sweep, attenuation,
 table1.
@@ -39,6 +42,9 @@ ATTENUATION_MODES = {"semiwhite": ["semiwhite"], "white": ["white"],
 SWEEP_ATTACKS = ("semiwhite", "white")
 # report.csv headers of the 2-D attack report columns; any other column is its own header
 CSV_HEADERS = {"chosen_pair": ["pair_i", "pair_t"]}
+
+# The headline SVM's digit pair: the --digits default and the pair table1 runs.
+PAPER_DIGITS = [3, 7]
 
 # The headline table's budget and sparsity per task, the only ones table1 runs.
 PAPER_SETTINGS = {"svm": dict(epsilon=0.12, rho=0.02), "cnn": dict(epsilon=0.25, rho=0.03)}
@@ -291,15 +297,16 @@ def cmd_attenuation(args):
 def cmd_table1(args):
     """Train the four models, keyed by (task, defense), and run PAPER_TABLE's rows in order."""
     out = Path(args.out)
+    # the basis and the architecture are checked before any data is read
+    basis = _basis(args)
+    net_settings = _choice(NET_DEFAULTS, args.arch, "--arch")
     train = data_mod.load_mnist(args.data, "train")
     test = data_mod.load_mnist(args.data, "test")
-    pair_train, pair_test = (data_mod.filter_pair(split, 3, 7) for split in (train, test))
-    basis = _basis(args)
+    pair_train, pair_test = (data_mod.filter_pair(split, *PAPER_DIGITS) for split in (train, test))
     tasks = {
         "svm": dict(name="SVMs", train=pair_train, test=pair_test, settings=SVM_DEFAULTS,
                     **PAPER_SETTINGS["svm"]),
-        "cnn": dict(name="networks", train=train, test=test,
-                    settings=_choice(NET_DEFAULTS, args.arch, "--arch"),
+        "cnn": dict(name="networks", train=train, test=test, settings=net_settings,
                     arch=models_mod.ARCH_PRESETS[args.arch], **PAPER_SETTINGS["cnn"]),
     }
 
@@ -394,7 +401,7 @@ def build_parser(defaults=None):
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
     _add_frontend_flags(p, rho=PAPER_SETTINGS["svm"]["rho"])
-    p.add_argument("--digits", type=_digits, default=[3, 7])
+    p.add_argument("--digits", type=_digits, default=PAPER_DIGITS)
     p.add_argument("--epochs", type=int, default=SVM_DEFAULTS["epochs"])
     p.add_argument("--lr", type=float, default=SVM_DEFAULTS["learning_rate"])
     p.add_argument("--batch-size", type=int, default=SVM_DEFAULTS["batch_size"])
@@ -417,7 +424,7 @@ def build_parser(defaults=None):
     p = sub.add_parser("attack", help="attack a trained model over the test split")
     _add_common(p)
     p.add_argument("--model", help="model file from train-svm/train-net")
-    p.add_argument("--attack", choices=["none", "fgsm", "semiwhite", "white"])
+    p.add_argument("--attack", choices=attacks_mod.ATTACK_KINDS)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--clip", action="store_true")
     p.add_argument("--limit", type=int, default=0, help="evaluate only the first N samples")
@@ -426,7 +433,7 @@ def build_parser(defaults=None):
     p = sub.add_parser("sweep", help="grid of rho x epsilon for the SVM task")
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--digits", type=_digits, default=[3, 7])
+    p.add_argument("--digits", type=_digits, default=PAPER_DIGITS)
     p.add_argument("--rhos", type=_float_list, default=[0.01, 0.02, 0.03, 0.04, 0.05])
     p.add_argument("--epsilons", type=_float_list, default=[PAPER_SETTINGS["svm"]["epsilon"]])
     p.add_argument("--attack", choices=SWEEP_ATTACKS, default="white")
@@ -440,7 +447,7 @@ def build_parser(defaults=None):
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--k", type=int, default=32)
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--basis-kind", choices=["identity", "haar"], default="identity")
+    p.add_argument("--basis-kind", choices=attenuation_mod.BASIS_KINDS, default="identity")
     p.add_argument("--mode", choices=list(ATTENUATION_MODES), default="both")
     p.add_argument("--levels", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

@@ -503,6 +503,8 @@ def _assemble(arch, front_end, weight, bias=np.zeros):
             layers.append(Relu())
         elif kind == "maxpool":
             c, h, w = shape
+            if h % 2 or w % 2:
+                raise ValueError(f"max pool needs even spatial dims, got {h}x{w}")
             layers.append(MaxPool2())
             shape = (c, h // 2, w // 2)
         elif kind == "dropout":

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparsefront import cli
 from sparsefront import data as data_mod
 
 
@@ -67,12 +68,12 @@ def mnist_test():
 
 @pytest.fixture(scope="session")
 def pair_train(mnist_train):
-    return data_mod.filter_pair(mnist_train, 3, 7)
+    return data_mod.filter_pair(mnist_train, *cli.PAPER_DIGITS)
 
 
 @pytest.fixture(scope="session")
 def pair_test(mnist_test):
-    return data_mod.filter_pair(mnist_test, 3, 7)
+    return data_mod.filter_pair(mnist_test, *cli.PAPER_DIGITS)
 
 
 @pytest.fixture

@@ -11,9 +11,16 @@ Modes, selected by SPARSEFRONT_ACCEPTANCE:
   reduced         - the fast dense preset with the substitute clean-accuracy
                     bound; the attack-ordering checks run unchanged.
 
-Defended classification follows the physical image pipeline (inputs and
-reconstructions clamped to [0, 1]), matching the published table protocol;
-the undefended-overwhelm check uses the unconstrained perturbation model.
+The gate certifies the experiment `table1` runs: it reads the budgets and
+sparsities (`cli.PAPER_SETTINGS`), the published accuracies its windows are
+centred on (`cli.PAPER_TABLE`), the training recipes (`cli.SVM_DEFAULTS`,
+`cli.NET_DEFAULTS`), the digit pair (`cli.PAPER_DIGITS`) and table1's
+default basis, seed and clip from `cli`, and types none of them itself.
+`TestGateTrainsTable1Models` checks, without MNIST, that the fixtures hand
+the trainers what table1 hands them. C3-C6 evaluate with table1's clip, the
+physical image pipeline (inputs and reconstructions clamped to [0, 1]) of
+the published table; the undefended-overwhelm check C2 uses the
+unconstrained perturbation model.
 
 Trained models are cached under SPARSEFRONT_CACHE_DIR when set (developer
 convenience; unset for a certification run).
@@ -29,6 +36,7 @@ import pytest
 
 from sparsefront import attacks as A
 from sparsefront import attenuation as AT
+from sparsefront import cli
 from sparsefront import data as D
 from sparsefront import frontend as F
 from sparsefront import models as M
@@ -44,15 +52,14 @@ from switch_replay import same_switches
 MODE = os.environ.get("SPARSEFRONT_ACCEPTANCE", "full")
 FULL = MODE != "reduced"
 
-SVM_EPS = 0.12
-SVM_RHO = 0.02
-CNN_EPS = 0.25
-CNN_RHO = 0.03
-LEVELS = 1  # front-end decomposition depth used by the published pipeline
+TABLE1 = cli.build_parser().parse_args(["table1"])  # table1's defaults
+SVM_EPS, SVM_RHO = (cli.PAPER_SETTINGS["svm"][key] for key in ("epsilon", "rho"))
+CNN_EPS, CNN_RHO = (cli.PAPER_SETTINGS["cnn"][key] for key in ("epsilon", "rho"))
 
-CNN_ARCH = M.PAPER_CNN if FULL else M.REDUCED_DENSE
-CNN_ARCH_NAME = "paper_cnn" if FULL else "reduced_dense"
+CNN_ARCH_NAME = TABLE1.arch if FULL else "reduced_dense"
+CNN_ARCH = M.ARCH_PRESETS[CNN_ARCH_NAME]
 CNN_CLEAN_FLOOR = 98.8 if FULL else 97.5
+TRAIN_SETTINGS = {"svm": cli.SVM_DEFAULTS, "cnn": cli.NET_DEFAULTS[CNN_ARCH_NAME]}
 
 
 def check(cid, ok, detail):
@@ -62,7 +69,13 @@ def check(cid, ok, detail):
 
 
 def basis():
-    return Basis("cdf97_biorthogonal", 28, 28, LEVELS)
+    return cli._basis(TABLE1)
+
+
+def paper(task, defense):
+    """The published accuracies (percent) of `cli.PAPER_TABLE` for (task, defense), by attack."""
+    return {attack: value for (t, attack, d), value in cli.PAPER_TABLE.items()
+            if (t, d) == (task, defense)}
 
 
 def _cache_dir():
@@ -86,62 +99,66 @@ def _cached_train(key, train_fn):
     return model, seconds
 
 
-def svm_config(front_end):
-    return M.TrainConfig(
-        seed=0, epochs=200, batch_size=64, learning_rate=0.1,
-        weight_decay=1e-4, front_end=front_end,
-        clip_recon=front_end is not None,
-    )
-
-
-def cnn_config(front_end):
-    if FULL:
-        return M.TrainConfig(
-            seed=0, epochs=8, batch_size=64, learning_rate=0.05,
-            lr_decay_every=3, weight_decay=1e-4, front_end=front_end,
-            clip_recon=front_end is not None,
-        )
-    return M.TrainConfig(
-        seed=0, epochs=10, batch_size=64, learning_rate=0.1,
-        lr_decay_every=4, weight_decay=1e-4, front_end=front_end,
-        clip_recon=front_end is not None,
-    )
+def train_model(task, defense, train):
+    """The model table1 trains for (task, defense), trained on `train`."""
+    fe = FrontEndConfig(basis(), cli.PAPER_SETTINGS[task]["rho"]) if defense == "sparse" else None
+    config = M.TrainConfig(seed=TABLE1.seed, front_end=fe, clip_recon=TABLE1.clip,
+                           **TRAIN_SETTINGS[task])
+    if task == "svm":
+        return M.train_linear_svm(train.images, train.labels, config)
+    return M.train_network(train.images, train.labels, config, CNN_ARCH)
 
 
 @pytest.fixture(scope="session")
 def svm_plain(pair_train):
-    return _cached_train(
-        "svm-plain-v1",
-        lambda: M.train_linear_svm(pair_train.images, pair_train.labels, svm_config(None)),
-    )
+    return _cached_train("svm-plain-v1", lambda: train_model("svm", "none", pair_train))
 
 
 @pytest.fixture(scope="session")
 def svm_defended(pair_train):
-    fe = FrontEndConfig(basis(), SVM_RHO)
-    return _cached_train(
-        "svm-defended-v1",
-        lambda: M.train_linear_svm(pair_train.images, pair_train.labels, svm_config(fe)),
-    )
+    return _cached_train("svm-defended-v1", lambda: train_model("svm", "sparse", pair_train))
 
 
 @pytest.fixture(scope="session")
 def cnn_plain(mnist_train):
-    return _cached_train(
-        f"cnn-plain-{CNN_ARCH_NAME}-v1",
-        lambda: M.train_network(mnist_train.images, mnist_train.labels,
-                                cnn_config(None), CNN_ARCH),
-    )
+    return _cached_train(f"cnn-plain-{CNN_ARCH_NAME}-v1",
+                         lambda: train_model("cnn", "none", mnist_train))
 
 
 @pytest.fixture(scope="session")
 def cnn_defended(mnist_train):
-    fe = FrontEndConfig(basis(), CNN_RHO)
-    return _cached_train(
-        f"cnn-defended-{CNN_ARCH_NAME}-v1",
-        lambda: M.train_network(mnist_train.images, mnist_train.labels,
-                                cnn_config(fe), CNN_ARCH),
-    )
+    return _cached_train(f"cnn-defended-{CNN_ARCH_NAME}-v1",
+                         lambda: train_model("cnn", "sparse", mnist_train))
+
+
+class TestGateTrainsTable1Models:
+    def test_fixtures_hand_the_trainers_what_table1_does(self, synth_data, tmp_path,
+                                                         monkeypatch):
+        class Trained(Exception):
+            """Raised at table1's first evaluation, after it has trained all four models."""
+
+        handed = []
+
+        def recorder(x, y, config, arch=None):
+            handed.append((config, arch, len(y)))
+
+        def stop(*args):
+            raise Trained
+
+        monkeypatch.setattr(M, "train_linear_svm", recorder)
+        monkeypatch.setattr(M, "train_network", recorder)
+        monkeypatch.setattr(A, "evaluate", stop)
+        with pytest.raises(Trained):
+            cli.main(["table1", "--data", str(synth_data), "--arch", CNN_ARCH_NAME,
+                      "--out", str(tmp_path)])
+        by_table1 = list(handed)
+        handed.clear()
+        train = D.load_mnist(synth_data, "train")
+        splits = {"svm": D.filter_pair(train, *cli.PAPER_DIGITS), "cnn": train}
+        for task, split in splits.items():
+            for defense in ("none", "sparse"):
+                train_model(task, defense, split)
+        assert len(handed) == 4 and handed == by_table1
 
 
 def pct(x):
@@ -183,14 +200,15 @@ class TestCriterion3:
     def test_defended_svm_table_row(self, svm_defended, pair_test):
         model, train_seconds = svm_defended
         t0 = time.perf_counter()
-        sw = pct(A.evaluate(model, pair_test, AttackSpec("semiwhite", SVM_EPS, clip=True)).attacked_accuracy)
-        w = pct(A.evaluate(model, pair_test, AttackSpec("white", SVM_EPS, clip=True)).attacked_accuracy)
+        sw, w = (pct(A.evaluate(model, pair_test, AttackSpec(kind, SVM_EPS, clip=TABLE1.clip))
+                     .attacked_accuracy) for kind in ("semiwhite", "white"))
         seconds = train_seconds + (time.perf_counter() - t0)
+        p = paper("svm", "sparse")
         check(
             "C3",
-            abs(sw - 97.31) <= 3.0 and abs(w - 94.62) <= 3.0 and seconds < 600,
-            f"defended SVM (rho={SVM_RHO}): semi-white {sw:.2f}% (97.31 +/- 3), "
-            f"white {w:.2f}% (94.62 +/- 3), runtime {seconds:.0f}s (< 600s)",
+            abs(sw - p["semiwhite"]) <= 3.0 and abs(w - p["white"]) <= 3.0 and seconds < 600,
+            f"defended SVM (rho={SVM_RHO}): semi-white {sw:.2f}% ({p['semiwhite']:g} +/- 3), "
+            f"white {w:.2f}% ({p['white']:g} +/- 3), runtime {seconds:.0f}s (< 600s)",
         )
 
 
@@ -198,7 +216,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_cnn_clean_accuracy(self, cnn_plain, mnist_test):
         net, seconds = cnn_plain
-        report = A.evaluate(net, mnist_test, AttackSpec("none", 0.0, clip=True))
+        report = A.evaluate(net, mnist_test, AttackSpec("none", 0.0, clip=TABLE1.clip))
         acc = pct(report.clean_accuracy)
         check(
             "C4",
@@ -212,7 +230,8 @@ class TestCriterion4:
 def undefended_cnn_attacks(cnn_plain, mnist_test):
     net, _ = cnn_plain
     return {
-        kind: pct(A.evaluate(net, mnist_test, AttackSpec(kind, CNN_EPS, clip=True)).attacked_accuracy)
+        kind: pct(A.evaluate(net, mnist_test, AttackSpec(kind, CNN_EPS, clip=TABLE1.clip))
+                  .attacked_accuracy)
         for kind in ("fgsm", "semiwhite", "white")
     }
 
@@ -221,7 +240,8 @@ def undefended_cnn_attacks(cnn_plain, mnist_test):
 def defended_cnn_attacks(cnn_defended, mnist_test):
     net, _ = cnn_defended
     return {
-        kind: pct(A.evaluate(net, mnist_test, AttackSpec(kind, CNN_EPS, clip=True)).attacked_accuracy)
+        kind: pct(A.evaluate(net, mnist_test, AttackSpec(kind, CNN_EPS, clip=TABLE1.clip))
+                  .attacked_accuracy)
         for kind in ("fgsm", "semiwhite", "white")
     }
 
@@ -232,11 +252,13 @@ class TestCriterion5:
         a = undefended_cnn_attacks
         equal = abs(a["semiwhite"] - a["white"]) < 1e-9
         if FULL:
-            ok = (abs(a["fgsm"] - 19.45) <= 5.0 and abs(a["semiwhite"] - 8.87) <= 4.0
-                  and abs(a["white"] - 8.87) <= 4.0 and equal)
+            p = paper("cnn", "none")
+            ok = (abs(a["fgsm"] - p["fgsm"]) <= 5.0 and abs(a["semiwhite"] - p["semiwhite"]) <= 4.0
+                  and abs(a["white"] - p["white"]) <= 4.0 and equal)
             detail = (
-                f"undefended CNN at eps={CNN_EPS}: fgsm {a['fgsm']:.2f}% (19.45 +/- 5), "
-                f"semi-white {a['semiwhite']:.2f}% / white {a['white']:.2f}% (8.87 +/- 4, equal)"
+                f"undefended CNN at eps={CNN_EPS}: fgsm {a['fgsm']:.2f}% ({p['fgsm']:g} +/- 5), "
+                f"semi-white {a['semiwhite']:.2f}% / white {a['white']:.2f}% "
+                f"({p['white']:g} +/- 4, equal)"
             )
         else:
             ok = equal and a["semiwhite"] <= 40.0
@@ -257,12 +279,8 @@ class TestCriterion6:
             d["white"] <= d["semiwhite"] <= d["fgsm"]
             and all(d[k] > u[k] for k in ("fgsm", "semiwhite", "white"))
         )
-        if FULL:
-            windows = (abs(d["fgsm"] - 89.75) <= 5.0
-                       and abs(d["semiwhite"] - 88.76) <= 5.0
-                       and abs(d["white"] - 84.04) <= 5.0)
-        else:
-            windows = True
+        p = paper("cnn", "sparse")
+        windows = not FULL or all(abs(d[kind] - p[kind]) <= 5.0 for kind in p)
         check(
             "C6",
             orderings and windows,
@@ -443,7 +461,7 @@ class TestCriterion11:
 
 class TestCriterion12:
     def test_binary_fgsm_equals_semi_white(self, digits):
-        pair_train, pair_test = (D.filter_pair(D.load_mnist(digits, split), 3, 7)
+        pair_train, pair_test = (D.filter_pair(D.load_mnist(digits, split), *cli.PAPER_DIGITS)
                                  for split in ("train", "test"))
         arch = {"input_shape": (784,), "layers": [("dense", 32), ("relu",), ("dense", 2)]}
         labels01 = (pair_train.labels == 1).astype(np.int64)
@@ -501,8 +519,6 @@ class TestCriterion13:
 
 class TestCriterion14:
     def test_reports_reproduce_byte_for_byte(self, digits, tmp_path):
-        from sparsefront import cli
-
         def run_and_replay(argv, name):
             """Run argv into `<name>1`, then replay its manifest into `<name>2`."""
             first, second = tmp_path / f"{name}1", tmp_path / f"{name}2"
@@ -513,15 +529,16 @@ class TestCriterion14:
 
         runs = run_and_replay(["attenuation", "--n", "256", "--k", "8", "--trials", "300",
                                "--mode", "both", "--seed", "17"], "run")
-        trains = run_and_replay(["train-svm", "--data", str(digits), "--digits", "3,7",
+        a, b = cli.PAPER_DIGITS
+        trains = run_and_replay(["train-svm", "--data", str(digits), "--digits", f"{a},{b}",
                                  "--epochs", "3", "--lr", "0.3", "--no-defense", "--seed", "5"],
                                 "t")
-        model_file = trains[0] / "svm_3v7_plain.model"
-        attacks = run_and_replay(["attack", "--data", str(digits), "--model", str(model_file),
-                                  "--attack", "semiwhite", "--epsilon", "0.12", "--limit", "150"],
-                                 "a")
+        model_name = f"svm_{a}v{b}_plain.model"
+        attacks = run_and_replay(["attack", "--data", str(digits),
+                                  "--model", str(trains[0] / model_name), "--attack", "semiwhite",
+                                  "--epsilon", str(SVM_EPS), "--limit", "150"], "a")
         outputs = [(out / "report.csv").read_bytes() for out in runs]
-        models = [(out / "svm_3v7_plain.model").read_bytes() for out in trains]
+        models = [(out / model_name).read_bytes() for out in trains]
         atk = [(out / "report.csv").read_bytes() + (out / "report.json").read_bytes()
                for out in attacks]
         check(

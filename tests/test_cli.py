@@ -591,6 +591,23 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(f"error: {named} ")
 
 
+class TestTable1:
+    # a manifest replays a basis or architecture that argparse's choices would refuse
+    @pytest.mark.parametrize("config,flags,named", [
+        ({}, ["--levels", 9], "levels must be"),
+        ({"basis": "db4"}, [], "--basis"),
+        ({"arch": "vgg"}, [], "--arch"),
+    ], ids=["levels", "replayed_basis", "replayed_arch"])
+    def test_bad_setting_rejected_before_data(self, tmp_path, capsys, config, flags, named):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "table1", "config": config}))
+        # the data directory does not exist, so reading any data would fail first
+        assert run_cli("table1", "--config", manifest, *flags, "--data", tmp_path / "absent",
+                       "--out", tmp_path / "t") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+
 def train_net(data, out, *flags):
     """The exit status of a one-epoch undefended train-net run on `data`."""
     return run_cli("train-net", "--data", data, "--epochs", 1, "--no-defense", "--seed", 0,

@@ -743,6 +743,9 @@ class TestSerialization:
         feedforward_file([["dense", 10], ["relu"]]) + bytes(8 * (4 * 10 + 10)),
         feedforward_file([["flatten"]]),
         feedforward_file([]),
+        # a 25x25 max-pool input; the payload is the size the layers imply
+        feedforward_file([["conv", 2, 4, 4], ["relu"], ["maxpool"], ["flatten"], ["dense", 10]],
+                         input_shape=[1, 28, 28]) + bytes(8 * (2 * 4 * 4 + 2 + 288 * 10 + 10)),
     ], ids=["no_magic", "short_header_length", "header_without_fields",
             "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
             "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
@@ -751,7 +754,8 @@ class TestSerialization:
             "bool_levels", "bool_rho", "float_input_shape", "bool_input_shape",
             "zero_input_shape", "string_bias", "null_bias", "list_bias", "bool_bias",
             "nan_bias", "infinite_bias", "overflowing_bias", "nan_svm_weight",
-            "infinite_dense_weight", "ends_in_relu", "ends_in_flatten", "no_layers"])
+            "infinite_dense_weight", "ends_in_relu", "ends_in_flatten", "no_layers",
+            "odd_maxpool_input"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)
