@@ -45,6 +45,8 @@ class EnsembleConfig:
             raise ValueError(f"need 1 <= K <= N, got K={self.k}, N={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
         if self.basis_kind == "identity" and self.levels != 1:

@@ -70,6 +70,9 @@ NET_DEFAULTS = {
     "paper_cnn": dict(epochs=8, learning_rate=0.05, batch_size=64,
                       lr_decay_every=3, weight_decay=1e-4),
 }
+# recipe setting -> the flag that overrides it, in the commands that have one
+RECIPE_FLAGS = dict(epochs="epochs", learning_rate="lr", batch_size="batch_size",
+                    weight_decay="weight_decay")
 
 
 def write_json(path, obj):
@@ -135,6 +138,28 @@ def _front_end(args):
     return None
 
 
+def _train_config(args, task, fe):
+    """The `TrainConfig` of a model of `task` ("svm" or "cnn") trained behind `fe`.
+
+    The task's recipe (a network's by `args.arch`), overridden by each recipe
+    flag the command has and was given a value for, plus the seed and the clip.
+    """
+    recipe = dict(SVM_DEFAULTS if task == "svm" else _choice(NET_DEFAULTS, args.arch, "--arch"))
+    recipe.update((key, getattr(args, flag)) for key, flag in RECIPE_FLAGS.items()
+                  if getattr(args, flag, None) is not None)
+    return TrainConfig(seed=args.seed, front_end=fe, clip_recon=args.clip, **recipe)
+
+
+def paper_model(args, task, defense, train):
+    """The model `table1` trains for (task, defense) on the split `train`."""
+    fe = FrontEndConfig(_basis(args), PAPER_SETTINGS[task]["rho"]) if defense == "sparse" else None
+    config = _train_config(args, task, fe)
+    if task == "svm":
+        return models_mod.train_linear_svm(train.images, train.labels, config)
+    return models_mod.train_network(train.images, train.labels, config,
+                                    models_mod.ARCH_PRESETS[args.arch])
+
+
 def _finish_training(args, model, prefix, test, summary):
     """Save a trained model, evaluate it clean on `test` and write its report."""
     name = prefix + ("plain" if model.front_end is None else f"sparse_rho{args.rho:g}")
@@ -171,9 +196,7 @@ def cmd_fetch_data(args):
 
 
 def cmd_train_svm(args):
-    config = TrainConfig(seed=args.seed, front_end=_front_end(args), clip_recon=args.clip,
-                         epochs=args.epochs, batch_size=args.batch_size,
-                         learning_rate=args.lr, weight_decay=args.weight_decay)
+    config = _train_config(args, "svm", _front_end(args))
     a, b = _digit_pair(args.digits)
     train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
     test = data_mod.filter_pair(data_mod.load_mnist(args.data, "test"), a, b)
@@ -187,19 +210,14 @@ def cmd_train_svm(args):
 
 
 def cmd_train_net(args):
-    flags = dict(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
-                 weight_decay=args.weight_decay)
-    settings = dict(_choice(NET_DEFAULTS, args.arch, "--arch"))
-    arch = models_mod.ARCH_PRESETS[args.arch]
+    arch = _choice(models_mod.ARCH_PRESETS, args.arch, "--arch")
     if args.dropout is not None:
         if not any(entry[0] == "dropout" for entry in arch["layers"]):
             raise ValueError(f"--dropout: {args.arch} has no dropout layer")
         models_mod.Dropout(args.dropout)  # checks the rate before any data is read
         arch = dict(arch, layers=[("dropout", args.dropout) if entry[0] == "dropout" else entry
                                   for entry in arch["layers"]])
-    settings.update((key, value) for key, value in flags.items() if value is not None)
-    config = TrainConfig(seed=args.seed, front_end=_front_end(args), clip_recon=args.clip,
-                         **settings)
+    config = _train_config(args, "cnn", _front_end(args))
     train = data_mod.load_mnist(args.data, "train")
     test = data_mod.load_mnist(args.data, "test")
     log_lines = []
@@ -253,14 +271,13 @@ def cmd_sweep(args):
     a, b = _digit_pair(args.digits)
     basis = _basis(args)
     # the whole grid is checked before any data is read
-    front_ends = [FrontEndConfig(basis, rho) for rho in args.rhos]
+    configs = [_train_config(args, "svm", FrontEndConfig(basis, rho)) for rho in args.rhos]
     specs = [AttackSpec(args.attack, eps, clip=args.clip) for eps in args.epsilons]
     train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
     test = data_mod.filter_pair(data_mod.load_mnist(args.data, "test"), a, b)
     rows = []
     acc = {}
-    for rho, fe in zip(args.rhos, front_ends):
-        config = TrainConfig(seed=args.seed, front_end=fe, clip_recon=args.clip, **SVM_DEFAULTS)
+    for rho, config in zip(args.rhos, configs):
         model = models_mod.train_linear_svm(train.images, train.labels, config)
         for eps, spec in zip(args.epsilons, specs):
             acc[(rho, eps)] = attacks_mod.evaluate(model, test, spec).attacked_accuracy
@@ -297,36 +314,28 @@ def cmd_attenuation(args):
 def cmd_table1(args):
     """Train the four models, keyed by (task, defense), and run PAPER_TABLE's rows in order."""
     out = Path(args.out)
-    # the basis and the architecture are checked before any data is read
-    basis = _basis(args)
-    net_settings = _choice(NET_DEFAULTS, args.arch, "--arch")
+    # the basis, the architecture and the seed are checked before any data is read
+    _basis(args)
+    _train_config(args, "cnn", None)
     train = data_mod.load_mnist(args.data, "train")
     test = data_mod.load_mnist(args.data, "test")
     pair_train, pair_test = (data_mod.filter_pair(split, *PAPER_DIGITS) for split in (train, test))
     tasks = {
-        "svm": dict(name="SVMs", train=pair_train, test=pair_test, settings=SVM_DEFAULTS,
-                    **PAPER_SETTINGS["svm"]),
-        "cnn": dict(name="networks", train=train, test=test, settings=net_settings,
-                    arch=models_mod.ARCH_PRESETS[args.arch], **PAPER_SETTINGS["cnn"]),
+        "svm": dict(name="SVMs", train=pair_train, test=pair_test),
+        "cnn": dict(name="networks", train=train, test=test),
     }
 
     models = {}
     for task, spec in tasks.items():
         print(f"training {spec['name']} (plain, defended)...")
         for defense in ("none", "sparse"):
-            fe = FrontEndConfig(basis, spec["rho"]) if defense == "sparse" else None
-            config = TrainConfig(seed=args.seed, front_end=fe, clip_recon=args.clip,
-                                 **spec["settings"])
-            x, y = spec["train"].images, spec["train"].labels
-            models[task, defense] = (models_mod.train_linear_svm(x, y, config) if task == "svm"
-                                     else models_mod.train_network(x, y, config, spec["arch"]))
+            models[task, defense] = paper_model(args, task, defense, spec["train"])
 
     measured = {}  # attacked accuracy in percent, keyed like PAPER_TABLE
     clean = {}  # clean accuracy in percent, by model name
     for (task, attack, defense), paper in PAPER_TABLE.items():
-        spec = tasks[task]
-        report = attacks_mod.evaluate(models[task, defense], spec["test"],
-                                      AttackSpec(attack, spec["epsilon"], clip=args.clip))
+        spec = AttackSpec(attack, PAPER_SETTINGS[task]["epsilon"], clip=args.clip)
+        report = attacks_mod.evaluate(models[task, defense], tasks[task]["test"], spec)
         accuracy = measured[task, attack, defense] = 100 * report.attacked_accuracy
         # every report measures clean accuracy on the same split with the same clip
         clean.setdefault(task + ("_defended" if defense == "sparse" else ""),

@@ -70,6 +70,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not isinstance(self.lr_decay_every, (int, np.integer)) or self.lr_decay_every < 0:
             raise ValueError("lr_decay_every must be a nonnegative integer (0 = constant), "
                              f"got {self.lr_decay_every!r}")

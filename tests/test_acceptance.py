@@ -11,25 +11,24 @@ Modes, selected by SPARSEFRONT_ACCEPTANCE:
   reduced         - the fast dense preset with the substitute clean-accuracy
                     bound; the attack-ordering checks run unchanged.
 
-The gate certifies the experiment `table1` runs: it reads the budgets and
-sparsities (`cli.PAPER_SETTINGS`), the published accuracies its windows are
-centred on (`cli.PAPER_TABLE`), the training recipes (`cli.SVM_DEFAULTS`,
-`cli.NET_DEFAULTS`), the digit pair (`cli.PAPER_DIGITS`) and table1's
-default basis, seed and clip from `cli`, and types none of them itself.
-`TestGateTrainsTable1Models` checks, without MNIST, that the fixtures hand
-the trainers what table1 hands them. C3-C6 evaluate with table1's clip, the
-physical image pipeline (inputs and reconstructions clamped to [0, 1]) of
-the published table; the undefended-overwhelm check C2 uses the
-unconstrained perturbation model.
+The gate certifies the experiment `table1` runs. It trains its four models
+with `cli.paper_model`, the function `table1` trains them with, given
+table1's own parsed defaults (`--arch reduced_dense` in reduced mode), and
+times that call. It reads the budgets and sparsities (`cli.PAPER_SETTINGS`),
+the published accuracies its windows are centred on (`cli.PAPER_TABLE`) and
+the digit pair (`cli.PAPER_DIGITS`) from `cli`, and types none of them
+itself. C3-C6 evaluate with table1's clip, the physical image pipeline
+(inputs and reconstructions clamped to [0, 1]) of the published table; the
+undefended-overwhelm check C2 uses the unconstrained perturbation model.
 
-Trained models are cached under SPARSEFRONT_CACHE_DIR when set (developer
-convenience; unset for a certification run).
+For a fast loop over C1-C6 without MNIST, write a split with
+`perfbench/synth.py`, point SPARSEFRONT_DATA_DIR at it and run in reduced
+mode: that checks the mechanisms, not the paper's numbers, and C3, C4 and
+C6 fail their MNIST thresholds on synthetic digits.
 """
 
-import hashlib
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,14 +51,12 @@ from switch_replay import same_switches
 MODE = os.environ.get("SPARSEFRONT_ACCEPTANCE", "full")
 FULL = MODE != "reduced"
 
-TABLE1 = cli.build_parser().parse_args(["table1"])  # table1's defaults
+# table1's defaults, with the fast dense preset in reduced mode
+TABLE1 = cli.build_parser().parse_args(["table1", *([] if FULL else ["--arch", "reduced_dense"])])
 SVM_EPS, SVM_RHO = (cli.PAPER_SETTINGS["svm"][key] for key in ("epsilon", "rho"))
 CNN_EPS, CNN_RHO = (cli.PAPER_SETTINGS["cnn"][key] for key in ("epsilon", "rho"))
 
-CNN_ARCH_NAME = TABLE1.arch if FULL else "reduced_dense"
-CNN_ARCH = M.ARCH_PRESETS[CNN_ARCH_NAME]
 CNN_CLEAN_FLOOR = 98.8 if FULL else 97.5
-TRAIN_SETTINGS = {"svm": cli.SVM_DEFAULTS, "cnn": cli.NET_DEFAULTS[CNN_ARCH_NAME]}
 
 
 def check(cid, ok, detail):
@@ -78,87 +75,31 @@ def paper(task, defense):
             if (t, d) == (task, defense)}
 
 
-def _cache_dir():
-    path = os.environ.get("SPARSEFRONT_CACHE_DIR")
-    return Path(path) if path else None
-
-
-def _cached_train(key, train_fn):
-    cache = _cache_dir()
-    if cache is None:
-        t0 = time.perf_counter()
-        return train_fn(), time.perf_counter() - t0
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / (hashlib.sha256(key.encode()).hexdigest()[:24] + ".model")
-    if path.exists():
-        return M.load_model(path), 0.0
+def trained(task, defense, train):
+    """The model table1 trains for (task, defense) on `train`, and its training seconds."""
     t0 = time.perf_counter()
-    model = train_fn()
-    seconds = time.perf_counter() - t0
-    M.save_model(model, path)
-    return model, seconds
-
-
-def train_model(task, defense, train):
-    """The model table1 trains for (task, defense), trained on `train`."""
-    fe = FrontEndConfig(basis(), cli.PAPER_SETTINGS[task]["rho"]) if defense == "sparse" else None
-    config = M.TrainConfig(seed=TABLE1.seed, front_end=fe, clip_recon=TABLE1.clip,
-                           **TRAIN_SETTINGS[task])
-    if task == "svm":
-        return M.train_linear_svm(train.images, train.labels, config)
-    return M.train_network(train.images, train.labels, config, CNN_ARCH)
+    model = cli.paper_model(TABLE1, task, defense, train)
+    return model, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def svm_plain(pair_train):
-    return _cached_train("svm-plain-v1", lambda: train_model("svm", "none", pair_train))
+    return trained("svm", "none", pair_train)
 
 
 @pytest.fixture(scope="session")
 def svm_defended(pair_train):
-    return _cached_train("svm-defended-v1", lambda: train_model("svm", "sparse", pair_train))
+    return trained("svm", "sparse", pair_train)
 
 
 @pytest.fixture(scope="session")
 def cnn_plain(mnist_train):
-    return _cached_train(f"cnn-plain-{CNN_ARCH_NAME}-v1",
-                         lambda: train_model("cnn", "none", mnist_train))
+    return trained("cnn", "none", mnist_train)
 
 
 @pytest.fixture(scope="session")
 def cnn_defended(mnist_train):
-    return _cached_train(f"cnn-defended-{CNN_ARCH_NAME}-v1",
-                         lambda: train_model("cnn", "sparse", mnist_train))
-
-
-class TestGateTrainsTable1Models:
-    def test_fixtures_hand_the_trainers_what_table1_does(self, synth_data, tmp_path,
-                                                         monkeypatch):
-        class Trained(Exception):
-            """Raised at table1's first evaluation, after it has trained all four models."""
-
-        handed = []
-
-        def recorder(x, y, config, arch=None):
-            handed.append((config, arch, len(y)))
-
-        def stop(*args):
-            raise Trained
-
-        monkeypatch.setattr(M, "train_linear_svm", recorder)
-        monkeypatch.setattr(M, "train_network", recorder)
-        monkeypatch.setattr(A, "evaluate", stop)
-        with pytest.raises(Trained):
-            cli.main(["table1", "--data", str(synth_data), "--arch", CNN_ARCH_NAME,
-                      "--out", str(tmp_path)])
-        by_table1 = list(handed)
-        handed.clear()
-        train = D.load_mnist(synth_data, "train")
-        splits = {"svm": D.filter_pair(train, *cli.PAPER_DIGITS), "cnn": train}
-        for task, split in splits.items():
-            for defense in ("none", "sparse"):
-                train_model(task, defense, split)
-        assert len(handed) == 4 and handed == by_table1
+    return trained("cnn", "sparse", mnist_train)
 
 
 def pct(x):
@@ -221,7 +162,7 @@ class TestCriterion4:
         check(
             "C4",
             acc >= CNN_CLEAN_FLOOR and seconds < 7200,
-            f"{CNN_ARCH_NAME} clean accuracy {acc:.2f}% (>= {CNN_CLEAN_FLOOR}), "
+            f"{TABLE1.arch} clean accuracy {acc:.2f}% (>= {CNN_CLEAN_FLOOR}), "
             f"training {seconds:.0f}s (< 7200s)",
         )
 

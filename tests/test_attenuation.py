@@ -17,6 +17,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(n=15, k=4, trials=10, basis_kind="haar")  # not square
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            EnsembleConfig(n=16, k=4, trials=10, seed=seed)
+
     def test_unknown_modes(self):
         with pytest.raises(ValueError):
             EnsembleConfig(n=16, k=4, trials=10, basis_kind="dct")

@@ -4,13 +4,16 @@ import json
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from sparsefront import attacks as A
 from sparsefront import cli
 from sparsefront import models as M
 from sparsefront import transform as T
-from sparsefront.data import filter_pair
+from sparsefront.data import filter_pair, load_mnist
+from sparsefront.frontend import FrontEndConfig
 
 from conftest import load_synth, needs_mnist
 
@@ -148,12 +151,25 @@ class TestBadTrainingSettings:
         ("--lr", "inf", "learning_rate"),
         ("--weight-decay", "-1", "weight_decay"),
         ("--weight-decay", "inf", "weight_decay"),
+        ("--seed", "-1", "seed"),
     ])
     def test_exits_2(self, command, flag, value, field, synth_data, tmp_path, capsys):
         rc = run_cli(*command, flag, value, "--epochs", 1, "--data", synth_data,
                      "--out", tmp_path / "x")
         assert rc == 2
         assert f"error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-svm"], ["train-net", "--arch", "reduced_dense"], ["sweep", "--rhos", "0.02"],
+        ["table1", "--arch", "reduced_dense"], ["attenuation", "--n", 64, "--k", 4, "--trials", 10],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_refused_before_data(self, argv, tmp_path, capsys):
+        # the data directory does not exist, so reading any data would fail first
+        data = ["--data", tmp_path / "absent"] if argv[0] != "attenuation" else []
+        assert run_cli(*argv, "--seed", -1, *data, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: seed must be a nonnegative integer, got -1")
         assert not (tmp_path / "x" / "manifest.json").exists()
 
     def test_all_zero_svm_exits_2(self, tmp_path, capsys):
@@ -169,6 +185,53 @@ class TestBadTrainingSettings:
         assert rc == 2
         assert "error: SVM training produced an all-zero weight vector" in capsys.readouterr().err
         assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+CDF97 = T.Basis("cdf97_biorthogonal", 28, 28, 1)
+
+# case -> (argv, each model it trains: task, recipe flags given, seed, clip, rho or None, arch)
+HANDED = {
+    "train-svm": (["train-svm"], [("svm", {}, 0, False, 0.02, None)]),
+    "train-net-paper_cnn": (["train-net", "--arch", "paper_cnn", "--lr", 0.2],
+                            [("cnn", {"learning_rate": 0.2}, 0, False, 0.03, "paper_cnn")]),
+    "train-net-reduced_dense": (["train-net", "--arch", "reduced_dense"],
+                                [("cnn", {}, 0, False, 0.03, "reduced_dense")]),
+    "sweep": (["sweep", "--rhos", "0.02,0.04", "--seed", 5],
+              [("svm", {}, 5, False, 0.02, None), ("svm", {}, 5, False, 0.04, None)]),
+    "table1": (["table1", "--arch", "reduced_dense", "--seed", 5],
+               [("svm", {}, 5, True, None, None), ("svm", {}, 5, True, 0.02, None),
+                ("cnn", {}, 5, True, None, "reduced_dense"),
+                ("cnn", {}, 5, True, 0.03, "reduced_dense")]),
+}
+
+
+class TestTrainerInputs:
+    """What each command hands its trainer: recipe, recipe flags, seed, clip, front end."""
+
+    @pytest.mark.parametrize("case", list(HANDED))
+    def test_config_and_arch(self, case, synth_data, tmp_path, monkeypatch):
+        handed = []
+
+        def trainer(x, y, config, arch=None, log=None):
+            handed.append((config, arch, len(y)))
+            return SimpleNamespace(front_end=config.front_end)
+
+        monkeypatch.setattr(M, "train_linear_svm", trainer)
+        monkeypatch.setattr(M, "train_network", trainer)
+        monkeypatch.setattr(M, "save_model", lambda model, path: None)
+        monkeypatch.setattr(A, "evaluate", lambda model, test, spec: SimpleNamespace(
+            clean_accuracy=0.0, attacked_accuracy=0.0))
+        argv, models = HANDED[case]
+        assert run_cli(*argv, "--data", synth_data, "--out", tmp_path) == 0
+        train = load_mnist(synth_data, "train")
+        samples = {"svm": len(filter_pair(train, 3, 7)), "cnn": len(train)}
+        expected = []
+        for task, flags, seed, clip, rho, arch in models:
+            recipe = cli.SVM_DEFAULTS if task == "svm" else cli.NET_DEFAULTS[arch]
+            fe = None if rho is None else FrontEndConfig(CDF97, rho)
+            config = M.TrainConfig(seed=seed, front_end=fe, clip_recon=clip, **recipe | flags)
+            expected.append((config, arch and M.ARCH_PRESETS[arch], samples[task]))
+        assert handed == expected
 
 
 class TestUnreadSettings:

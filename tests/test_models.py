@@ -353,7 +353,7 @@ class TestTrainConfig:
         ("learning_rate", float("inf")), ("learning_rate", -float("inf")),
         ("weight_decay", -1.0), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("epochs", 0), ("epochs", 1.5), ("batch_size", 0), ("batch_size", 64.0),
-        ("lr_decay_every", -3), ("lr_decay_every", 1.5),
+        ("lr_decay_every", -3), ("lr_decay_every", 1.5), ("seed", -1), ("seed", 1.5),
     ])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
