@@ -53,7 +53,7 @@ EVAL_BATCH = 256  # rows per attack pass in evaluate
 
 def _check_epsilon(epsilon):
     # the chained comparison is false for nan as well
-    if not 0.0 <= epsilon < np.inf:
+    if isinstance(epsilon, bool) or not 0.0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
 
 

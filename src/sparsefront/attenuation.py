@@ -41,11 +41,15 @@ class EnsembleConfig:
     levels: int = 1  # haar only
 
     def __post_init__(self):
+        for name in ("n", "k", "trials", "levels", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= K <= N, got K={self.k}, N={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")

@@ -3,15 +3,16 @@
 Every command but fetch-data records its run: `main` makes `--out` and, once
 the command succeeds, writes there a manifest.json of the command, each
 setting it reads and the package version. `--config manifest.json` replays
-a run: the manifest's settings become the command's defaults and explicit
-flags win. Its `out` is never inherited, so a replay writes to `--out` (or
+a run: the manifest's settings are passed as flags ahead of the typed ones,
+which win. Its `out` is never inherited, so a replay writes to `--out` (or
 the default output directory) and reproduces the run's model and report
 files byte for byte, given the same numpy, the same BLAS and the same BLAS
 thread count: at another thread count a network's model file and an attack's
 report.json can differ in their last digits. The manifest is the only config
-format. Reports are CSV for tables and JSON for per-sample records. Files
-are written atomically so a crashed run never leaves a partial file where a
-complete one stood.
+format. Every usage error, typed or replayed, is one `error:` line. Reports
+are CSV for tables and JSON for per-sample records. Files are written
+atomically so a crashed run never leaves a partial file where a complete one
+stood.
 
 Subcommands: fetch-data, train-svm, train-net, attack, sweep, attenuation,
 table1.
@@ -106,21 +107,8 @@ def _fmt(x):
     return format(float(x), ".10g")
 
 
-def _choice(table, key, flag):
-    """`table[key]`; argparse never checks a replayed manifest's value against `choices`."""
-    if key not in table:
-        raise ValueError(f"{flag} must be one of {', '.join(sorted(table))}, got {key!r}")
-    return table[key]
-
-
 def _basis(args):
-    return Basis(_choice(BASIS_KINDS, args.basis, "--basis"), 28, 28, args.levels)
-
-
-def _digit_pair(digits):
-    if not (isinstance(digits, list) and len(digits) == 2):
-        raise ValueError(f"--digits must be two digits like 3,7, got {digits!r}")
-    return digits
+    return Basis(BASIS_KINDS[args.basis], 28, 28, args.levels)
 
 
 def _changed(args, keys):
@@ -144,7 +132,7 @@ def _train_config(args, task, fe):
     The task's recipe (a network's by `args.arch`), overridden by each recipe
     flag the command has and was given a value for, plus the seed and the clip.
     """
-    recipe = dict(SVM_DEFAULTS if task == "svm" else _choice(NET_DEFAULTS, args.arch, "--arch"))
+    recipe = dict(SVM_DEFAULTS if task == "svm" else NET_DEFAULTS[args.arch])
     recipe.update((key, getattr(args, flag)) for key, flag in RECIPE_FLAGS.items()
                   if getattr(args, flag, None) is not None)
     return TrainConfig(seed=args.seed, front_end=fe, clip_recon=args.clip, **recipe)
@@ -197,7 +185,7 @@ def cmd_fetch_data(args):
 
 def cmd_train_svm(args):
     config = _train_config(args, "svm", _front_end(args))
-    a, b = _digit_pair(args.digits)
+    a, b = args.digits
     train = data_mod.filter_pair(data_mod.load_mnist(args.data, "train"), a, b)
     test = data_mod.filter_pair(data_mod.load_mnist(args.data, "test"), a, b)
     model = models_mod.train_linear_svm(train.images, train.labels, config)
@@ -210,7 +198,7 @@ def cmd_train_svm(args):
 
 
 def cmd_train_net(args):
-    arch = _choice(models_mod.ARCH_PRESETS, args.arch, "--arch")
+    arch = models_mod.ARCH_PRESETS[args.arch]
     if args.dropout is not None:
         if not any(entry[0] == "dropout" for entry in arch["layers"]):
             raise ValueError(f"--dropout: {args.arch} has no dropout layer")
@@ -267,8 +255,7 @@ def cmd_sweep(args):
     for flag, values in (("--rhos", args.rhos), ("--epsilons", args.epsilons)):
         if len(set(values)) < len(values):
             raise ValueError(f"{flag} repeats a value: {','.join(f'{v:g}' for v in values)}")
-    _choice(dict.fromkeys(SWEEP_ATTACKS), args.attack, "--attack")
-    a, b = _digit_pair(args.digits)
+    a, b = args.digits
     basis = _basis(args)
     # the whole grid is checked before any data is read
     configs = [_train_config(args, "svm", FrontEndConfig(basis, rho)) for rho in args.rhos]
@@ -292,7 +279,7 @@ def cmd_sweep(args):
 
 
 def cmd_attenuation(args):
-    modes = _choice(ATTENUATION_MODES, args.mode, "--mode")
+    modes = ATTENUATION_MODES[args.mode]
     config = attenuation_mod.EnsembleConfig(
         n=args.n, k=args.k, trials=args.trials, basis_kind=args.basis_kind,
         seed=args.seed, levels=args.levels,
@@ -314,7 +301,7 @@ def cmd_attenuation(args):
 def cmd_table1(args):
     """Train the four models, keyed by (task, defense), and run PAPER_TABLE's rows in order."""
     out = Path(args.out)
-    # the basis, the architecture and the seed are checked before any data is read
+    # argparse checked basis and arch; levels and seed are checked before any data is read
     _basis(args)
     _train_config(args, "cnn", None)
     train = data_mod.load_mnist(args.data, "train")
@@ -385,16 +372,23 @@ def _add_frontend_flags(p, rho):
 
 
 def _digits(text):
-    return _digit_pair([int(p) for p in text.split(",")])
+    a, b = map(int, text.split(","))  # two integers, or argparse refuses the value
+    return [a, b]
 
 
 def _float_list(text):
     return [float(p) for p in text.split(",") if p]
 
 
-def build_parser(defaults=None):
-    """The CLI parser; `defaults` maps a subcommand to settings that replace its defaults."""
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, which `main` prints."""
+
+    def error(self, message):
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def build_parser():
+    parser = _Parser(
         prog="sparsefront",
         description="Sparsifying front-end defenses and locally-linear attacks on MNIST",
     )
@@ -470,28 +464,26 @@ def build_parser(defaults=None):
     p.add_argument("--no-clip", dest="clip", action="store_false",
                    help="drop the physical [0,1] pipeline, which this command runs by default")
     p.set_defaults(func=cmd_table1)
-
-    for command, settings in (defaults or {}).items():
-        sub.choices[command].set_defaults(**settings)
     return parser
 
 
 def _same_json_type(value, plain):
-    """Whether a manifest value has the type of the plain parse's value; int passes as float."""
+    """Whether a manifest value has the JSON type of `plain`; an int passes as a float,
+    and a number as a string (a path may be one)."""
     if isinstance(plain, float):
         return type(value) in (int, float)
+    if isinstance(plain, str):
+        return type(value) in (str, int, float)
     if isinstance(plain, list) and plain:
         return isinstance(value, list) and all(_same_json_type(v, plain[0]) for v in value)
     return type(value) is type(plain)
 
 
-def _replay_settings(args):
-    """The settings of the manifest at `args.config`, checked against `args`' command.
+def _replay_flags(parser, args):
+    """The manifest at `args.config` as the flags that set each of its settings.
 
-    A manifest value becomes a parser default, which argparse converts only
-    when it is a string. So each must have the type of the command's own
-    default. Where that default is None, a string or number is installed as
-    its string form, which argparse runs through the flag's own type.
+    argparse checks each value as it checks a typed one, but it takes a string
+    for a number, so each must also have the JSON type of what its flag gives.
     """
     try:
         manifest = json.loads(Path(args.config).read_text())
@@ -503,30 +495,38 @@ def _replay_settings(args):
     # the subcommand is the one given, and the output directory comes from the flags
     settings.pop("command", None)
     settings.pop("out", None)
-    # the command's own defaults: the flags given must not stand in for them
-    own = _args_config(build_parser().parse_args([command]))
+    own = _args_config(parser.parse_args([command]))
     unknown = sorted(set(settings) - set(own))
     if unknown:
         raise ValueError(f"{args.config}: {command} has no setting {', '.join(unknown)}")
+    flags = []
     for key, value in settings.items():
-        plain = own[key]
-        if plain is None and value is not None:
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise ValueError(f"{args.config}: {key} must be a string or a number, "
-                                 f"got {json.dumps(value)}")
-            settings[key] = str(value)
-        elif plain is not None and not _same_json_type(value, plain):
-            raise ValueError(f"{args.config}: {key} must be {type(plain).__name__} like "
-                             f"{json.dumps(plain)}, got {json.dumps(value)}")
-    return settings
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool) and isinstance(own[key], bool):  # a switch, on by --<key>
+            if value != own[key]:  # or, where on by default, off by --no-<key>
+                flags.append(flag if value else f"--no-{flag[2:]}")
+        elif value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flags.append(f"{flag}={text}")  # one token, so a value may start with "-"
+    try:
+        replayed = _args_config(parser.parse_args([command, *flags]))
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
+    for key, value in settings.items():
+        if not _same_json_type(value, replayed[key]):
+            raise ValueError(f"{args.config}: {key} must have the JSON type of "
+                             f"{json.dumps(replayed[key])}, got {json.dumps(value)}")
+    return flags
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            args = build_parser({args.command: _replay_settings(args)}).parse_args(argv)
+            # the replayed flags go first, so the typed ones win
+            args = parser.parse_args([argv[0], *_replay_flags(parser, args), *argv[1:]])
         if "out" in args:  # every command but fetch-data records its run
             Path(args.out).mkdir(parents=True, exist_ok=True)
         args.func(args)

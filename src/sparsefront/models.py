@@ -54,6 +54,11 @@ class TrainingDivergence(RuntimeError):
         self.epoch = epoch
 
 
+def _is_int(value):
+    """Whether `value` is an integer; a bool is an int to Python but not here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     seed: int = 0
@@ -68,17 +73,18 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.lr_decay_every, (int, np.integer)) or self.lr_decay_every < 0:
+        if not _is_int(self.lr_decay_every) or self.lr_decay_every < 0:
             raise ValueError("lr_decay_every must be a nonnegative integer (0 = constant), "
                              f"got {self.lr_decay_every!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
+        lr, decay = self.learning_rate, self.weight_decay
+        if isinstance(lr, bool) or not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {lr}")
+        if isinstance(decay, bool) or not (math.isfinite(decay) and decay >= 0):
+            raise ValueError(f"weight_decay must be finite and nonnegative, got {decay}")
 
     def lr_at(self, epoch):
         if self.lr_decay_every == 0:
@@ -485,8 +491,7 @@ def _assemble(arch, front_end, weight, bias=np.zeros):
     spec as input_shape plus [kind, *values] entries, which save_model writes.
     """
     input_shape = tuple(arch["input_shape"])
-    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
-               for d in input_shape):
+    if not all(_is_int(d) and d > 0 for d in input_shape):
         raise ValueError(f"input_shape must be positive integers, got {list(input_shape)!r}")
     entries = [list(entry) for entry in arch["layers"]]
     layers = []

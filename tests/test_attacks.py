@@ -190,7 +190,7 @@ class TestWhiteBoxOptimality:
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("epsilon", [-0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("epsilon", [-0.1, np.nan, np.inf, True])
     def test_bad_epsilon_rejected(self, epsilon, rng):
         model = LinearModel(rng.standard_normal(64), 0.0)
         net = M.build_network(TINY_CNN, seed=18)
@@ -499,6 +499,11 @@ class TestEvaluate:
         empty = Dataset(np.empty((0, 64)), np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError):
             A.evaluate(net, empty, AttackSpec("none", 0.0))
+
+    def test_unknown_model_kind_rejected(self, rng):
+        ds = Dataset(rng.random((4, 64)), np.array([0, 1, 0, 1]))
+        with pytest.raises(TypeError, match="cannot evaluate object"):
+            A.evaluate(object(), ds, AttackSpec("none", 0.0))
 
     def test_svm_fgsm_rejected(self, rng):
         model = LinearModel(rng.standard_normal(4), 0.0)

@@ -22,6 +22,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             EnsembleConfig(n=16, k=4, trials=10, seed=seed)
 
+    # a bool is an int to Python; a float count would fail only inside run_ensemble
+    @pytest.mark.parametrize("field,value", [
+        ("n", 64.0), ("k", True), ("k", 4.0), ("trials", True), ("trials", 2.5),
+        ("levels", True), ("levels", 2.0), ("seed", True),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            EnsembleConfig(**{"n": 64, "k": 4, "trials": 10, "basis_kind": "haar", field: value})
+
     def test_unknown_modes(self):
         with pytest.raises(ValueError):
             EnsembleConfig(n=16, k=4, trials=10, basis_kind="dct")

@@ -19,7 +19,7 @@ from conftest import load_synth, needs_mnist
 
 
 def run_cli(*argv):
-    """The exit status of the CLI process, including argparse's own exit 2."""
+    """The exit status of the CLI process; --help and --version exit through SystemExit."""
     try:
         return cli.main([str(a) for a in argv])
     except SystemExit as exc:
@@ -171,6 +171,12 @@ class TestBadTrainingSettings:
         assert capsys.readouterr().err.startswith(
             "error: seed must be a nonnegative integer, got -1")
         assert not (tmp_path / "x" / "manifest.json").exists()
+
+    def test_bad_flag_value_is_one_error_line(self, tmp_path, capsys):
+        assert run_cli("train-svm", "--epochs", "x", "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: argument --epochs: invalid int value: 'x'"
+        assert err[1].startswith("usage: sparsefront train-svm ")
 
     def test_all_zero_svm_exits_2(self, tmp_path, capsys):
         # a split whose 3s and 7s are all blank trains an all-zero SVM
@@ -472,6 +478,15 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "error:" in err and setting in err
 
+    def test_overridden_value_still_checked(self, synth_data, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "train-net", "config": {"epochs": 1.5}}))
+        rc = run_cli("train-net", "--config", path, "--epochs", 1, "--data", synth_data,
+                     "--out", tmp_path / "o")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: argument --epochs: ")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     # a manifest records null for a setting left to its default; a flag may still fill it
     @pytest.mark.parametrize("command,setting,flags", [
         ("train-net", "epochs", ["--arch", "reduced_dense", "--epochs", 1]),
@@ -519,6 +534,23 @@ def _runs(data, models):
 
 RUN_ARGV = _runs("", dict.fromkeys(MODELS, ""))
 
+# command -> each setting its manifest records, at a valid value other than its default
+NON_DEFAULT = {
+    "train-svm": dict(data="d", seed=5, rho=0.05, basis="haar", levels=2, no_defense=True,
+                      clip=True, digits=[4, 9], epochs=3, lr=0.3, batch_size=16,
+                      weight_decay=0.001),
+    "train-net": dict(data="d", seed=5, rho=0.05, basis="haar", levels=2, no_defense=True,
+                      clip=True, arch="paper_cnn", epochs=2, lr=0.2, batch_size=32,
+                      weight_decay=0.01, dropout=0.3),
+    "attack": dict(data="d", model="m.model", attack="semiwhite", epsilon=0.2, clip=True,
+                   limit=7),
+    "sweep": dict(data="d", seed=5, digits=[4, 9], rhos=[0.01, 0.03], epsilons=[0.1, 0.2],
+                  attack="semiwhite", basis="haar", levels=2, clip=True),
+    "attenuation": dict(n=256, k=8, trials=50, basis_kind="haar", mode="white", levels=2,
+                        seed=3),
+    "table1": dict(data="d", seed=4, arch="reduced_dense", basis="haar", levels=2, clip=False),
+}
+
 
 class TestReplay:
     """Re-running from a manifest reproduces the run's outputs byte for byte."""
@@ -530,6 +562,25 @@ class TestReplay:
         with_config = {c for c in commands
                        if not parser.parse_known_args([c, "--config", "m.json"])[1]}
         assert with_config == {argv[0] for argv in RUN_ARGV.values()}
+
+    @pytest.mark.parametrize("command", list(NON_DEFAULT))
+    def test_every_setting_replayed(self, command, tmp_path, monkeypatch):
+        # nothing runs; main records the settings the command was handed
+        for name in vars(cli).copy():
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, lambda args: None)
+        plain = vars(cli.build_parser().parse_args([command]))
+        settings = NON_DEFAULT[command]
+        assert set(settings) == set(plain) - {"command", "out", "config", "func"}
+        assert [key for key, value in settings.items() if value == plain[key]] == []
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": command,
+                                    "config": {"command": command, "out": "x", **settings}}))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, "--config", path) == 0
+        recorded = json.loads((tmp_path / plain["out"] / "manifest.json").read_text())["config"]
+        assert recorded.pop("out") == plain["out"]
+        assert recorded == {"command": command, **settings}
 
     @pytest.mark.parametrize("name", list(RUN_ARGV))
     def test_replay_matches(self, name, synth_data, trained, tmp_path):
@@ -720,7 +771,7 @@ def _readme_commands():
 
 
 class TestReadme:
-    def test_command_lines_parse(self, capsys):
+    def test_command_lines_parse(self):
         # parse only: nothing runs
         commands = _readme_commands()
         assert len(commands) > 5
@@ -728,6 +779,6 @@ class TestReadme:
         for argv in commands:
             try:
                 cli.build_parser().parse_args(argv)
-            except SystemExit:
-                refused.append(f"sparsefront {shlex.join(argv)}: {capsys.readouterr().err}")
+            except ValueError as exc:
+                refused.append(f"sparsefront {shlex.join(argv)}: {exc}")
         assert not refused, "\n".join(refused)

@@ -354,6 +354,9 @@ class TestTrainConfig:
         ("weight_decay", -1.0), ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("epochs", 0), ("epochs", 1.5), ("batch_size", 0), ("batch_size", 64.0),
         ("lr_decay_every", -3), ("lr_decay_every", 1.5), ("seed", -1), ("seed", 1.5),
+        # a bool is an int to Python
+        ("seed", True), ("epochs", True), ("batch_size", True), ("lr_decay_every", True),
+        ("learning_rate", True), ("weight_decay", True), ("weight_decay", False),
     ])
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -666,6 +669,11 @@ class TestSerialization:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.model"]  # no net.model.tmp
 
+    def test_unknown_model_kind_not_saved(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            M.save_model(object(), tmp_path / "x.model")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("arch,front_end", [
         (M.PAPER_CNN, None),
         (M.REDUCED_DENSE, None),
@@ -739,6 +747,7 @@ class TestSerialization:
         linear_file(2, payload=np.array([0.0, np.nan], "<f8").tobytes()),
         feedforward_file([["dense", 1]], input_shape=[1])
         + np.array([np.inf, 0.0], "<f8").tobytes(),
+        linear_file(2, payload=bytes(16), model="bogus"),
         # payloads of the size the layers imply, so only the missing final dense fails
         feedforward_file([["dense", 10], ["relu"]]) + bytes(8 * (4 * 10 + 10)),
         feedforward_file([["flatten"]]),
@@ -754,7 +763,7 @@ class TestSerialization:
             "bool_levels", "bool_rho", "float_input_shape", "bool_input_shape",
             "zero_input_shape", "string_bias", "null_bias", "list_bias", "bool_bias",
             "nan_bias", "infinite_bias", "overflowing_bias", "nan_svm_weight",
-            "infinite_dense_weight", "ends_in_relu", "ends_in_flatten", "no_layers",
+            "infinite_dense_weight", "unknown_model_type", "ends_in_relu", "ends_in_flatten", "no_layers",
             "odd_maxpool_input"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
