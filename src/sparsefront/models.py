@@ -282,16 +282,19 @@ class Conv2d:
         _, x_shape, oh, ow = cache
         b, c, h, w_ = x_shape
         oc = self.w.shape[0]
-        gmat = self._gmat(g)
-        # Weight columns in (kh, kw, C) order make each kernel offset's slice
-        # of dcols a run of contiguous channels, added into a channel-last gx.
-        wmat = self.w.transpose(0, 2, 3, 1).reshape(oc, -1)
-        dcols = (gmat @ wmat).reshape(b, oh, ow, self.kh, self.kw, c)
-        gx = np.zeros((b, h, w_, c))
+        # Batch last: g laid out (OC, OH, OW, B), and one gemm with weight rows
+        # in (kh, kw, C) order gives d laid out (kh, kw, C, OH, OW, B). Each
+        # kernel offset's slice of d is added, in (i, j) order, into gx laid
+        # out (C, H, W, B), so every add runs over OW*B contiguous values.
+        # The batch-last copy of g is a temporary, freed before gx is made.
+        wmat_t = self.w.transpose(2, 3, 1, 0).reshape(-1, oc)
+        d = wmat_t @ g.transpose(1, 2, 3, 0).reshape(oc, oh * ow * b)
+        d = d.reshape(self.kh, self.kw, c, oh, ow, b)
+        gx = np.zeros((c, h, w_, b))
         for i in range(self.kh):
             for j in range(self.kw):
-                gx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
-        return gx.transpose(0, 3, 1, 2)
+                gx[:, i : i + oh, j : j + ow] += d[i, j]
+        return gx.transpose(3, 0, 1, 2)
 
 
 class MaxPool2:
@@ -479,7 +482,7 @@ class FeedforwardNetwork:
         return y, jac
 
     def input_jacobian(self, x):
-        """(B, N) inputs -> (B, L, N) Jacobian; kept while the tracer wraps it (ROADMAP item 4)."""
+        """(B, N) inputs -> (B, L, N) Jacobian; kept while the tracer wraps it (ROADMAP item 13)."""
         return self.linearize(x)[1]
 
 

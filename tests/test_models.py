@@ -10,6 +10,7 @@ from sparsefront.transform import Basis
 
 from conftest import needs_mnist
 from param_grads import param_grads
+from run_compare import R
 from switch_replay import forward_frozen, pool_windows, switch_state
 
 TINY_CNN = {
@@ -463,6 +464,23 @@ def whole_batch_conv(layer, x):
     return out.reshape(b, oc, h - layer.kh + 1, w - layer.kw + 1), cols
 
 
+def gemm_scatter_conv_grad(layer, g, cache):
+    """The convolution input gradient as one im2col-shaped gemm and a channel-last scatter.
+
+    dcols = gmat @ wmat is laid out (B, OH, OW, kh, kw, C), and each kernel
+    offset's slice is added, in (i, j) order, into a (B, H, W, C) gradient.
+    """
+    _, (b, c, h, w), oh, ow = cache
+    gmat = layer._gmat(g)
+    wmat = layer.w.transpose(0, 2, 3, 1).reshape(gmat.shape[1], -1)
+    dcols = (gmat @ wmat).reshape(b, oh, ow, layer.kh, layer.kw, c)
+    gx = np.zeros((b, h, w, c))
+    for i in range(layer.kh):
+        for j in range(layer.kw):
+            gx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
+    return gx.transpose(0, 3, 1, 2)
+
+
 def traced_peak_mib(fn):
     """Peak bytes traced while fn runs, in MiB; unlike RSS it ignores the heap's state."""
     tracemalloc.start()
@@ -516,6 +534,49 @@ class TestBlockedConv:
         peak = traced_peak_mib(lambda: net.forward(x, train=True, rng=np.random.default_rng(1)))
         # 28.7 MiB with the whole-batch forward; blocks must not add to it
         assert peak <= 29.7
+
+
+# (architecture, layer index, input shape) of paper_cnn's convs and TWO_CONV's
+CONV_CASES = {
+    **{f"paper_{name}": (M.PAPER_CNN, *case) for name, case in PAPER_CONVS.items()},
+    "two_conv1": (TWO_CONV, 0, (2, 9, 9)),
+    "two_conv2": (TWO_CONV, 2, (3, 8, 7)),
+}
+
+
+def conv_case(name, batch, rng):
+    """A conv layer, its inference cache for a random batch, and a random output grad."""
+    arch, index, shape = CONV_CASES[name]
+    layer = M.build_network(arch, seed=5).layers[index]
+    out, cache = layer.forward(rng.standard_normal((batch, *shape)))
+    return layer, rng.standard_normal(out.shape), cache
+
+
+class TestConvBackward:
+    """Conv2d.backward's batch-last kernel against the gemm-and-scatter oracle."""
+
+    @pytest.mark.parametrize("batch", [0, 1, 15, 16, 17, 64, 256])
+    def test_paper_conv1_bit_identical(self, batch, rng):
+        layer, g, cache = conv_case("paper_conv1", batch, rng)
+        gx = layer.backward(g, cache)
+        assert gx.shape == (batch, 1, 28, 28)
+        assert gx.tobytes() == gemm_scatter_conv_grad(layer, g, cache).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 16, 17, 64])
+    @pytest.mark.parametrize("conv", ["paper_conv2", "two_conv1", "two_conv2"])
+    def test_within_tolerance(self, conv, batch, rng):
+        layer, g, cache = conv_case(conv, batch, rng)
+        gx = layer.backward(g, cache)
+        want = gemm_scatter_conv_grad(layer, g, cache)
+        assert gx.shape == want.shape == cache[1]
+        assert np.abs(gx - want).max() <= R * np.abs(want).max()
+
+    def test_conv2_peak(self, rng):
+        layer, g, cache = conv_case("paper_conv2", 256, rng)
+        oracle = traced_peak_mib(lambda: gemm_scatter_conv_grad(layer, g, cache))
+        # 73.5 MiB for the oracle, most of it the 62.5 MiB of offset columns;
+        # 68.4 for the kernel, which frees its batch-last copy of g before gx
+        assert traced_peak_mib(lambda: layer.backward(g, cache)) <= oracle
 
 
 def single_dense(n_in, n_out):
