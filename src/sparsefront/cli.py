@@ -148,6 +148,23 @@ def paper_model(args, task, defense, train):
                                     models_mod.ARCH_PRESETS[args.arch])
 
 
+def paper_rows(args, task, defense, model, test):
+    """The `EvalReport` of each PAPER_TABLE row of (task, defense) for `model` on `test`,
+    keyed by attack in the table's order."""
+    rows = {}
+    for t, attack, d in PAPER_TABLE:
+        if (t, d) != (task, defense):
+            continue
+        if attack == "white" and model.front_end is None:
+            # without a front end attacks.evaluate linearizes the same bare model
+            # for white as for semiwhite, which the table lists first
+            rows[attack] = rows["semiwhite"]
+        else:
+            spec = AttackSpec(attack, PAPER_SETTINGS[task]["epsilon"], clip=args.clip)
+            rows[attack] = attacks_mod.evaluate(model, test, spec)
+    return rows
+
+
 def _finish_training(args, model, prefix, test, summary):
     """Save a trained model, evaluate it clean on `test` and write its report."""
     name = prefix + ("plain" if model.front_end is None else f"sparse_rho{args.rho:g}")
@@ -299,7 +316,10 @@ def cmd_attenuation(args):
 
 
 def cmd_table1(args):
-    """Train the four models, keyed by (task, defense), and run PAPER_TABLE's rows in order."""
+    """Train the four models, keyed by (task, defense), and run PAPER_TABLE's rows in order.
+
+    Each row's per-sample report goes to `<task>_<attack>_<defense>/` under --out.
+    """
     out = Path(args.out)
     # argparse checked basis and arch; levels and seed are checked before any data is read
     _basis(args)
@@ -320,14 +340,20 @@ def cmd_table1(args):
 
     measured = {}  # attacked accuracy in percent, keyed like PAPER_TABLE
     clean = {}  # clean accuracy in percent, by model name
-    for (task, attack, defense), paper in PAPER_TABLE.items():
-        spec = AttackSpec(attack, PAPER_SETTINGS[task]["epsilon"], clip=args.clip)
-        report = attacks_mod.evaluate(models[task, defense], tasks[task]["test"], spec)
-        accuracy = measured[task, attack, defense] = 100 * report.attacked_accuracy
-        # every report measures clean accuracy on the same split with the same clip
-        clean.setdefault(task + ("_defended" if defense == "sparse" else ""),
-                         100 * report.clean_accuracy)
-        print(f"{task:>4} {attack:>10} {defense:>7}: measured {accuracy:6.2f}  paper {paper:6.2f}")
+    for (task, defense), model in models.items():
+        epsilon = PAPER_SETTINGS[task]["epsilon"]
+        for attack, report in paper_rows(args, task, defense, model, tasks[task]["test"]).items():
+            row_dir = out / f"{task}_{attack}_{defense}"
+            row_dir.mkdir(exist_ok=True)
+            summary = _report_attack(row_dir, report, dict(
+                task=task, attack=attack, defense=defense, epsilon=epsilon, clip=args.clip))
+            accuracy = measured[task, attack, defense] = 100 * summary["attacked_accuracy"]
+            # every report measures clean accuracy on the same split with the same clip
+            clean.setdefault(task + ("_defended" if defense == "sparse" else ""),
+                             100 * summary["clean_accuracy"])
+            paper = PAPER_TABLE[task, attack, defense]
+            print(f"{task:>4} {attack:>10} {defense:>7}: measured {accuracy:6.2f}  "
+                  f"paper {paper:6.2f}")
 
     for name, accuracy in clean.items():
         print(f"clean {name}: {accuracy:.2f}")
@@ -373,6 +399,10 @@ def _add_frontend_flags(p, rho):
 
 def _digits(text):
     a, b = map(int, text.split(","))  # two integers, or argparse refuses the value
+    try:
+        data_mod.check_pair(a, b)
+    except ValueError as exc:  # argparse keeps the message of this error type only
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return [a, b]
 
 

@@ -152,12 +152,17 @@ def load_mnist(directory=None, split="train") -> Dataset:
     )
 
 
-def filter_pair(dataset: Dataset, a: int, b: int) -> Dataset:
-    """Binary subset: digit a -> label +1, digit b -> label -1, original order kept."""
+def check_pair(a: int, b: int):
+    """Raise ValueError unless a and b are two distinct digits."""
     if a == b:
         raise ValueError("digit pair must be distinct")
     if not (0 <= a <= 9 and 0 <= b <= 9):
         raise ValueError("digits must be in 0..9")
+
+
+def filter_pair(dataset: Dataset, a: int, b: int) -> Dataset:
+    """Binary subset: digit a -> label +1, digit b -> label -1, original order kept."""
+    check_pair(a, b)
     mask = (dataset.labels == a) | (dataset.labels == b)
     if not mask.any():
         raise ValueError(f"no samples labeled {a} or {b}")

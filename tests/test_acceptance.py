@@ -14,12 +14,16 @@ Modes, selected by SPARSEFRONT_ACCEPTANCE:
 The gate certifies the experiment `table1` runs. It trains its four models
 with `cli.paper_model`, the function `table1` trains them with, given
 table1's own parsed defaults (`--arch reduced_dense` in reduced mode), and
-times that call. It reads the budgets and sparsities (`cli.PAPER_SETTINGS`),
-the published accuracies its windows are centred on (`cli.PAPER_TABLE`) and
-the digit pair (`cli.PAPER_DIGITS`) from `cli`, and types none of them
-itself. C3-C6 evaluate with table1's clip, the physical image pipeline
-(inputs and reconstructions clamped to [0, 1]) of the published table; the
-undefended-overwhelm check C2 uses the unconstrained perturbation model.
+times that call. C3, C5 and C6 attack through `cli.paper_rows`, the function
+`table1` runs its rows with, so they evaluate the attacks, budgets and clip
+of table1's rows: the physical image pipeline (inputs and reconstructions
+clamped to [0, 1]) of the published table. C5 also evaluates the undefended
+network's white attack itself, since `paper_rows` reuses the semiwhite report
+for that row. C4 evaluates with table1's clip; the undefended-overwhelm check
+C2 uses the unconstrained perturbation model. The gate reads the budgets and
+sparsities (`cli.PAPER_SETTINGS`), the published accuracies its windows are
+centred on (`cli.PAPER_TABLE`) and the digit pair (`cli.PAPER_DIGITS`) from
+`cli`, and types none of them itself.
 
 For a fast loop over C1-C6 without MNIST, write a split with
 `perfbench/synth.py`, point SPARSEFRONT_DATA_DIR at it and run in reduced
@@ -106,6 +110,12 @@ def pct(x):
     return 100.0 * x
 
 
+def table1_accuracies(task, defense, model, test):
+    """table1's attacked accuracy (percent) of each of its rows for (task, defense), by attack."""
+    return {attack: pct(report.attacked_accuracy)
+            for attack, report in cli.paper_rows(TABLE1, task, defense, model, test).items()}
+
+
 @needs_mnist
 class TestCriterion1:
     def test_svm_clean_accuracy_and_runtime(self, svm_plain, pair_test):
@@ -141,8 +151,8 @@ class TestCriterion3:
     def test_defended_svm_table_row(self, svm_defended, pair_test):
         model, train_seconds = svm_defended
         t0 = time.perf_counter()
-        sw, w = (pct(A.evaluate(model, pair_test, AttackSpec(kind, SVM_EPS, clip=TABLE1.clip))
-                     .attacked_accuracy) for kind in ("semiwhite", "white"))
+        a = table1_accuracies("svm", "sparse", model, pair_test)
+        sw, w = a["semiwhite"], a["white"]
         seconds = train_seconds + (time.perf_counter() - t0)
         p = paper("svm", "sparse")
         check(
@@ -169,28 +179,21 @@ class TestCriterion4:
 
 @pytest.fixture(scope="session")
 def undefended_cnn_attacks(cnn_plain, mnist_test):
-    net, _ = cnn_plain
-    return {
-        kind: pct(A.evaluate(net, mnist_test, AttackSpec(kind, CNN_EPS, clip=TABLE1.clip))
-                  .attacked_accuracy)
-        for kind in ("fgsm", "semiwhite", "white")
-    }
+    return table1_accuracies("cnn", "none", cnn_plain[0], mnist_test)
 
 
 @pytest.fixture(scope="session")
 def defended_cnn_attacks(cnn_defended, mnist_test):
-    net, _ = cnn_defended
-    return {
-        kind: pct(A.evaluate(net, mnist_test, AttackSpec(kind, CNN_EPS, clip=TABLE1.clip))
-                  .attacked_accuracy)
-        for kind in ("fgsm", "semiwhite", "white")
-    }
+    return table1_accuracies("cnn", "sparse", cnn_defended[0], mnist_test)
 
 
 @needs_mnist
 class TestCriterion5:
-    def test_undefended_cnn_attacks(self, undefended_cnn_attacks):
-        a = undefended_cnn_attacks
+    def test_undefended_cnn_attacks(self, undefended_cnn_attacks, cnn_plain, mnist_test):
+        # table1's white row is its semiwhite report here, so white is evaluated apart
+        a = dict(undefended_cnn_attacks, white=pct(A.evaluate(
+            cnn_plain[0], mnist_test, AttackSpec("white", CNN_EPS, clip=TABLE1.clip)
+        ).attacked_accuracy))
         equal = abs(a["semiwhite"] - a["white"]) < 1e-9
         if FULL:
             p = paper("cnn", "none")

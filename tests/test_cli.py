@@ -225,8 +225,8 @@ class TestTrainerInputs:
         monkeypatch.setattr(M, "train_linear_svm", trainer)
         monkeypatch.setattr(M, "train_network", trainer)
         monkeypatch.setattr(M, "save_model", lambda model, path: None)
-        monkeypatch.setattr(A, "evaluate", lambda model, test, spec: SimpleNamespace(
-            clean_accuracy=0.0, attacked_accuracy=0.0))
+        monkeypatch.setattr(A, "evaluate", lambda model, test, spec: A.EvalReport(
+            clean_accuracy=0.0, attacked_accuracy=0.0, mean_distortion=0.0, columns={}))
         argv, models = HANDED[case]
         assert run_cli(*argv, "--data", synth_data, "--out", tmp_path) == 0
         train = load_mnist(synth_data, "train")
@@ -334,6 +334,28 @@ class TestMissingInputs:
         rc = run_cli("attack", "--model", tmp_path / "nope.model",
                      "--attack", "white", "--epsilon", "0.1", "--out", tmp_path / "x")
         assert rc != 0
+
+    # a pair filter_pair would refuse is refused before any data is read
+    @pytest.mark.parametrize("command", ["train-svm", "sweep", "replayed"])
+    @pytest.mark.parametrize("pair,message", [
+        ("3,3", "digit pair must be distinct"),
+        ("3,12", "digits must be in 0..9"),
+        ("-1,5", "digits must be in 0..9"),
+    ], ids=["same", "twelve", "negative"])
+    def test_bad_digit_pair_exits_2_before_data(self, command, pair, message, tmp_path, capsys):
+        flags = [f"--digits={pair}"]
+        if command == "replayed":
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"command": "train-svm",
+                                            "config": {"digits": list(map(int, pair.split(",")))}}))
+            command, flags = "train-svm", ["--config", manifest]
+        # the data directory does not exist, so reading any data would fail first
+        assert run_cli(command, *flags, "--data", tmp_path / "absent",
+                       "--out", tmp_path / "x") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("error: ") and lines[0].endswith(f"argument --digits: {message}")
+        assert sum("error:" in line for line in lines) == 1
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     def test_missing_data_dir_names_fetch_command(self, tmp_path, capsys):
         rc = run_cli("train-svm", "--digits", "3,7", "--data", tmp_path / "empty",
@@ -588,11 +610,14 @@ class TestReplay:
         run, replay = tmp_path / "run", tmp_path / "replay"
         assert run_cli(*argv, "--out", run) == 0
         assert run_cli(argv[0], "--config", run / "manifest.json", "--out", replay) == 0
-        files = sorted(p.name for p in run.iterdir())
-        assert files == sorted(p.name for p in replay.iterdir())
-        assert "manifest.json" in files and len(files) > 1
+        # every file under the run directory, table1's row reports too
+        files = sorted(p.relative_to(run) for p in run.rglob("*"))
+        assert files == sorted(p.relative_to(replay) for p in replay.rglob("*"))
+        assert Path("manifest.json") in files and len(files) > 1
         for file in files:
-            if file == "manifest.json":
+            if (run / file).is_dir():
+                assert (replay / file).is_dir(), file
+            elif file == Path("manifest.json"):
                 first, second = (json.loads((d / file).read_text()) for d in (run, replay))
                 assert first["config"].pop("out") == str(run)
                 assert second["config"].pop("out") == str(replay)
@@ -706,6 +731,46 @@ class TestSweep:
 
 
 class TestTable1:
+    def test_undefended_white_is_semiwhite(self, synth_data):
+        # without a front end, evaluate linearizes the same bare model for both attacks
+        train, test = (load_mnist(synth_data, split) for split in ("train", "test"))
+        pair_train, pair_test = (filter_pair(split, *cli.PAPER_DIGITS) for split in (train, test))
+        config = M.TrainConfig(seed=0, epochs=2, learning_rate=0.1)
+        models = [
+            (M.train_linear_svm(pair_train.images, pair_train.labels, config), pair_test),
+            (M.train_network(train.images, train.labels, config, M.REDUCED_DENSE), test),
+        ]
+        for model, split in models:
+            white, semiwhite = (A.evaluate(model, split, A.AttackSpec(kind, 0.2, clip=True))
+                                for kind in ("white", "semiwhite"))
+            assert list(white.columns) == list(semiwhite.columns)
+            for name, column in white.columns.items():
+                assert column.tobytes() == semiwhite.columns[name].tobytes(), name
+            assert white.clean_accuracy == semiwhite.clean_accuracy
+            assert white.attacked_accuracy == semiwhite.attacked_accuracy
+
+    def test_row_reports(self, synth_data, tmp_path, monkeypatch):
+        evaluate, kinds = A.evaluate, []
+
+        def counted(model, test, spec):
+            kinds.append(spec.kind)
+            return evaluate(model, test, spec)
+
+        monkeypatch.setattr(A, "evaluate", counted)
+        assert run_cli("table1", "--arch", "reduced_dense", "--data", synth_data,
+                       "--out", tmp_path) == 0
+        # ten rows, of which the two undefended white rows reuse their semiwhite reports
+        assert len(kinds) == 8 and kinds.count("white") == 2
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == sorted(
+            "_".join(key) for key in cli.PAPER_TABLE)
+        for task in ("svm", "cnn"):
+            white, semiwhite = ((tmp_path / f"{task}_{attack}_none" / "report.csv").read_bytes()
+                                for attack in ("white", "semiwhite"))
+            assert white == semiwhite, task
+        summary = json.loads((tmp_path / "svm_white_sparse" / "report.json").read_text())["summary"]
+        assert {key: summary[key] for key in ("task", "attack", "defense", "epsilon", "clip")} == {
+            "task": "svm", "attack": "white", "defense": "sparse", "epsilon": 0.12, "clip": True}
+
     # a manifest replays a basis or architecture that argparse's choices would refuse
     @pytest.mark.parametrize("config,flags,named", [
         ({}, ["--levels", 9], "levels must be"),
