@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frontend
+from .data import check_int
 from .transform import Basis
 
 __all__ = ["EnsembleConfig", "AttenuationReport", "run_ensemble"]
@@ -41,16 +42,10 @@ class EnsembleConfig:
     levels: int = 1  # haar only
 
     def __post_init__(self):
-        for name in ("n", "k", "trials", "levels", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.k <= self.n:
+        for name, low in (("n", 1), ("k", 1), ("trials", 1), ("levels", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
+        if self.k > self.n:
             raise ValueError(f"need 1 <= K <= N, got K={self.k}, N={self.n}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.basis_kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.basis_kind!r}")
         if self.basis_kind == "identity" and self.levels != 1:

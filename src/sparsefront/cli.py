@@ -237,22 +237,28 @@ def cmd_train_net(args):
                      {"arch": args.arch, "training_log": log_lines})
 
 
+def attack_samples(model_file, data, limit):
+    """The model in `model_file` and the samples `attack` reports, all checked before any data
+    is read: the test split in `data`, an SVM's digit pair only, then the first `limit` (0: all)."""
+    data_mod.check_int("--limit", limit, 0)
+    model = models_mod.load_model(model_file)
+    svm = isinstance(model, models_mod.LinearModel)
+    if svm and model.digits is None:
+        raise ValueError(f"{model_file}: the SVM records no digit pair; retrain it with train-svm")
+    test = data_mod.load_mnist(data, "test")
+    if svm:
+        test = data_mod.filter_pair(test, *model.digits)
+    if limit:
+        test = data_mod.Dataset(test.images[:limit], test.labels[:limit])
+    return model, test
+
+
 def cmd_attack(args):
     missing = [f"--{key}" for key in ("model", "attack", "epsilon") if getattr(args, key) is None]
     if missing:
         raise ValueError(f"attack needs {', '.join(missing)} (or --config with an attack manifest)")
     spec = AttackSpec(args.attack, args.epsilon, clip=args.clip)
-    if args.limit < 0:
-        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
-    model = models_mod.load_model(args.model)
-    test = data_mod.load_mnist(args.data, "test")
-    if isinstance(model, models_mod.LinearModel):
-        if model.digits is None:
-            raise ValueError(f"{args.model}: the SVM records no digit pair; "
-                             "retrain it with train-svm")
-        test = data_mod.filter_pair(test, *model.digits)
-    if args.limit:
-        test = data_mod.Dataset(test.images[: args.limit], test.labels[: args.limit])
+    model, test = attack_samples(args.model, args.data, args.limit)
     report = attacks_mod.evaluate(model, test, spec)
     summary = _report_attack(args.out, report, {
         "model": str(args.model),

@@ -152,6 +152,13 @@ def load_mnist(directory=None, split="train") -> Dataset:
     )
 
 
+def check_int(name, value, low):
+    """Raise ValueError unless `value` is an integer, not a bool, of at least `low` (0 or 1)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        kind = "positive" if low == 1 else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def check_pair(a: int, b: int):
     """Raise ValueError unless a and b are two distinct digits."""
     if a == b:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import frontend as frontend_mod
-from .data import write_atomically
+from .data import check_int, check_pair, write_atomically
 from .frontend import FrontEndConfig
 from .transform import Basis
 
@@ -54,11 +54,6 @@ class TrainingDivergence(RuntimeError):
         self.epoch = epoch
 
 
-def _is_int(value):
-    """Whether `value` is an integer; a bool is an int to Python but not here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass
 class TrainConfig:
     seed: int = 0
@@ -71,15 +66,8 @@ class TrainConfig:
     clip_recon: bool = False  # clamp sparsified training inputs to [0, 1]
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not _is_int(self.lr_decay_every) or self.lr_decay_every < 0:
-            raise ValueError("lr_decay_every must be a nonnegative integer (0 = constant), "
-                             f"got {self.lr_decay_every!r}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("lr_decay_every", 0)):
+            check_int(name, getattr(self, name), low)
         lr, decay = self.learning_rate, self.weight_decay
         if isinstance(lr, bool) or not (math.isfinite(lr) and lr > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {lr}")
@@ -494,8 +482,8 @@ def _assemble(arch, front_end, weight, bias=np.zeros):
     spec as input_shape plus [kind, *values] entries, which save_model writes.
     """
     input_shape = tuple(arch["input_shape"])
-    if not all(_is_int(d) and d > 0 for d in input_shape):
-        raise ValueError(f"input_shape must be positive integers, got {list(input_shape)!r}")
+    for d in input_shape:
+        check_int("an input_shape value", d, 1)
     entries = [list(entry) for entry in arch["layers"]]
     layers = []
     shape = input_shape
@@ -504,9 +492,13 @@ def _assemble(arch, front_end, weight, bias=np.zeros):
         if LAYER_VALUES.get(kind) != len(entry) - 1:
             raise ValueError(f"malformed layer entry {entry!r}; "
                              f"values per kind: {LAYER_VALUES}")
+        if kind in ("conv", "dense"):
+            for value in entry[1:]:
+                check_int(f"each value of {entry!r}", value, 1)
         if kind == "conv":
             _, out_ch, kh, kw = entry
             c, h, w = shape
+            check_int(f"the output side of {entry!r} on {h}x{w}", min(h - kh, w - kw) + 1, 1)
             layers.append(Conv2d(weight((out_ch, c, kh, kw), c * kh * kw), bias(out_ch)))
             shape = (out_ch, h - kh + 1, w - kw + 1)
         elif kind == "relu":
@@ -649,9 +641,10 @@ def load_model(path):
     """Inverse of save_model; round-trip is exact.
 
     Raises ValueError when the file is not a model file, when its header is
-    truncated, lacks a field or holds a malformed layer entry, digit pair or
-    bias, or when its payload is not the size the header implies or holds a
-    non-finite value. No array is allocated before the payload is known to hold it.
+    truncated, lacks a field or holds a malformed layer entry, a conv kernel
+    larger than its input, a bad digit pair or bias, or when its payload is
+    not the size the header implies or holds a non-finite value. No array is
+    allocated before the payload is known to hold it.
     """
     raw = Path(path).read_bytes()
     off = len(MODEL_MAGIC)
@@ -665,8 +658,8 @@ def load_model(path):
     def claim(shape, fan_in=None):
         nonlocal unclaimed
         dims = shape if isinstance(shape, tuple) else (shape,)
-        if not all(type(d) is int and d >= 0 for d in dims):
-            raise ValueError(f"bad array shape {shape!r}")
+        for d in dims:
+            check_int("an array dimension", d, 0)
         unclaimed -= 8 * math.prod(dims)
         if unclaimed < 0:
             raise ValueError(f"payload is {payload} bytes, too short for a {dims} array")
@@ -678,9 +671,12 @@ def load_model(path):
         kind = header["model"]
         if kind == "linear_svm":
             digits = header.get("digits")  # absent from files written before it was recorded
-            if digits is not None and not (isinstance(digits, list) and len(digits) == 2
-                                           and all(type(d) is int for d in digits)):
-                raise ValueError(f"digits must be null or two ints, got {digits!r}")
+            if digits is not None:
+                if not isinstance(digits, list) or len(digits) != 2:
+                    raise ValueError(f"digits must be null or a pair, got {digits!r}")
+                for d in digits:
+                    check_int("a digit", d, 0)
+                check_pair(*digits)
             if type(header["b"]) not in (int, float) or not math.isfinite(header["b"]):
                 raise ValueError(f"b must be a finite number, got {header['b']!r}")
             model = LinearModel(claim(header["dim"]), header["b"], fe,

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_int
+
 __all__ = [
     "Basis",
     "forward_batch",
@@ -64,16 +66,12 @@ class Basis:
     levels: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("haar_orthonormal", "cdf97_biorthogonal"):
+        if self.kind not in _ANALYZE:
             raise ValueError(f"unknown basis kind: {self.kind!r}")
         for name in ("height", "width", "levels"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.height < 1 or self.width < 1:
-            raise ValueError("image dimensions must be positive")
+            check_int(name, getattr(self, name), 1)
         max_levels = int(math.floor(math.log2(min(self.height, self.width))))
-        if not 1 <= self.levels <= max_levels:
+        if self.levels > max_levels:
             raise ValueError(
                 f"levels must be in [1, {max_levels}] for a "
                 f"{self.height}x{self.width} image, got {self.levels}"
@@ -232,15 +230,18 @@ def _flat_to_pyramid(flat, basis):
     return pyr
 
 
+def _stack(basis, x, what):
+    """`x` as a float64 (batch, N) array for `basis`; ValueError names `what` otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != basis.size:
+        raise ValueError(f"expected (batch, {basis.size}) {what} for a "
+                         f"{basis.height}x{basis.width} basis, got {x.shape}")
+    return x
+
+
 def forward_batch(basis: Basis, images) -> np.ndarray:
     """Analysis of a (batch, N) stack of flat images; returns (batch, N) coefficients."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 2 or images.shape[1] != basis.size:
-        raise ValueError(
-            f"expected (batch, {basis.size}) images for a "
-            f"{basis.height}x{basis.width} basis, got {images.shape}"
-        )
-    block = images.reshape(-1, basis.height, basis.width).copy()
+    block = _stack(basis, images, "images").reshape(-1, basis.height, basis.width).copy()
     for h, w in _level_extents(basis.height, basis.width, basis.levels)[:-1]:
         sub = block[:, :h, :w]
         sub = _along_axis(_ANALYZE[basis.kind], sub, 2)
@@ -251,12 +252,7 @@ def forward_batch(basis: Basis, images) -> np.ndarray:
 
 def inverse_batch(basis: Basis, coeffs) -> np.ndarray:
     """Synthesis of a (batch, N) stack of flat coefficient vectors."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 2 or coeffs.shape[1] != basis.size:
-        raise ValueError(
-            f"expected (batch, {basis.size}) coefficient vectors, got {coeffs.shape}"
-        )
-    block = _flat_to_pyramid(coeffs, basis)
+    block = _flat_to_pyramid(_stack(basis, coeffs, "coefficient vectors"), basis)
     for h, w in reversed(_level_extents(basis.height, basis.width, basis.levels)[:-1]):
         sub = block[:, :h, :w]
         sub = _along_axis(_SYNTHESIZE[basis.kind], sub, 1)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sparsefront import data as data_mod
+from sparsefront import cli
 from sparsefront import frontend as frontend_mod
 from sparsefront import models as models_mod
 
@@ -101,12 +101,9 @@ def clean_gaps(run):
     The model, data, limit and clip are the ones the run's manifest records.
     """
     config = json.loads((run / "manifest.json").read_text())["config"]
-    model = models_mod.load_model(config["model"])
-    test = data_mod.load_mnist(config["data"], "test")
-    if isinstance(model, models_mod.LinearModel):
-        test = data_mod.filter_pair(test, *model.digits)
-    x = test.images[: config["limit"]] if config["limit"] else test.images
-    y = np.sort(model.logits(frontend_mod.defend(model.front_end, x, config["clip"])), axis=1)
+    model, test = cli.attack_samples(config["model"], config["data"], config["limit"])
+    y = np.sort(model.logits(frontend_mod.defend(model.front_end, test.images, config["clip"])),
+                axis=1)
     return y[:, -1] - y[:, -2]
 
 

@@ -28,7 +28,7 @@ class TestConfig:
         ("levels", True), ("levels", 2.0), ("seed", True),
     ])
     def test_bad_value_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{field} must be a (positive|nonnegative) integer"):
             EnsembleConfig(**{"n": 64, "k": 4, "trials": 10, "basis_kind": "haar", field: value})
 
     def test_unknown_modes(self):

@@ -306,8 +306,11 @@ class TestSvmDigitPair:
         assert attacked["clean_accuracy"] == trained["clean_accuracy"]
         assert M.load_model(model_file).digits == (4, 9)
 
+    # refused before any data is read, so an absent data directory changes nothing
+    @pytest.mark.parametrize("data", ["synth", "absent"])
     @pytest.mark.parametrize("header", ["null", "absent"])
-    def test_model_without_pair_exits_2(self, header, trained, synth_data, tmp_path, capsys):
+    def test_model_without_pair_exits_2(self, header, data, trained, synth_data, tmp_path,
+                                        capsys):
         model_file = tmp_path / "old.model"
         model = M.load_model(trained["svm_plain"])
         model.digits = None  # a model trained through the library
@@ -322,7 +325,8 @@ class TestSvmDigitPair:
             model_file.write_bytes(M.MODEL_MAGIC + len(head).to_bytes(4, "big") + head
                                    + blob[start + size:])
         assert M.load_model(model_file).digits is None
-        rc = run_cli("attack", "--data", synth_data, "--model", model_file,
+        data_dir = synth_data if data == "synth" else tmp_path / "no_data"
+        rc = run_cli("attack", "--data", data_dir, "--model", model_file,
                      "--attack", "none", "--epsilon", 0, "--out", tmp_path / "x")
         assert rc == 2
         err = capsys.readouterr().err

@@ -816,6 +816,14 @@ class TestSerialization:
         # a 25x25 max-pool input; the payload is the size the layers imply
         feedforward_file([["conv", 2, 4, 4], ["relu"], ["maxpool"], ["flatten"], ["dense", 10]],
                          input_shape=[1, 28, 28]) + bytes(8 * (2 * 4 * 4 + 2 + 288 * 10 + 10)),
+        # files no command could run; each payload is the size the layers imply
+        feedforward_file([["dense", 0]]),
+        feedforward_file([["conv", 2, 0, 0], ["flatten"], ["dense", 10]],
+                         input_shape=[1, 28, 28]) + bytes(8 * (2 + 2 * 29 * 29 * 10 + 10)),
+        feedforward_file([["conv", 2, 30, 30], ["flatten"], ["dense", 10]],
+                         input_shape=[1, 28, 28]) + bytes(8 * (2 * 30 * 30 + 2 + 2 * 10 + 10)),
+        linear_file(2, payload=bytes(16), digits=[3, 3]),
+        linear_file(2, payload=bytes(16), digits=[3, 12]),
     ], ids=["no_magic", "short_header_length", "header_without_fields",
             "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
             "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
@@ -825,7 +833,8 @@ class TestSerialization:
             "zero_input_shape", "string_bias", "null_bias", "list_bias", "bool_bias",
             "nan_bias", "infinite_bias", "overflowing_bias", "nan_svm_weight",
             "infinite_dense_weight", "unknown_model_type", "ends_in_relu", "ends_in_flatten", "no_layers",
-            "odd_maxpool_input"])
+            "odd_maxpool_input", "empty_dense_layer", "empty_conv_kernel", "kernel_over_input",
+            "repeated_digit", "digit_out_of_range"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)

@@ -34,23 +34,29 @@ ALLOWED = {
 
 
 def _defined():
-    """(file, first line, qualified name) -> `module.qualname` of each def and lambda in `src/`."""
+    """(file, first line, name) -> `module.qualname` of each def and lambda in `src/`.
+
+    The qualified name is built from the enclosing code objects, as Python 3.11's
+    `co_qualname` is: a class body adds `Class.`, a function `function.<locals>.`.
+    """
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        stack = [compile(path.read_text(), str(path), "exec")]
+        module = compile(path.read_text(), str(path), "exec")
+        stack = [(c, "") for c in module.co_consts if isinstance(c, type(module))]
         while stack:
-            code = stack.pop()
-            stack += [c for c in code.co_consts if isinstance(c, type(code))]
-            # module and class bodies and comprehensions are not functions
-            named = not code.co_name.startswith("<") or code.co_name == "<lambda>"
-            if code.co_flags & inspect.CO_OPTIMIZED and named:
-                found[str(path), code.co_firstlineno, code.co_qualname] = (
-                    f"{path.stem}.{code.co_qualname}")
+            code, prefix = stack.pop()
+            qualname = prefix + code.co_name
+            function = code.co_flags & inspect.CO_OPTIMIZED  # not a class body
+            inner = qualname + (".<locals>." if function else ".")
+            stack += [(c, inner) for c in code.co_consts if isinstance(c, type(code))]
+            # comprehensions are not functions
+            if function and (not code.co_name.startswith("<") or code.co_name == "<lambda>"):
+                found[str(path), code.co_firstlineno, code.co_name] = f"{path.stem}.{qualname}"
     return found
 
 
 def _reached(runs):
-    """The (file, first line, qualified name) of each code object that `runs` calls."""
+    """The (file, first line, name) of each code object that `runs` calls."""
     # a cached function runs its body only on a miss, so every cache starts empty
     for path in SRC.glob("*.py"):
         for value in vars(importlib.import_module(f"sparsefront.{path.stem}")).values():
@@ -68,8 +74,7 @@ def _reached(runs):
         runs()
     finally:
         sys.setprofile(previous)
-    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_qualname)
-            for c in codes}
+    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in codes}
 
 
 def test_every_function_is_reached(synth_data, tmp_path):
