@@ -238,14 +238,18 @@ def cmd_train_net(args):
 
 
 def attack_samples(model_file, data, limit):
-    """The model in `model_file` and the samples `attack` reports, all checked before any data
-    is read: the test split in `data`, an SVM's digit pair only, then the first `limit` (0: all)."""
+    """The model in `model_file` and the samples `attack` reports: the test split in `data`, an
+    SVM's digit pair only, then the first `limit` (0: all). All but the model's input width,
+    which must be the images', is checked before any data is read."""
     data_mod.check_int("--limit", limit, 0)
     model = models_mod.load_model(model_file)
     svm = isinstance(model, models_mod.LinearModel)
     if svm and model.digits is None:
         raise ValueError(f"{model_file}: the SVM records no digit pair; retrain it with train-svm")
     test = data_mod.load_mnist(data, "test")
+    if model.n_inputs != test.images.shape[1]:
+        raise ValueError(f"{model_file}: the model takes {model.n_inputs} inputs, "
+                         f"the test images have {test.images.shape[1]}")
     if svm:
         test = data_mod.filter_pair(test, *model.digits)
     if limit:

@@ -160,11 +160,13 @@ def check_int(name, value, low):
 
 
 def check_pair(a: int, b: int):
-    """Raise ValueError unless a and b are two distinct digits."""
+    """Raise ValueError unless a and b are two distinct digits, each an integer in 0..9."""
     if a == b:
         raise ValueError("digit pair must be distinct")
     if not (0 <= a <= 9 and 0 <= b <= 9):
         raise ValueError("digits must be in 0..9")
+    for digit in (a, b):
+        check_int("a digit", digit, 0)
 
 
 def filter_pair(dataset: Dataset, a: int, b: int) -> Dataset:

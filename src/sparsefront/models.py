@@ -13,6 +13,7 @@ iteration order).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -106,6 +107,10 @@ class LinearModel:
     b: float
     front_end: FrontEndConfig | None = None
     digits: tuple | None = None
+
+    @property
+    def n_inputs(self):
+        return self.w.shape[0]
 
     def score(self, images):
         return np.asarray(images) @ self.w + self.b
@@ -328,7 +333,7 @@ class Dropout:
     """Inverted dropout; active only when train=True. No switch: inference is identity."""
 
     def __init__(self, rate):
-        if not 0.0 <= rate < 1.0:
+        if isinstance(rate, bool) or not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate!r}")
         self.rate = rate
 
@@ -594,42 +599,22 @@ def train_network(images, labels, config: TrainConfig, arch=REDUCED_DENSE,
 # ---------------------------------------------------------------------------
 
 
-def _front_end_to_json(fe):
-    if fe is None:
-        return None
-    return {
-        "kind": fe.basis.kind,
-        "height": fe.basis.height,
-        "width": fe.basis.width,
-        "levels": fe.basis.levels,
-        "rho": fe.rho,
-    }
-
-
-def _front_end_from_json(obj):
-    if obj is None:
-        return None
-    basis = Basis(obj["kind"], obj["height"], obj["width"], obj["levels"])
-    return FrontEndConfig(basis, obj["rho"])
-
-
 def save_model(model, path):
-    """Write a LinearModel or FeedforwardNetwork to a versioned binary file, atomically."""
+    """Write a LinearModel or FeedforwardNetwork to a versioned binary file, atomically.
+
+    The front end is recorded as the fields of its Basis plus rho.
+    """
     if isinstance(model, LinearModel):
-        header = {
-            "model": "linear_svm",
-            "dim": int(model.w.shape[0]),
-            "b": model.b,
-            "front_end": _front_end_to_json(model.front_end),
-            "digits": model.digits,
-        }
+        header = {"model": "linear_svm", "dim": model.n_inputs, "b": model.b,
+                  "digits": model.digits}
         arrays = [model.w]
     elif isinstance(model, FeedforwardNetwork):
-        header = {"model": "feedforward", **model.arch,
-                  "front_end": _front_end_to_json(model.front_end)}
+        header = {"model": "feedforward", **model.arch}
         arrays = model.params()
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    fe = model.front_end
+    header["front_end"] = None if fe is None else {**dataclasses.asdict(fe.basis), "rho": fe.rho}
     blob = json.dumps(header, sort_keys=True).encode()
     # one array at a time, and a contiguous <f8 array is written with no copy
     arrays = (np.ascontiguousarray(a, dtype="<f8") for a in arrays)
@@ -641,10 +626,11 @@ def load_model(path):
     """Inverse of save_model; round-trip is exact.
 
     Raises ValueError when the file is not a model file, when its header is
-    truncated, lacks a field or holds a malformed layer entry, a conv kernel
-    larger than its input, a bad digit pair or bias, or when its payload is
-    not the size the header implies or holds a non-finite value. No array is
-    allocated before the payload is known to hold it.
+    truncated, lacks a field or holds a malformed layer entry or front-end
+    record, a conv kernel larger than its input, a bad digit pair or bias, or
+    a front end whose size is not the model's input width, or when its
+    payload is not the size the header implies or holds a non-finite value.
+    No array is allocated before the payload is known to hold it.
     """
     raw = Path(path).read_bytes()
     off = len(MODEL_MAGIC)
@@ -667,15 +653,15 @@ def load_model(path):
 
     try:
         header = json.loads(raw[off : off + hlen])
-        fe = _front_end_from_json(header["front_end"])
+        fe = header["front_end"]
+        if fe is not None:
+            fields = {**fe}  # the Basis fields and rho
+            rho = fields.pop("rho")
+            fe = FrontEndConfig(Basis(**fields), rho)
         kind = header["model"]
         if kind == "linear_svm":
             digits = header.get("digits")  # absent from files written before it was recorded
             if digits is not None:
-                if not isinstance(digits, list) or len(digits) != 2:
-                    raise ValueError(f"digits must be null or a pair, got {digits!r}")
-                for d in digits:
-                    check_int("a digit", d, 0)
                 check_pair(*digits)
             if type(header["b"]) not in (int, float) or not math.isfinite(header["b"]):
                 raise ValueError(f"b must be a finite number, got {header['b']!r}")
@@ -689,6 +675,9 @@ def load_model(path):
             raise ValueError(f"unknown model type {kind!r}")
     except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from None
+    if fe is not None and fe.basis.size != model.n_inputs:
+        raise ValueError(f"{path}: a {fe.basis.height}x{fe.basis.width} front end does not fit "
+                         f"a model of {model.n_inputs} inputs")
     off += hlen
     if unclaimed:  # every array fits, so only trailing bytes are left
         raise ValueError(f"{path}: payload is {payload} bytes, header implies {payload - unclaimed}")

@@ -63,7 +63,7 @@ class Basis:
     kind: str  # "haar_orthonormal" | "cdf97_biorthogonal"
     height: int
     width: int
-    levels: int = 1
+    levels: int
 
     def __post_init__(self):
         if self.kind not in _ANALYZE:
@@ -312,24 +312,14 @@ def atom_tables(basis: Basis):
     return tables
 
 
-# The dense builders stay plain functions over this cached helper, so that a
-# tracer patching the module's functions still sees every call.
-@functools.cache
-def _operator(basis: Basis, side: str) -> np.ndarray:
-    build = inverse_batch if side == "synthesis" else forward_batch
-    mat = build(basis, np.eye(basis.size)).T.copy()
-    mat.flags.writeable = False  # one array is shared by every caller
-    return mat
-
-
 def synthesis_matrix(basis: Basis) -> np.ndarray:
-    """Dense N x N synthesis operator; column j is the image of the j-th unit coefficient. Cached."""
-    return _operator(basis, "synthesis")
+    """Dense N x N synthesis operator; column j is the image of the j-th unit coefficient."""
+    return inverse_batch(basis, np.eye(basis.size)).T
 
 
 def analysis_matrix(basis: Basis) -> np.ndarray:
-    """Dense N x N analysis operator; row k maps an image to coefficient k. Cached."""
-    return _operator(basis, "analysis")
+    """Dense N x N analysis operator; row k maps an image to coefficient k."""
+    return forward_batch(basis, np.eye(basis.size)).T
 
 
 def max_l1_norm(basis: Basis) -> float:

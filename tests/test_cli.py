@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sparsefront import attacks as A
@@ -98,9 +99,24 @@ class TestSyntheticAttack:
         def refuse(*args):
             raise AssertionError("dense operator built")
 
-        monkeypatch.setattr(T, "_operator", refuse)
+        monkeypatch.setattr(T, "analysis_matrix", refuse)
+        monkeypatch.setattr(T, "synthesis_matrix", refuse)
         assert run_cli("attack", "--data", synth_data, "--model", trained[model],
                        "--attack", "white", "--epsilon", 0.2, "--out", tmp_path) == 0
+
+    @pytest.mark.parametrize("model", [
+        M.LinearModel(np.ones(2), 0.0, digits=(3, 7)),
+        M.build_network({"input_shape": (4,), "layers": [("dense", 10)]}, seed=0),
+    ], ids=["svm_dim_2", "network_input_shape_4"])
+    def test_width_mismatch_exits_2(self, model, synth_data, tmp_path, capsys):
+        model_file = tmp_path / "narrow.model"
+        M.save_model(model, model_file)
+        rc = run_cli("attack", "--data", synth_data, "--model", model_file,
+                     "--attack", "none", "--epsilon", 0, "--out", tmp_path / "x")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {model_file}: the model takes {model.n_inputs} inputs, " \
+               "the test images have 784" in err
 
     @pytest.mark.parametrize("epsilon,limit", [("nan", 0), ("inf", 0), (0.1, -5)])
     def test_bad_input_exits_2(self, epsilon, limit, trained, synth_data, tmp_path, capsys):

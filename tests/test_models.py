@@ -48,10 +48,10 @@ TINY_DENSE = {
 }
 
 
-def feedforward_file(layers, input_shape=(4,)):
+def feedforward_file(layers, input_shape=(4,), front_end=None):
     """Model file bytes: a feedforward header over input_shape, and no payload."""
     header = json.dumps({"model": "feedforward", "input_shape": list(input_shape),
-                         "layers": layers, "front_end": None}).encode()
+                         "layers": layers, "front_end": front_end}).encode()
     return M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header
 
 
@@ -689,7 +689,7 @@ class TestLogitsOp:
 
 class TestSerialization:
     def test_network_roundtrip_exact(self, tmp_path, rng):
-        fe = FrontEndConfig(Basis("cdf97_biorthogonal", 28, 28, 2), rho=0.03)
+        fe = FrontEndConfig(Basis("cdf97_biorthogonal", 8, 8, 2), rho=0.03)
         net = M.build_network(TINY_CNN, seed=9, front_end=fe)
         path = tmp_path / "net.model"
         M.save_model(net, path)
@@ -824,6 +824,15 @@ class TestSerialization:
                          input_shape=[1, 28, 28]) + bytes(8 * (2 * 30 * 30 + 2 + 2 * 10 + 10)),
         linear_file(2, payload=bytes(16), digits=[3, 3]),
         linear_file(2, payload=bytes(16), digits=[3, 12]),
+        # a front end whose size is not the model's input width
+        linear_file(784, payload=bytes(8 * 784), front_end=front_end_json(height=32, width=32)),
+        feedforward_file([["dense", 10]], input_shape=[784],
+                         front_end=front_end_json(height=32, width=32))
+        + bytes(8 * (784 * 10 + 10)),
+        linear_file(784, payload=bytes(8 * 784), front_end=front_end_json(extra=1)),
+        linear_file(784, payload=bytes(8 * 784),
+                    front_end={k: v for k, v in front_end_json().items() if k != "levels"}),
+        feedforward_file([["dropout", False], ["dense", 1]], input_shape=[1]) + bytes(16),
     ], ids=["no_magic", "short_header_length", "header_without_fields",
             "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
             "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
@@ -834,7 +843,9 @@ class TestSerialization:
             "nan_bias", "infinite_bias", "overflowing_bias", "nan_svm_weight",
             "infinite_dense_weight", "unknown_model_type", "ends_in_relu", "ends_in_flatten", "no_layers",
             "odd_maxpool_input", "empty_dense_layer", "empty_conv_kernel", "kernel_over_input",
-            "repeated_digit", "digit_out_of_range"])
+            "repeated_digit", "digit_out_of_range", "svm_front_end_too_wide",
+            "network_front_end_too_wide", "extra_front_end_field", "missing_front_end_field",
+            "bool_dropout_rate"])
     def test_bad_file_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.model"
         path.write_bytes(blob)

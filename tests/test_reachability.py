@@ -29,7 +29,6 @@ ALLOWED = {
     "models.FeedforwardNetwork.input_jacobian": "ROADMAP item 13",
     "transform.analysis_matrix": "ROADMAP item 13",
     "transform.synthesis_matrix": "ROADMAP item 13",
-    "transform._operator": "ROADMAP item 13",
 }
 
 
