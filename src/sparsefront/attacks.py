@@ -15,9 +15,10 @@ defense too) takes ``frozen_linearize``, the defended map model(D G_S F_S x)
 with the retained support S, the reconstruction clamp mask D (under clip)
 and the switches frozen at the clean x; its Jacobian rows go through the
 frozen front end's adjoint, ``frontend.frozen_adjoint``. White is optimal
-for this exact frozen model, the model C10 checks, and need not be once the
-step changes S, D or a switch. That is no claim about the paper's body,
-which the repository does not hold. FGSM differentiates the bare network's
+for this exact frozen model (C10) where the input clip does not bind: under
+clip the pair score credits epsilon even where x + e leaves [0, 1] (ROADMAP
+item 17). It need not be once the step changes S, D or a switch, and this is
+no claim about the paper's body. FGSM differentiates the bare network's
 cross-entropy and needs a network.
 
 Per sample, ``evaluate`` reports the chosen pair's predicted attacked gap,

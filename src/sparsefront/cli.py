@@ -35,9 +35,8 @@ from . import models as models_mod
 from .attacks import AttackSpec
 from .frontend import FrontEndConfig
 from .models import TrainConfig
-from .transform import Basis
+from .transform import WAVELETS, Basis
 
-BASIS_KINDS = {"haar": "haar_orthonormal", "cdf97": "cdf97_biorthogonal"}
 ATTENUATION_MODES = {"semiwhite": ["semiwhite"], "white": ["white"],
                      "both": ["semiwhite", "white"]}
 SWEEP_ATTACKS = ("semiwhite", "white")
@@ -108,7 +107,7 @@ def _fmt(x):
 
 
 def _basis(args):
-    return Basis(BASIS_KINDS[args.basis], 28, 28, args.levels)
+    return Basis(WAVELETS[args.basis].kind, 28, 28, args.levels)
 
 
 def _changed(args, keys):
@@ -306,14 +305,12 @@ def cmd_sweep(args):
 
 
 def cmd_attenuation(args):
-    modes = ATTENUATION_MODES[args.mode]
-    config = attenuation_mod.EnsembleConfig(
-        n=args.n, k=args.k, trials=args.trials, basis_kind=args.basis_kind,
-        seed=args.seed, levels=args.levels,
-    )
+    config = attenuation_mod.EnsembleConfig(n=args.n, k=args.k, trials=args.trials,
+                                            basis_kind=args.basis_kind, seed=args.seed,
+                                            levels=args.levels)
     reports = attenuation_mod.run_ensemble(config)
     rows = []
-    for mode in modes:
+    for mode in ATTENUATION_MODES[args.mode]:
         report = reports[mode]
         rows.append([args.n, args.k, args.basis_kind, mode, _fmt(report.mean_ratio),
                      _fmt(report.stderr), args.trials, args.seed])
@@ -395,7 +392,7 @@ def _add_config_flag(p):
 
 
 def _add_basis_flags(p):
-    p.add_argument("--basis", choices=sorted(BASIS_KINDS), default="cdf97")
+    p.add_argument("--basis", choices=sorted(WAVELETS), default="cdf97")
     p.add_argument("--levels", type=int, default=1, help="wavelet decomposition levels")
 
 
@@ -490,7 +487,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--k", type=int, default=32)
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--basis-kind", choices=attenuation_mod.BASIS_KINDS, default="identity")
+    p.add_argument("--basis-kind", choices=["identity", *WAVELETS], default="identity")
     p.add_argument("--mode", choices=list(ATTENUATION_MODES), default="both")
     p.add_argument("--levels", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

@@ -1,11 +1,11 @@
 """Multi-level 2D wavelet analysis/synthesis.
 
-Two bases are provided:
+Two bases are provided, declared in ``WAVELETS`` under their short names:
 
-* ``haar_orthonormal`` -- the orthonormal Haar transform. Odd-length rows or
-  columns keep their last sample in the low band unchanged, which preserves
-  orthonormality at every level.
-* ``cdf97_biorthogonal`` -- the Cohen-Daubechies-Feauveau 9/7 biorthogonal
+* ``haar`` (``haar_orthonormal``) -- the orthonormal Haar transform. Odd-length
+  rows or columns keep their last sample in the low band unchanged, which
+  preserves orthonormality at every level.
+* ``cdf97`` (``cdf97_biorthogonal``) -- the Cohen-Daubechies-Feauveau 9/7 biorthogonal
   transform, computed with the standard four-step lifting factorization plus
   a final scaling; synthesis runs the same steps in reverse with negated
   constants. Boundaries use whole-sample symmetric extension (the JPEG2000
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ import numpy as np
 from .data import check_int
 
 __all__ = [
+    "WAVELETS",
     "Basis",
     "forward_batch",
     "inverse_batch",
@@ -60,13 +62,13 @@ _SQRT2 = math.sqrt(2.0)
 class Basis:
     """An invertible analysis/synthesis transform pair over height*width images."""
 
-    kind: str  # "haar_orthonormal" | "cdf97_biorthogonal"
+    kind: str  # the kind of a wavelet in WAVELETS
     height: int
     width: int
     levels: int
 
     def __post_init__(self):
-        if self.kind not in _ANALYZE:
+        if self.kind not in _BY_KIND:
             raise ValueError(f"unknown basis kind: {self.kind!r}")
         for name in ("height", "width", "levels"):
             check_int(name, getattr(self, name), 1)
@@ -170,8 +172,13 @@ def _haar_synthesize(c):
     return x
 
 
-_ANALYZE = {"haar_orthonormal": _haar_analyze, "cdf97_biorthogonal": _cdf97_analyze}
-_SYNTHESIZE = {"haar_orthonormal": _haar_synthesize, "cdf97_biorthogonal": _cdf97_synthesize}
+Wavelet = namedtuple("Wavelet", "kind analyze synthesize")
+# short name (the CLI's --basis) -> the Basis.kind a model file records and the 1-D kernels
+WAVELETS = {
+    "haar": Wavelet("haar_orthonormal", _haar_analyze, _haar_synthesize),
+    "cdf97": Wavelet("cdf97_biorthogonal", _cdf97_analyze, _cdf97_synthesize),
+}
+_BY_KIND = {wavelet.kind: wavelet for wavelet in WAVELETS.values()}
 
 
 def _along_axis(fn, block, axis):
@@ -213,20 +220,15 @@ def subband_layout(basis: Basis) -> tuple:
 
 def _pyramid_to_flat(pyr, basis):
     """(batch, h, w) pyramid -> (batch, N) subband-major flat vectors."""
-    parts = []
-    for _, _, rows, cols, _ in subband_layout(basis):
-        parts.append(pyr[:, rows[0] : rows[1], cols[0] : cols[1]].reshape(pyr.shape[0], -1))
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate([pyr[:, slice(*rows), slice(*cols)].reshape(pyr.shape[0], -1)
+                           for _, _, rows, cols, _ in subband_layout(basis)], axis=-1)
 
 
 def _flat_to_pyramid(flat, basis):
     pyr = np.empty((flat.shape[0], basis.height, basis.width))
     for _, _, rows, cols, offset in subband_layout(basis):
-        h = rows[1] - rows[0]
-        w = cols[1] - cols[0]
-        pyr[:, rows[0] : rows[1], cols[0] : cols[1]] = flat[
-            :, offset : offset + h * w
-        ].reshape(flat.shape[0], h, w)
+        band = pyr[:, slice(*rows), slice(*cols)]
+        band[...] = flat[:, offset : offset + band.shape[1] * band.shape[2]].reshape(band.shape)
     return pyr
 
 
@@ -244,8 +246,8 @@ def forward_batch(basis: Basis, images) -> np.ndarray:
     block = _stack(basis, images, "images").reshape(-1, basis.height, basis.width).copy()
     for h, w in _level_extents(basis.height, basis.width, basis.levels)[:-1]:
         sub = block[:, :h, :w]
-        sub = _along_axis(_ANALYZE[basis.kind], sub, 2)
-        sub = _along_axis(_ANALYZE[basis.kind], sub, 1)
+        sub = _along_axis(_BY_KIND[basis.kind].analyze, sub, 2)
+        sub = _along_axis(_BY_KIND[basis.kind].analyze, sub, 1)
         block[:, :h, :w] = sub
     return _pyramid_to_flat(block, basis)
 
@@ -255,8 +257,8 @@ def inverse_batch(basis: Basis, coeffs) -> np.ndarray:
     block = _flat_to_pyramid(_stack(basis, coeffs, "coefficient vectors"), basis)
     for h, w in reversed(_level_extents(basis.height, basis.width, basis.levels)[:-1]):
         sub = block[:, :h, :w]
-        sub = _along_axis(_SYNTHESIZE[basis.kind], sub, 1)
-        sub = _along_axis(_SYNTHESIZE[basis.kind], sub, 2)
+        sub = _along_axis(_BY_KIND[basis.kind].synthesize, sub, 1)
+        sub = _along_axis(_BY_KIND[basis.kind].synthesize, sub, 2)
         block[:, :h, :w] = sub
     return block.reshape(-1, basis.size)
 
@@ -275,12 +277,12 @@ def _atoms_1d(kind, extents):
     synthesis = np.empty((levels, n, n))
     block = np.eye(n)  # row i: the image of unit sample i
     for lev, m in enumerate(extents[:-1]):
-        block[:, :m] = _ANALYZE[kind](block[:, :m])
+        block[:, :m] = _BY_KIND[kind].analyze(block[:, :m])
         analysis[lev] = block.T
     for lev in range(levels):
         block = np.eye(n)  # row p: the synthesis of unit coefficient p
         for m in reversed(extents[: lev + 1]):
-            block[:, :m] = _SYNTHESIZE[kind](block[:, :m])
+            block[:, :m] = _BY_KIND[kind].synthesize(block[:, :m])
         synthesis[lev] = block
     return analysis, synthesis
 

@@ -16,6 +16,14 @@ class TestConfig:
             EnsembleConfig(n=16, k=4, trials=0)
         with pytest.raises(ValueError):
             EnsembleConfig(n=15, k=4, trials=10, basis_kind="haar")  # not square
+        with pytest.raises(ValueError, match="N to be a square"):
+            EnsembleConfig(n=15, k=4, trials=10, basis_kind="cdf97")
+        # an 8x8 basis has at most 3 levels, and the config builds its basis
+        for kind in ("haar", "cdf97"):
+            with pytest.raises(ValueError, match=r"levels must be in \[1, 3\]"):
+                EnsembleConfig(n=64, k=4, trials=10, basis_kind=kind, levels=4)
+        with pytest.raises(ValueError, match="needs a wavelet basis; identity has no levels"):
+            EnsembleConfig(n=64, k=4, trials=10, basis_kind="identity", levels=2)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_bad_seed_rejected(self, seed):
@@ -81,12 +89,13 @@ class TestRunEnsemble:
         assert a.mean_ratio == b.mean_ratio
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("kind", sorted(T.WAVELETS))
     @pytest.mark.parametrize("levels", [1, 2])
     @pytest.mark.parametrize("mode", ["semiwhite", "white"])
-    def test_haar_against_dense_frozen_map(self, levels, mode):
-        config = EnsembleConfig(n=64, k=6, trials=20, basis_kind="haar", levels=levels, seed=4)
+    def test_wavelet_against_dense_frozen_map(self, kind, levels, mode):
+        config = EnsembleConfig(n=64, k=6, trials=20, basis_kind=kind, levels=levels, seed=4)
         report = run_ensemble(config)[mode]
-        basis = Basis("haar_orthonormal", 8, 8, levels)
+        basis = Basis(T.WAVELETS[kind].kind, 8, 8, levels)
         g, f = T.synthesis_matrix(basis), T.analysis_matrix(basis)
         for t in range(config.trials):
             # the lab's own draw for trial t

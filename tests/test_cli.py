@@ -409,7 +409,7 @@ class TestAttenuationCommand:
         ca.pop("out"), cb.pop("out")
         assert ca == cb
 
-    @pytest.mark.parametrize("basis", ["identity", "haar"])
+    @pytest.mark.parametrize("basis", ["identity", "haar", "cdf97"])
     def test_both_rows_are_the_single_mode_rows(self, basis, tmp_path):
         rows = {}
         for mode in ("both", "semiwhite", "white"):
@@ -418,6 +418,17 @@ class TestAttenuationCommand:
                            "--basis-kind", basis, "--mode", mode, "--seed", 3, "--out", out) == 0
             rows[mode] = (out / "report.csv").read_text().splitlines()[1:]
         assert rows["both"] == rows["semiwhite"] + rows["white"]
+
+    def test_cdf97_semiwhite_ratio_is_k_over_n(self, tmp_path):
+        # E[P_S] = (K/N) I for uniform S and G F = I, so semiwhite concentrates at K/N
+        # under CDF 9/7 too; the bound is the lab's own, 5 standard errors
+        out = tmp_path / "cdf97"
+        assert run_cli("attenuation", "--basis-kind", "cdf97", "--n", 784, "--k", 16,
+                       "--trials", 4000, "--mode", "semiwhite", "--out", out) == 0
+        with open(out / "report.csv") as f:
+            (row,) = csv.DictReader(f)
+        assert (row["basis"], row["mode"]) == ("cdf97", "semiwhite")
+        assert abs(float(row["mean_ratio"]) - 16 / 784) <= 5 * float(row["stderr"])
 
     def test_invalid_k_exits_nonzero(self, tmp_path, capsys):
         rc = run_cli("attenuation", "--n", 16, "--k", 99, "--trials", 10,
