@@ -75,6 +75,8 @@ class AttackSpec:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         _check_epsilon(self.epsilon)
+        if self.kind == "none" and self.epsilon != 0:
+            raise ValueError(f"attack none reads no epsilon, so it must be 0, got {self.epsilon}")
 
 
 @dataclass
@@ -188,7 +190,8 @@ def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
     Its columns give labels, predictions and the chosen pair (i, t) as
     dataset labels. Raises ValueError on a label the model has no class for
     and if an attack's perturbation exceeds its l-infinity budget. Perturbed
-    inputs are clipped to [0, 1] only when attack.clip is set.
+    inputs are clipped to [0, 1] only when attack.clip is set. A record's
+    full-precision floats depend, in their last digits, on its EVAL_BATCH-row pass.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")

@@ -405,16 +405,23 @@ def _add_frontend_flags(p, rho):
 
 
 def _digits(text):
-    a, b = map(int, text.split(","))  # two integers, or argparse refuses the value
+    try:
+        a, b = map(int, text.split(","))
+    except ValueError:  # argparse shows the message of an ArgumentTypeError only
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated digits, got {text!r}") from None
     try:
         data_mod.check_pair(a, b)
-    except ValueError as exc:  # argparse keeps the message of this error type only
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return [a, b]
 
 
 def _float_list(text):
-    return [float(p) for p in text.split(",") if p]
+    try:
+        return [float(p) for p in text.split(",") if p]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -524,7 +531,7 @@ def _replay_flags(parser, args):
     """
     try:
         manifest = json.loads(Path(args.config).read_text())
-        command, settings = manifest["command"], dict(manifest["config"])
+        command, settings = manifest["command"], {**manifest["config"]}  # TypeError unless a dict
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{args.config}: not a sparsefront manifest ({exc})") from None
     if command != args.command:

@@ -168,13 +168,12 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
 
 
 # ---------------------------------------------------------------------------
-# Network layers. forward returns (output, cache); backward consumes the
-# cache and returns the input grad. A layer with parameters also has
-# param_grads(g, cache, update), which hands update(p, rows, gp) the gradient
-# gp of p[rows] for each parameter p, a weight in blocks of rows. Only a
-# train=True forward caches what param_grads reads (Dense's input, Conv2d's
-# whole-batch im2col cols); an inference forward keeps switches and shapes and
-# never holds more than one CONV_ROWS block of cols.
+# Network layers. forward returns (output, cache) and backward(g, cache) the
+# input grad. An inference forward's cache is the layer's switch (Relu's
+# mask, MaxPool2's argmax slots) or None; a train=True forward adds Dropout's
+# mask and what param_grads(g, cache, update) reads, Dense's input and
+# Conv2d's whole-batch im2col cols. No cache holds a shape. update(p, rows,
+# gp) gets the gradient gp of p[rows], a weight in blocks of rows.
 # ---------------------------------------------------------------------------
 
 
@@ -214,10 +213,14 @@ class Dense:
         update(self.b, slice(None), g.sum(axis=0))
 
 
-class Relu:
+class _NoParams:
+    """Base of the layers without parameters: Relu, MaxPool2, Dropout and Flatten."""
+
     def params(self):
         return []
 
+
+class Relu(_NoParams):
     def forward(self, x, train=False, rng=None):
         mask = x > 0
         return x * mask, mask
@@ -260,7 +263,7 @@ class Conv2d:
             y = block @ wmat_t
             y += self.b
             out[rows] = y.transpose(0, 2, 1)
-        return out.reshape(b, oc, oh, ow), (cols, x.shape, oh, ow)
+        return out.reshape(b, oc, oh, ow), cols
 
     def _gmat(self, g):
         b, oc, oh, ow = g.shape
@@ -268,13 +271,13 @@ class Conv2d:
 
     def param_grads(self, g, cache, update):
         gmat = self._gmat(g)
-        _weight_grad(gmat, cache[0].reshape(gmat.shape[0], -1), self.w, update)
+        _weight_grad(gmat, cache.reshape(gmat.shape[0], -1), self.w, update)
         update(self.b, slice(None), gmat.sum(axis=0))
 
     def backward(self, g, cache):
-        _, x_shape, oh, ow = cache
-        b, c, h, w_ = x_shape
-        oc = self.w.shape[0]
+        b, oc, oh, ow = g.shape
+        c = self.w.shape[1]
+        h, w_ = oh + self.kh - 1, ow + self.kw - 1
         # Batch last: g laid out (OC, OH, OW, B), and one gemm with weight rows
         # in (kh, kw, C) order gives d laid out (kh, kw, C, OH, OW, B). Each
         # kernel offset's slice of d is added, in (i, j) order, into gx laid
@@ -290,16 +293,11 @@ class Conv2d:
         return gx.transpose(3, 0, 1, 2)
 
 
-class MaxPool2:
-    """2x2 max pooling, stride 2; the argmax within each window is the switch."""
-
-    def params(self):
-        return []
+class MaxPool2(_NoParams):
+    """2x2 max pooling, stride 2, over even spatial dims (_assemble checks them);
+    the argmax within each window is the switch."""
 
     def forward(self, x, train=False, rng=None):
-        b, c, h, w = x.shape
-        if h % 2 or w % 2:
-            raise ValueError(f"max pool needs even spatial dims, got {h}x{w}")
         # Slot 2*dy + dx of each window is the strided view x[:, :, dy::2, dx::2].
         # A later slot wins only when strictly greater, the first-max rule of
         # argmax; np.maximum would not do, since it turns max(-0.0, +0.0) into +0.0.
@@ -310,35 +308,32 @@ class MaxPool2:
             greater = views[slot] > out
             out = np.where(greater, views[slot], out)
             idx = np.where(greater, slot, idx)
-        return out, (idx, x.shape)
+        return out, idx
 
-    def backward(self, g, cache):
-        idx, x_shape = cache
-        b, c, h, w = x_shape
+    def backward(self, g, idx):
+        b, c, oh, ow = idx.shape
+        h, w = 2 * oh, 2 * ow  # the input's spatial dims
         # Flat position in x of each window's argmax. Slot 2*dy + dx of the
         # window at `corner` is x's entry corner + w*dy + dx, which is
         # corner + (w - 2)*dy + slot.
         corner = (
             (h * w) * np.arange(b * c).reshape(b, c, 1, 1)
-            + (2 * w) * np.arange(h // 2)[:, None]
-            + 2 * np.arange(w // 2)
+            + (2 * w) * np.arange(oh)[:, None]
+            + 2 * np.arange(ow)
         )
         pos = corner + (w - 2) * (idx // 2) + idx
         gx = np.zeros(b * c * h * w)
         gx[pos.ravel()] = g.ravel()
-        return gx.reshape(x_shape)
+        return gx.reshape(b, c, h, w)
 
 
-class Dropout:
+class Dropout(_NoParams):
     """Inverted dropout; active only when train=True. No switch: inference is identity."""
 
     def __init__(self, rate):
         if isinstance(rate, bool) or not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate!r}")
         self.rate = rate
-
-    def params(self):
-        return []
 
     def forward(self, x, train=False, rng=None):
         if not train or self.rate == 0.0:
@@ -351,15 +346,15 @@ class Dropout:
         return g if cache is None else g * cache
 
 
-class Flatten:
-    def params(self):
-        return []
+class Flatten(_NoParams):
+    def __init__(self, shape):
+        self.shape = shape  # the per-sample shape it flattens
 
     def forward(self, x, train=False, rng=None):
-        return x.reshape(x.shape[0], -1), x.shape
+        return x.reshape(x.shape[0], -1), None
 
     def backward(self, g, cache):
-        return g.reshape(cache)
+        return g.reshape((g.shape[0],) + self.shape)
 
 
 # Architecture presets. PAPER_CNN is the full-scale topology; REDUCED_DENSE
@@ -517,7 +512,7 @@ def _assemble(arch, front_end, weight, bias=np.zeros):
         elif kind == "dropout":
             layers.append(Dropout(entry[1]))
         elif kind == "flatten":
-            layers.append(Flatten())
+            layers.append(Flatten(shape))
             shape = (int(np.prod(shape)),)
         elif kind == "dense":
             if len(shape) > 1:

@@ -15,18 +15,11 @@ from sparsefront import models as M
 
 @dataclass
 class SwitchState:
-    """Per-layer switch payloads recorded at one input, plus the anchor logits."""
+    """An inference forward's caches at one input (each layer's switch or None),
+    plus the anchor logits."""
 
     entries: list
     logits: np.ndarray
-
-
-def _switch_of(layer, cache):
-    if isinstance(layer, M.Relu):
-        return cache
-    if isinstance(layer, M.MaxPool2):
-        return cache[0]
-    return None
 
 
 def pool_windows(x):
@@ -50,8 +43,7 @@ def _forward_frozen(layer, x, switch):
 def switch_state(net, x):
     """Record relu masks and pool argmax choices at a single flat input."""
     y, caches = net.forward(np.atleast_2d(x))
-    entries = [_switch_of(layer, cache) for layer, cache in zip(net.layers, caches)]
-    return SwitchState(entries, y[0])
+    return SwitchState(caches, y[0])
 
 
 def same_switches(net, a, b):

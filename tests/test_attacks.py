@@ -210,6 +210,12 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="unknown attack kind"):
             AttackSpec("bogus", 0.1)
 
+    def test_none_with_epsilon_rejected(self):
+        # no attack runs, so a budget would be recorded and never read
+        with pytest.raises(ValueError, match="attack none reads no epsilon"):
+            AttackSpec("none", 0.5)
+        assert AttackSpec("none", 0.0).epsilon == 0.0
+
     def test_single_class_network_rejected(self, rng):
         arch = {"input_shape": (6,), "layers": [("dense", 1)]}
         net = M.build_network(arch, seed=0)
@@ -517,14 +523,14 @@ class TestEvaluate:
         # IDX labels are uint8, so a corrupt file can hold any label up to 255
         ds = Dataset(rng.random((5, 64)), np.array([0, 3, 12, 1, 2], dtype=np.uint8))
         with pytest.raises(ValueError, match="label 12 "):
-            A.evaluate(net, ds, AttackSpec(kind, 0.1))
+            A.evaluate(net, ds, AttackSpec(kind, 0.0 if kind == "none" else 0.1))
 
     @pytest.mark.parametrize("kind", ["none", "semiwhite", "white"])
     def test_svm_label_not_plus_minus_one_rejected(self, kind, rng):
         model = LinearModel(rng.standard_normal(4), 0.0)
         ds = Dataset(rng.random((4, 4)), np.array([1, 0, 1, 0]))
         with pytest.raises(ValueError, match="label 0 "):
-            A.evaluate(model, ds, AttackSpec(kind, 0.1))
+            A.evaluate(model, ds, AttackSpec(kind, 0.0 if kind == "none" else 0.1))
 
     @pytest.mark.parametrize("kind", ["semiwhite", "white"])
     def test_svm_gap_columns(self, kind, rng):

@@ -55,10 +55,11 @@ class TestSyntheticAttack:
     ])
     def test_reports_repeat(self, model, attack, trained, synth_data, tmp_path):
         blobs = []
+        epsilon = 0 if attack == "none" else 0.2
         for name in ("a1", "a2"):
             out = tmp_path / name
             assert run_cli("attack", "--data", synth_data, "--model", trained[model],
-                           "--attack", attack, "--epsilon", 0.2, "--clip", "--out", out) == 0
+                           "--attack", attack, "--epsilon", epsilon, "--clip", "--out", out) == 0
             blobs.append(((out / "report.csv").read_bytes(),
                           (out / "report.json").read_bytes()))
         assert blobs[0] == blobs[1]
@@ -194,6 +195,18 @@ class TestBadTrainingSettings:
         assert err[0] == "error: argument --epochs: invalid int value: 'x'"
         assert err[1].startswith("usage: sparsefront train-svm ")
 
+    # a list flag's parse error names the form it expects, not a private function
+    @pytest.mark.parametrize("command,flag,value,expected", [
+        ("train-svm", "--digits", "3,7,", "two comma-separated digits"),
+        ("sweep", "--rhos", "0.02,x", "comma-separated numbers"),
+        ("sweep", "--epsilons", "0.1;0.2", "comma-separated numbers"),
+    ], ids=["digits", "rhos", "epsilons"])
+    def test_list_flag_error_names_the_form(self, command, flag, value, expected, tmp_path,
+                                            capsys):
+        assert run_cli(command, f"{flag}={value}", "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"error: argument {flag}: expected {expected}, got {value!r}"
+
     def test_all_zero_svm_exits_2(self, tmp_path, capsys):
         # a split whose 3s and 7s are all blank trains an all-zero SVM
         synth = load_synth()
@@ -281,6 +294,14 @@ class TestUnreadSettings:
         assert run_cli(*argv, *data, "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
         assert "error:" in err and setting in err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+    def test_attack_none_with_epsilon_exits_2(self, trained, synth_data, tmp_path, capsys):
+        # no attack runs, so no computation reads the budget
+        assert run_cli("attack", "--data", synth_data, "--model", trained["svm_plain"],
+                       "--attack", "none", "--epsilon", 0.5, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: attack none reads no epsilon, so it must be 0, got 0.5")
         assert not (tmp_path / "x" / "manifest.json").exists()
 
     @pytest.mark.parametrize("command,rho", [("train-svm", 0.02), ("train-net", 0.03)])
@@ -478,6 +499,7 @@ class TestConfigFile:
         "attack_seed": ("attack", "seed"), "attenuation_bad_mode": ("attenuation", "--mode"),
         "sweep_attack_none": ("sweep", "--attack"),
         "table1_settings": ("table1", "cnn_epsilon, cnn_rho, svm_epsilon, svm_rho"),
+        "config_pairs": ("attack", "not a sparsefront manifest"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -509,6 +531,9 @@ class TestConfigFile:
             "sweep_attack_none": manifest(attack="none"),
             "table1_settings": manifest(svm_epsilon=0.12, svm_rho=0.02, cnn_epsilon=0.25,
                                         cnn_rho=0.03),
+            # the settings as [key, value] pairs, not as a JSON object
+            "config_pairs": json.dumps({"command": command,
+                                        "config": [["command", command], ["limit", 5]]}),
         }
         if case in content:
             path.write_text(content[case])
@@ -517,7 +542,7 @@ class TestConfigFile:
         flags = {
             "train-svm": ["--epochs", 1],
             "train-net": [],
-            "attack": ["--model", trained["svm_plain"], "--attack", "none", "--epsilon", 0.1],
+            "attack": ["--model", trained["svm_plain"], "--attack", "none", "--epsilon", 0],
             "attenuation": ["--n", 64, "--k", 4, "--trials", 10],
             "sweep": ["--rhos", 0.02, "--epsilons", 0.1],
             "table1": ["--arch", "reduced_dense"],
@@ -561,7 +586,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("omitted", ["--model", "--attack", "--epsilon"])
     def test_attack_without_config_needs_its_flags(self, omitted, trained, synth_data,
                                                    tmp_path, capsys):
-        flags = {"--model": trained["svm_plain"], "--attack": "none", "--epsilon": 0.1}
+        flags = {"--model": trained["svm_plain"], "--attack": "none", "--epsilon": 0}
         flags.pop(omitted)
         rc = run_cli("attack", "--data", synth_data, *(x for kv in flags.items() for x in kv),
                      "--out", tmp_path / "o")
@@ -576,7 +601,7 @@ def _runs(data, models):
         for attack in attacks:
             runs[f"attack-{name}-{attack}"] = [
                 "attack", "--data", data, "--model", models[name], "--attack", attack,
-                "--epsilon", 0.2, "--clip"]
+                "--epsilon", 0 if attack == "none" else 0.2, "--clip"]
     runs["attenuation"] = ["attenuation", "--n", 256, "--k", 8, "--trials", 200,
                            "--basis-kind", "haar", "--mode", "both", "--seed", 3]
     runs["sweep"] = ["sweep", "--data", data, "--rhos", "0.02,0.04", "--epsilons", "0.1,0.2",

@@ -212,14 +212,9 @@ class TestMaxPoolForward:
         win = pool_windows(x)
         ref_idx = win.argmax(axis=-1)
         ref = np.take_along_axis(win, ref_idx[..., None], axis=-1)[..., 0]
-        y, (idx, x_shape) = M.MaxPool2().forward(x)
-        assert x_shape == shape
+        y, idx = M.MaxPool2().forward(x)
         assert y.tobytes() == ref.tobytes()
         assert idx.dtype == ref_idx.dtype and idx.tobytes() == ref_idx.tobytes()
-
-    def test_odd_dims_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            M.MaxPool2().forward(np.zeros((1, 1, 3, 4)))
 
 
 class TestMaxPoolBackward:
@@ -229,14 +224,14 @@ class TestMaxPoolBackward:
         # (..., 4) window buffer, then undo the window layout
         pool = M.MaxPool2()
         x = np.round(rng.standard_normal(shape), 1)  # ties inside windows
-        y, cache = pool.forward(x)
+        y, idx = pool.forward(x)
         g = rng.standard_normal(y.shape)
         g.flat[::5] = -0.0
         b, c, h, w = shape
         dwin = np.zeros((b, c, h // 2, w // 2, 4))
-        np.put_along_axis(dwin, cache[0][..., None], g[..., None], axis=-1)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
         ref = dwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(shape)
-        gx = pool.backward(g, cache)
+        gx = pool.backward(g, idx)
         assert gx.shape == shape
         assert gx.tobytes() == ref.tobytes()
 
@@ -432,25 +427,48 @@ class TestLinearSvm:
 
 
 class TestCacheContract:
-    """Only a training forward keeps what the parameter gradients read."""
+    """An inference forward caches each layer's switch; a training forward adds only
+    what the parameter gradients and dropout read."""
 
-    @pytest.mark.parametrize("arch", [M.PAPER_CNN, M.REDUCED_DENSE],
-                             ids=["paper_cnn", "reduced_dense"])
-    def test_param_grads_follow_the_forward_mode(self, arch, rng):
+    @staticmethod
+    def walk(net, x, train, rng):
+        """Each layer's (input, output), from one layer-by-layer forward."""
+        h = x.reshape((x.shape[0],) + net.input_shape)
+        steps = []
+        for layer in net.layers:
+            out = layer.forward(h, train=train, rng=rng)[0]
+            steps.append((h, out))
+            h = out
+        return steps
+
+    @pytest.mark.parametrize("train", [False, True], ids=["inference", "train"])
+    @pytest.mark.parametrize("arch", [M.PAPER_CNN, M.REDUCED_DENSE, TWO_CONV],
+                             ids=["paper_cnn", "reduced_dense", "two_conv"])
+    def test_caches_are_switches_plus_gradient_inputs(self, arch, train, rng):
         net = M.build_network(arch, seed=0)
         x = rng.random((2, net.n_inputs))
         g = rng.standard_normal((2, net.n_classes))
-        _, caches = net.forward(x)
-        for layer, cache in zip(net.layers, caches):
-            if isinstance(layer, M.Conv2d):
-                assert cache[0] is None  # no im2col columns
-            elif isinstance(layer, M.Dense):
-                assert cache is None  # no layer input
-        assert net.backward(g, caches).shape == x.shape
-        _, caches = net.forward(x, train=True, rng=np.random.default_rng(1))
-        grads = param_grads(net, g, caches)
-        assert [gp.shape for gp in grads] == [p.shape for p in net.params()]
-        assert all(np.isfinite(gp).all() for gp in grads)
+        _, caches = net.forward(x, train=train, rng=np.random.default_rng(1))
+        steps = self.walk(net, x, train, np.random.default_rng(1))  # the same dropout masks
+        for layer, cache, (h, out) in zip(net.layers, caches, steps):
+            if isinstance(layer, M.Relu):
+                assert cache.dtype == bool and cache.shape == out.shape
+            elif isinstance(layer, M.MaxPool2):
+                assert cache.dtype.kind == "i" and cache.shape == out.shape
+            elif train and isinstance(layer, M.Dense):
+                assert np.array_equal(cache, h)
+            elif train and isinstance(layer, M.Conv2d):
+                assert np.array_equal(cache, layer._cols(h))
+            elif train and isinstance(layer, M.Dropout):
+                assert cache.shape == out.shape and np.array_equal(h * cache, out)
+            else:
+                assert cache is None, type(layer).__name__
+        if train:
+            grads = param_grads(net, g, caches)
+            assert [gp.shape for gp in grads] == [p.shape for p in net.params()]
+            assert all(np.isfinite(gp).all() for gp in grads)
+        else:
+            assert net.backward(g, caches).shape == x.shape
 
 
 def whole_batch_conv(layer, x):
@@ -464,13 +482,15 @@ def whole_batch_conv(layer, x):
     return out.reshape(b, oc, h - layer.kh + 1, w - layer.kw + 1), cols
 
 
-def gemm_scatter_conv_grad(layer, g, cache):
-    """The convolution input gradient as one im2col-shaped gemm and a channel-last scatter.
+def gemm_scatter_conv_grad(layer, g, x):
+    """The convolution input gradient at input x as one im2col-shaped gemm and a
+    channel-last scatter.
 
     dcols = gmat @ wmat is laid out (B, OH, OW, kh, kw, C), and each kernel
     offset's slice is added, in (i, j) order, into a (B, H, W, C) gradient.
     """
-    _, (b, c, h, w), oh, ow = cache
+    b, c, h, w = x.shape
+    oh, ow = g.shape[2:]
     gmat = layer._gmat(g)
     wmat = layer.w.transpose(0, 2, 3, 1).reshape(gmat.shape[1], -1)
     dcols = (gmat @ wmat).reshape(b, oh, ow, layer.kh, layer.kw, c)
@@ -507,11 +527,10 @@ class TestBlockedConv:
         layer.b[:] = rng.standard_normal(layer.b.shape)
         x = rng.standard_normal((batch, *shape))
         want, want_cols = whole_batch_conv(layer, x)
-        out, (cols, x_shape, oh, ow) = layer.forward(x, train=train)
-        assert out.shape == want.shape == (batch, layer.w.shape[0], oh, ow)
+        out, cols = layer.forward(x, train=train)
+        assert out.shape == want.shape
         assert out.flags.c_contiguous
         assert np.array_equal(out, want)
-        assert x_shape == x.shape
         if train:
             assert np.array_equal(cols, want_cols)
         else:
@@ -545,11 +564,11 @@ CONV_CASES = {
 
 
 def conv_case(name, batch, rng):
-    """A conv layer, its inference cache for a random batch, and a random output grad."""
+    """A conv layer, a random input batch, and a random output grad."""
     arch, index, shape = CONV_CASES[name]
     layer = M.build_network(arch, seed=5).layers[index]
-    out, cache = layer.forward(rng.standard_normal((batch, *shape)))
-    return layer, rng.standard_normal(out.shape), cache
+    x = rng.standard_normal((batch, *shape))
+    return layer, x, rng.standard_normal(layer.forward(x)[0].shape)
 
 
 class TestConvBackward:
@@ -557,26 +576,26 @@ class TestConvBackward:
 
     @pytest.mark.parametrize("batch", [0, 1, 15, 16, 17, 64, 256])
     def test_paper_conv1_bit_identical(self, batch, rng):
-        layer, g, cache = conv_case("paper_conv1", batch, rng)
-        gx = layer.backward(g, cache)
+        layer, x, g = conv_case("paper_conv1", batch, rng)
+        gx = layer.backward(g, None)
         assert gx.shape == (batch, 1, 28, 28)
-        assert gx.tobytes() == gemm_scatter_conv_grad(layer, g, cache).tobytes()
+        assert gx.tobytes() == gemm_scatter_conv_grad(layer, g, x).tobytes()
 
     @pytest.mark.parametrize("batch", [1, 16, 17, 64])
     @pytest.mark.parametrize("conv", ["paper_conv2", "two_conv1", "two_conv2"])
     def test_within_tolerance(self, conv, batch, rng):
-        layer, g, cache = conv_case(conv, batch, rng)
-        gx = layer.backward(g, cache)
-        want = gemm_scatter_conv_grad(layer, g, cache)
-        assert gx.shape == want.shape == cache[1]
+        layer, x, g = conv_case(conv, batch, rng)
+        gx = layer.backward(g, None)
+        want = gemm_scatter_conv_grad(layer, g, x)
+        assert gx.shape == want.shape == x.shape
         assert np.abs(gx - want).max() <= R * np.abs(want).max()
 
     def test_conv2_peak(self, rng):
-        layer, g, cache = conv_case("paper_conv2", 256, rng)
-        oracle = traced_peak_mib(lambda: gemm_scatter_conv_grad(layer, g, cache))
+        layer, x, g = conv_case("paper_conv2", 256, rng)
+        oracle = traced_peak_mib(lambda: gemm_scatter_conv_grad(layer, g, x))
         # 73.5 MiB for the oracle, most of it the 62.5 MiB of offset columns;
         # 68.4 for the kernel, which frees its batch-last copy of g before gx
-        assert traced_peak_mib(lambda: layer.backward(g, cache)) <= oracle
+        assert traced_peak_mib(lambda: layer.backward(g, None)) <= oracle
 
 
 def single_dense(n_in, n_out):
