@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frontend as frontend_mod
+from .data import check_real
 from .models import FeedforwardNetwork, LinearModel, softmax
 
 __all__ = [
@@ -50,12 +51,6 @@ __all__ = [
 ATTACK_KINDS = ("none", "fgsm", "semiwhite", "white")
 BUDGET_SLACK = 1e-12
 EVAL_BATCH = 256  # rows per attack pass in evaluate
-
-
-def _check_epsilon(epsilon):
-    # the chained comparison is false for nan as well
-    if isinstance(epsilon, bool) or not 0.0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        _check_epsilon(self.epsilon)
+        check_real("epsilon", self.epsilon, "[0, inf)")
         if self.kind == "none" and self.epsilon != 0:
             raise ValueError(f"attack none reads no epsilon, so it must be 0, got {self.epsilon}")
 
@@ -123,7 +118,7 @@ def pairwise_batch(y, jac, t, epsilon):
     vector's l1 norm (-inf at the true class). The budget goes to the pair
     i_star with the largest gap; gaps is (B, L).
     """
-    _check_epsilon(epsilon)
+    check_real("epsilon", epsilon, "[0, inf)")
     if y.shape[1] < 2:
         raise ValueError("pairwise attack needs at least 2 classes")
     rows = np.arange(y.shape[0])
@@ -143,7 +138,7 @@ def fgsm_batch(net: FeedforwardNetwork, x, t, epsilon):
     the semi-white attack regardless of any defense. A vanishing gradient
     yields e[s] = 0 with zero_gradient[s] set.
     """
-    _check_epsilon(epsilon)
+    check_real("epsilon", epsilon, "[0, inf)")
     x = np.asarray(x, dtype=np.float64)
     y, caches = net.forward(x)
     g_out = softmax(y)

@@ -262,6 +262,8 @@ def cmd_attack(args):
         raise ValueError(f"attack needs {', '.join(missing)} (or --config with an attack manifest)")
     spec = AttackSpec(args.attack, args.epsilon, clip=args.clip)
     model, test = attack_samples(args.model, args.data, args.limit)
+    if args.attack == "none" and model.front_end is None and args.clip:
+        raise ValueError("--clip: attack none on a model without a front end clamps nothing")
     report = attacks_mod.evaluate(model, test, spec)
     summary = _report_attack(args.out, report, {
         "model": str(args.model),
@@ -276,11 +278,6 @@ def cmd_attack(args):
 
 
 def cmd_sweep(args):
-    if not args.rhos or not args.epsilons:
-        raise ValueError("sweep needs nonempty --rhos and --epsilons")
-    for flag, values in (("--rhos", args.rhos), ("--epsilons", args.epsilons)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"{flag} repeats a value: {','.join(f'{v:g}' for v in values)}")
     a, b = args.digits
     basis = _basis(args)
     # the whole grid is checked before any data is read
@@ -419,9 +416,12 @@ def _digits(text):
 
 def _float_list(text):
     try:
-        return [float(p) for p in text.split(",") if p]
+        values = [float(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct values, got {text!r}")
+    return values
 
 
 class _Parser(argparse.ArgumentParser):

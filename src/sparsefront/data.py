@@ -159,14 +159,26 @@ def check_int(name, value, low):
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
+def check_real(name, value, interval):
+    """Raise ValueError unless `value` is a finite number, not a bool, in `interval` ("[0, 1)")."""
+    low, high = map(float, interval[1:-1].split(","))
+    try:
+        finite = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer too large for a float
+        finite = False
+    if not (finite and (low < value if interval[0] == "(" else low <= value)
+            and (value < high if interval[-1] == ")" else value <= high)):
+        raise ValueError(f"{name} must be a number in {interval}, got {value!r}")
+
+
 def check_pair(a: int, b: int):
     """Raise ValueError unless a and b are two distinct digits, each an integer in 0..9."""
-    if a == b:
-        raise ValueError("digit pair must be distinct")
-    if not (0 <= a <= 9 and 0 <= b <= 9):
+    if a not in range(10) or b not in range(10):  # `in` compares any type without raising
         raise ValueError("digits must be in 0..9")
     for digit in (a, b):
         check_int("a digit", digit, 0)
+    if a == b:
+        raise ValueError("digit pair must be distinct")
 
 
 def filter_pair(dataset: Dataset, a: int, b: int) -> Dataset:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transform
+from .data import check_real
 from .transform import Basis
 
 __all__ = [
@@ -47,8 +48,7 @@ class FrontEndConfig:
     rho: float
 
     def __post_init__(self):
-        if isinstance(self.rho, bool) or not 0.0 < self.rho <= 1.0:
-            raise ValueError(f"rho must be in (0, 1], got {self.rho}")
+        check_real("rho", self.rho, "(0, 1]")
 
     @property
     def k(self) -> int:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import frontend as frontend_mod
-from .data import check_int, check_pair, write_atomically
+from .data import check_int, check_pair, check_real, write_atomically
 from .frontend import FrontEndConfig
 from .transform import Basis
 
@@ -69,11 +69,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("lr_decay_every", 0)):
             check_int(name, getattr(self, name), low)
-        lr, decay = self.learning_rate, self.weight_decay
-        if isinstance(lr, bool) or not (math.isfinite(lr) and lr > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {lr}")
-        if isinstance(decay, bool) or not (math.isfinite(decay) and decay >= 0):
-            raise ValueError(f"weight_decay must be finite and nonnegative, got {decay}")
+        check_real("learning_rate", self.learning_rate, "(0, inf)")
+        check_real("weight_decay", self.weight_decay, "[0, inf)")
 
     def lr_at(self, epoch):
         if self.lr_decay_every == 0:
@@ -331,8 +328,7 @@ class Dropout(_NoParams):
     """Inverted dropout; active only when train=True. No switch: inference is identity."""
 
     def __init__(self, rate):
-        if isinstance(rate, bool) or not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate!r}")
+        check_real("dropout rate", rate, "[0, 1)")
         self.rate = rate
 
     def forward(self, x, train=False, rng=None):
@@ -658,8 +654,7 @@ def load_model(path):
             digits = header.get("digits")  # absent from files written before it was recorded
             if digits is not None:
                 check_pair(*digits)
-            if type(header["b"]) not in (int, float) or not math.isfinite(header["b"]):
-                raise ValueError(f"b must be a finite number, got {header['b']!r}")
+            check_real("b", header["b"], "(-inf, inf)")
             model = LinearModel(claim(header["dim"]), header["b"], fe,
                                 None if digits is None else tuple(digits))
             arrays = [model.w]

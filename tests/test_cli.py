@@ -39,6 +39,11 @@ MODELS = {
 }
 
 
+def _clip(model, attack):
+    """`--clip`, except for attack none on svm_plain, which has no reconstruction to clamp."""
+    return [] if (model, attack) == ("svm_plain", "none") else ["--clip"]
+
+
 @pytest.fixture(scope="module")
 def trained(synth_data, tmp_path_factory):
     root = tmp_path_factory.mktemp("models")
@@ -59,7 +64,8 @@ class TestSyntheticAttack:
         for name in ("a1", "a2"):
             out = tmp_path / name
             assert run_cli("attack", "--data", synth_data, "--model", trained[model],
-                           "--attack", attack, "--epsilon", epsilon, "--clip", "--out", out) == 0
+                           "--attack", attack, "--epsilon", epsilon, *_clip(model, attack),
+                           "--out", out) == 0
             blobs.append(((out / "report.csv").read_bytes(),
                           (out / "report.json").read_bytes()))
         assert blobs[0] == blobs[1]
@@ -302,6 +308,14 @@ class TestUnreadSettings:
                        "--attack", "none", "--epsilon", 0.5, "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err.startswith(
             "error: attack none reads no epsilon, so it must be 0, got 0.5")
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+    def test_attack_none_clip_without_front_end_exits_2(self, trained, synth_data, tmp_path,
+                                                        capsys):
+        # no attack perturbs the images and no front end reconstructs them, so nothing is clamped
+        assert run_cli("attack", "--data", synth_data, "--model", trained["svm_plain"],
+                       "--attack", "none", "--epsilon", 0, "--clip", "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith("error: --clip: attack none on a model without")
         assert not (tmp_path / "x" / "manifest.json").exists()
 
     @pytest.mark.parametrize("command,rho", [("train-svm", 0.02), ("train-net", 0.03)])
@@ -601,7 +615,7 @@ def _runs(data, models):
         for attack in attacks:
             runs[f"attack-{name}-{attack}"] = [
                 "attack", "--data", data, "--model", models[name], "--attack", attack,
-                "--epsilon", 0 if attack == "none" else 0.2, "--clip"]
+                "--epsilon", 0 if attack == "none" else 0.2, *_clip(name, attack)]
     runs["attenuation"] = ["attenuation", "--n", 256, "--k", 8, "--trials", 200,
                            "--basis-kind", "haar", "--mode", "both", "--seed", 3]
     runs["sweep"] = ["sweep", "--data", data, "--rhos", "0.02,0.04", "--epsilons", "0.1,0.2",
@@ -776,6 +790,23 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
 
+    # an empty item is refused, so a stray comma does not run a shorter grid
+    @pytest.mark.parametrize("flag,value", [("--rhos", "0.02,,0.03"), ("--epsilons", "0.1,")],
+                             ids=["rhos", "epsilons"])
+    def test_empty_grid_item_rejected(self, flag, value, tmp_path, capsys):
+        assert run_cli("sweep", f"{flag}={value}", "--data", tmp_path / "absent",
+                       "--out", tmp_path / "s") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: argument {flag}: expected comma-separated numbers, got {value!r}")
+
+    def test_replayed_repeated_grid_names_the_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "sweep", "config": {"rhos": [0.02, 0.02]}}))
+        assert run_cli("sweep", "--config", manifest, "--data", tmp_path / "absent",
+                       "--out", tmp_path / "s") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}: argument --rhos: expected distinct values, got '0.02,0.02'")
+
     @pytest.mark.parametrize("grid,named", [
         (["--rhos", "0.02,2", "--epsilons", "0.12"], "rho"),
         (["--rhos", "0.02", "--epsilons", "0.1,nan"], "epsilon"),
@@ -875,7 +906,7 @@ class TestNetworkTraining:
 
     def test_bad_dropout_rate_exits_2(self, synth_data, tmp_path, capsys):
         assert train_net(synth_data, tmp_path / "x", "--arch", "paper_cnn", "--dropout", 1.5) == 2
-        assert "error: dropout rate must be in [0, 1), got 1.5" in capsys.readouterr().err
+        assert "error: dropout rate must be a number in [0, 1), got 1.5" in capsys.readouterr().err
         assert not (tmp_path / "x" / "manifest.json").exists()
 
 

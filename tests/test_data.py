@@ -1,5 +1,7 @@
 import gzip
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -156,6 +158,67 @@ class TestFilterPair:
         ds = D.Dataset(np.zeros((2, 4)), np.array([3, 7]))
         with pytest.raises(ValueError, match="0..9"):
             D.filter_pair(ds, a, b)
+
+    # the range test compares any type without raising, and each digit's type is
+    # checked before the pair's distinctness (True == 1)
+    @pytest.mark.parametrize("a,b,message", [
+        (1, True, "a digit must be a nonnegative integer, got True"),
+        (3, "7", "digits must be in 0..9"),
+    ], ids=["bool", "str"])
+    def test_digit_type_checked_before_comparing(self, a, b, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            D.check_pair(a, b)
+
+
+# the intervals of the real-valued settings: learning_rate, weight_decay and epsilon,
+# the dropout rate, rho and the SVM bias
+TINY = 5e-324  # the smallest positive float
+BIG = sys.float_info.max
+
+
+def _power_id(value):
+    """A long integer's test id, as a power of ten; pytest's own id for anything else."""
+    if type(value) is int and abs(value) > 10**20:
+        return f"{'-' if value < 0 else ''}10**{len(str(abs(value))) - 1}"
+    return None
+
+
+class TestCheckReal:
+    # each end of each interval, open and closed, and a value just inside it
+    @pytest.mark.parametrize("interval,value", [
+        ("(0, inf)", TINY), ("(0, inf)", BIG),
+        ("[0, inf)", 0), ("[0, inf)", -0.0), ("[0, inf)", BIG),
+        ("[0, 1)", 0.0), ("[0, 1)", math.nextafter(1.0, 0.0)),
+        ("(0, 1]", TINY), ("(0, 1]", 1),
+        ("(-inf, inf)", -BIG), ("(-inf, inf)", BIG), ("(-inf, inf)", -10**300),
+        ("[0, 1)", np.float32(0.5)), ("(0, 1]", np.float64(0.02)), ("[0, inf)", np.int64(3)),
+        ("[0, 1)", np.uint8(0)), ("(-inf, inf)", np.float16(-2.5)),
+    ], ids=_power_id)
+    def test_accepted(self, interval, value):
+        D.check_real("x", value, interval)
+
+    @pytest.mark.parametrize("interval,value", [
+        ("(0, inf)", 0.0), ("(0, inf)", -TINY), ("(0, inf)", math.inf),
+        ("[0, inf)", -TINY), ("[0, inf)", math.inf),
+        ("[0, 1)", -TINY), ("[0, 1)", 1), ("[0, 1)", 1.0),
+        ("(0, 1]", 0), ("(0, 1]", math.nextafter(1.0, 2.0)),
+        ("(-inf, inf)", -math.inf), ("(-inf, inf)", math.inf),
+        # nan and an integer too large for a float, in any interval
+        ("(-inf, inf)", math.nan), ("[0, 1)", math.nan), ("(-inf, inf)", np.float32("nan")),
+        ("(-inf, inf)", 10**400), ("(-inf, inf)", -10**400),
+        # a bool is not a number, nor is anything JSON may hold in a number's place
+        ("(0, 1]", True), ("[0, 1)", False), ("[0, 1)", np.False_), ("(0, 1]", "0.02"),
+        ("(-inf, inf)", None), ("(-inf, inf)", [1.0]), ("(-inf, inf)", {}),
+        ("(0, 1]", np.float64(1.5)), ("[0, inf)", np.int64(-1)),
+    ], ids=_power_id)
+    def test_refused(self, interval, value):
+        with pytest.raises(ValueError, match=f"^x must be a number in {re.escape(interval)}, got "):
+            D.check_real("x", value, interval)
+
+    def test_message_names_the_field_and_the_value(self):
+        with pytest.raises(ValueError) as err:
+            D.check_real("rho", "0.02", "(0, 1]")
+        assert str(err.value) == "rho must be a number in (0, 1], got '0.02'"
 
 
 class TestDataset:

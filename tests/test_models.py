@@ -814,6 +814,7 @@ class TestSerialization:
         linear_file(2, payload=bytes(16), front_end=front_end_json(height=28.0)),
         linear_file(2, payload=bytes(16), front_end=front_end_json(levels=True)),
         linear_file(2, payload=bytes(16), front_end=front_end_json(rho=True)),
+        linear_file(2, payload=bytes(16), front_end=front_end_json(rho="0.02")),
         feedforward_file([["flatten"]], input_shape=[1, 28.0, 28]),
         feedforward_file([["dense", 2]], input_shape=[True]),
         feedforward_file([["dense", 2]], input_shape=[0]),
@@ -857,7 +858,7 @@ class TestSerialization:
             "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
             "non_integer_dense_size", "one_digit", "string_digits", "three_digits",
             "number_digits", "bool_digits", "fractional_levels", "float_height",
-            "bool_levels", "bool_rho", "float_input_shape", "bool_input_shape",
+            "bool_levels", "bool_rho", "string_rho", "float_input_shape", "bool_input_shape",
             "zero_input_shape", "string_bias", "null_bias", "list_bias", "bool_bias",
             "nan_bias", "infinite_bias", "overflowing_bias", "nan_svm_weight",
             "infinite_dense_weight", "unknown_model_type", "ends_in_relu", "ends_in_flatten", "no_layers",
@@ -870,3 +871,17 @@ class TestSerialization:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="junk.model"):
             M.load_model(path)
+
+    # a real-valued field that is not a number is refused by name, not by a comparison
+    @pytest.mark.parametrize("blob,message", [
+        (linear_file(2, payload=bytes(16), front_end=front_end_json(rho="0.02")),
+         "rho must be a number in (0, 1], got '0.02'"),
+        (feedforward_file([["dropout", "x"]]), "dropout rate must be a number in [0, 1), got 'x'"),
+    ], ids=["string_rho", "non_numeric_dropout_rate"])
+    def test_bad_real_names_the_field(self, tmp_path, blob, message):
+        path = tmp_path / "junk.model"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as err:
+            M.load_model(path)
+        assert str(err.value).startswith(f"{path}: malformed model header")
+        assert str(err.value).endswith(f"(ValueError: {message})")
