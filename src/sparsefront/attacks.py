@@ -19,7 +19,7 @@ for this exact frozen model (C10) where the input clip does not bind: under
 clip the pair score credits epsilon even where x + e leaves [0, 1] (ROADMAP
 item 17). It need not be once the step changes S, D or a switch, and this is
 no claim about the paper's body. FGSM differentiates the bare network's
-cross-entropy and needs a network.
+cross-entropy, so ``check_attack`` refuses it on an SVM.
 
 Per sample, ``evaluate`` reports the chosen pair's predicted attacked gap,
 y_i - y_t + epsilon * ||p||_1, and the achieved signed change of y_i - y_t;
@@ -45,6 +45,7 @@ __all__ = [
     "frozen_linearize",
     "pairwise_batch",
     "fgsm_batch",
+    "check_attack",
     "evaluate",
 ]
 
@@ -152,16 +153,17 @@ def fgsm_batch(net: FeedforwardNetwork, x, t, epsilon):
 # ---------------------------------------------------------------------------
 
 
-def _class_indices(model, labels, kind):
-    """Dataset labels -> (class index per sample, label of each class index); checks both."""
-    if isinstance(model, LinearModel):
-        if kind == "fgsm":
-            raise ValueError("the fgsm attack needs a network, and this model is a linear SVM")
-        label_of = np.array([1, -1])
-    elif isinstance(model, FeedforwardNetwork):
-        label_of = np.arange(model.n_classes)
-    else:
+def check_attack(model, attack: AttackSpec):
+    """Raise unless `model` is a LinearModel or FeedforwardNetwork that can run `attack`."""
+    if not isinstance(model, (LinearModel, FeedforwardNetwork)):
         raise TypeError(f"cannot evaluate {type(model).__name__}")
+    if isinstance(model, LinearModel) and attack.kind == "fgsm":
+        raise ValueError("the fgsm attack needs a network, and this model is a linear SVM")
+
+
+def _class_indices(model, labels):
+    """Dataset labels -> (class index per sample, label of each class index); checks the labels."""
+    label_of = np.array([1, -1]) if isinstance(model, LinearModel) else np.arange(model.n_classes)
     labels = np.asarray(labels)
     hit = labels[:, None] == label_of
     unknown = ~hit.any(axis=1)
@@ -183,14 +185,15 @@ def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
 
     The model is attacked through the front end it was trained with, if any.
     Its columns give labels, predictions and the chosen pair (i, t) as
-    dataset labels. Raises ValueError on a label the model has no class for
-    and if an attack's perturbation exceeds its l-infinity budget. Perturbed
-    inputs are clipped to [0, 1] only when attack.clip is set. A record's
-    full-precision floats depend, in their last digits, on its EVAL_BATCH-row pass.
+    dataset labels. Raises what ``check_attack`` raises, and ValueError on a
+    label the model has no class for and on a perturbation over the l-infinity
+    budget. Perturbed inputs are clipped to [0, 1] only when attack.clip is set.
+    A record's full-precision floats depend, in their last digits, on its EVAL_BATCH-row pass.
     """
+    check_attack(model, attack)
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    classes, label_of = _class_indices(model, dataset.labels, attack.kind)
+    classes, label_of = _class_indices(model, dataset.labels)
     fe = model.front_end
     clip = attack.clip
     batches = []
@@ -198,41 +201,37 @@ def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
         x = dataset.images[start : start + EVAL_BATCH]
         t = classes[start : start + EVAL_BATCH]
         rows = np.arange(x.shape[0])
-        i_star = None
-        if attack.kind == "none":
-            y_clean = y_adv = model.logits(frontend_mod.defend(fe, x, clip))
-        else:
-            if attack.kind == "fgsm":
-                e, _, y = fgsm_batch(model, x, t, attack.epsilon)
-            else:
-                # white linearizes the defended map, semiwhite the bare model
-                y, jac = frozen_linearize(model, fe if attack.kind == "white" else None, x, clip)
-                e, i_star, gaps = pairwise_batch(y, jac, t, attack.epsilon)
-            # the attack's logits are the clean ones unless it saw a defended model bare
-            if fe is None or attack.kind == "white":
-                y_clean = y
-            else:
-                y_clean = model.logits(frontend_mod.defend(fe, x, clip))
+        e = y = i_star = None  # the step's perturbation, clean logits and pair; none sets none
+        if attack.kind == "fgsm":
+            e, _, y = fgsm_batch(model, x, t, attack.epsilon)
+        elif attack.kind != "none":
+            # white linearizes the defended map, semiwhite the bare model
+            y, jac = frozen_linearize(model, fe if attack.kind == "white" else None, x, clip)
+            e, i_star, gaps = pairwise_batch(y, jac, t, attack.epsilon)
+        # y is the report's clean logits only if the attack saw the model the report scores
+        if y is None or (fe is not None and attack.kind != "white"):
+            y = model.logits(frontend_mod.defend(fe, x, clip))
+        y_adv = y
+        if e is not None:
             y_adv = model.logits(frontend_mod.defend(fe, _perturbed(x, e, attack), clip))
 
         if i_star is None:
             # no designated pair: report against the strongest wrong class
             masked = y_adv.copy()
             masked[rows, t] = -np.inf
-            i_rec = masked.argmax(axis=1)
+            i_star = masked.argmax(axis=1)
             predicted = np.zeros(x.shape[0])
         else:
-            i_rec = i_star
             predicted = gaps[rows, i_star]
-        achieved = (y_adv[rows, i_rec] - y_adv[rows, t]) - (
-            y_clean[rows, i_rec] - y_clean[rows, t]
+        achieved = (y_adv[rows, i_star] - y_adv[rows, t]) - (
+            y[rows, i_star] - y[rows, t]
         )
         batches.append({
             "sample": start + rows,
             "label": label_of[t],
-            "clean_prediction": label_of[y_clean.argmax(axis=1)],
+            "clean_prediction": label_of[y.argmax(axis=1)],
             "attacked_prediction": label_of[y_adv.argmax(axis=1)],
-            "chosen_pair": label_of[np.stack([i_rec, t], axis=1)],
+            "chosen_pair": label_of[np.stack([i_star, t], axis=1)],
             "predicted_gap": predicted,
             "achieved_gap": achieved,
         })

@@ -236,12 +236,15 @@ def cmd_train_net(args):
                      {"arch": args.arch, "training_log": log_lines})
 
 
-def attack_samples(model_file, data, limit):
+def attack_samples(model_file, data, limit, attack):
     """The model in `model_file` and the samples `attack` reports: the test split in `data`, an
-    SVM's digit pair only, then the first `limit` (0: all). All but the model's input width,
-    which must be the images', is checked before any data is read."""
+    SVM's digit pair only, then the first `limit` (0: all). Every refusal but the model's input
+    width, which must be the images', comes before any data is read, `check_attack` among them."""
     data_mod.check_int("--limit", limit, 0)
     model = models_mod.load_model(model_file)
+    attacks_mod.check_attack(model, attack)
+    if attack.kind == "none" and attack.clip and model.front_end is None:
+        raise ValueError("--clip: attack none on a model without a front end clamps nothing")
     svm = isinstance(model, models_mod.LinearModel)
     if svm and model.digits is None:
         raise ValueError(f"{model_file}: the SVM records no digit pair; retrain it with train-svm")
@@ -261,9 +264,7 @@ def cmd_attack(args):
     if missing:
         raise ValueError(f"attack needs {', '.join(missing)} (or --config with an attack manifest)")
     spec = AttackSpec(args.attack, args.epsilon, clip=args.clip)
-    model, test = attack_samples(args.model, args.data, args.limit)
-    if args.attack == "none" and model.front_end is None and args.clip:
-        raise ValueError("--clip: attack none on a model without a front end clamps nothing")
+    model, test = attack_samples(args.model, args.data, args.limit, spec)
     report = attacks_mod.evaluate(model, test, spec)
     summary = _report_attack(args.out, report, {
         "model": str(args.model),

@@ -72,6 +72,9 @@ class Basis:
             raise ValueError(f"unknown basis kind: {self.kind!r}")
         for name in ("height", "width", "levels"):
             check_int(name, getattr(self, name), 1)
+        if min(self.height, self.width) < 2:
+            raise ValueError(f"a wavelet basis needs at least 2 pixels per side, "
+                             f"got {self.height}x{self.width}")
         max_levels = int(math.floor(math.log2(min(self.height, self.width))))
         if self.levels > max_levels:
             raise ValueError(

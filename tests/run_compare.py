@@ -35,6 +35,7 @@ import numpy as np
 from sparsefront import cli
 from sparsefront import frontend as frontend_mod
 from sparsefront import models as models_mod
+from sparsefront.attacks import AttackSpec
 
 R = 1e-9  # relative tolerance of every float
 G = 1e-6  # clean logit gap below which a row's labels and predictions may differ
@@ -98,11 +99,12 @@ class _File:
 def clean_gaps(run):
     """Top-1 minus top-2 clean logit of each sample an attack run reported.
 
-    The model, data, limit and clip are the ones the run's manifest records.
+    The model, data, limit and attack are the ones the run's manifest records.
     """
     config = json.loads((run / "manifest.json").read_text())["config"]
-    model, test = cli.attack_samples(config["model"], config["data"], config["limit"])
-    y = np.sort(model.logits(frontend_mod.defend(model.front_end, test.images, config["clip"])),
+    attack = AttackSpec(config["attack"], config["epsilon"], clip=config["clip"])
+    model, test = cli.attack_samples(config["model"], config["data"], config["limit"], attack)
+    y = np.sort(model.logits(frontend_mod.defend(model.front_end, test.images, attack.clip)),
                 axis=1)
     return y[:, -1] - y[:, -2]
 

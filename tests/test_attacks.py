@@ -586,28 +586,33 @@ class TestEvaluate:
         monkeypatch.undo()
         return sum(rows), report
 
-    @pytest.mark.parametrize("kind", ["fgsm", "semiwhite", "white"])
-    def test_undefended_network_forwards_each_input_once(self, kind, rng, monkeypatch):
+    @pytest.mark.parametrize("kind,expected", [
+        ("none", 300), ("fgsm", 600), ("semiwhite", 600), ("white", 600)])
+    def test_undefended_network_forwards_each_input_once(self, kind, expected, rng, monkeypatch):
         # the attack's own forward pass supplies the clean logits, so the
-        # network sees the clean rows once and the attacked rows once
+        # network sees the clean rows once and the attacked rows once; none
+        # attacks nothing, so its clean pass is the only one
         net = M.build_network(M.REDUCED_DENSE, seed=21)
         ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300))
         clean = net.logits(ds.images).argmax(axis=1)
-        rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1), monkeypatch)
-        assert rows == 600
+        epsilon = 0.0 if kind == "none" else 0.1
+        rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, epsilon), monkeypatch)
+        assert rows == expected
         assert report.columns["clean_prediction"].tolist() == clean.tolist()
 
-    @pytest.mark.parametrize("kind,expected", [("fgsm", 900), ("semiwhite", 900), ("white", 600)])
+    @pytest.mark.parametrize("kind,expected", [
+        ("none", 300), ("fgsm", 900), ("semiwhite", 900), ("white", 600)])
     @pytest.mark.parametrize("clip", [False, True])
     def test_defended_network_forward_rows(self, kind, expected, clip, rng, monkeypatch):
         # white linearizes the defended model, so its forward pass gives the
         # clean logits; fgsm and semiwhite see the bare network and need a
-        # separate defended clean pass
+        # separate defended clean pass, which is none's only pass
         fe = FrontEndConfig(CDF_28, rho=0.03)
         net = M.build_network(M.REDUCED_DENSE, seed=22, front_end=fe)
         ds = Dataset(rng.random((300, 784)), rng.integers(0, 10, 300))
         clean = net.logits(F.defend(fe, ds.images, clip)).argmax(axis=1)
-        rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, 0.1, clip), monkeypatch)
+        epsilon = 0.0 if kind == "none" else 0.1
+        rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, epsilon, clip), monkeypatch)
         assert rows == expected
         assert report.columns["clean_prediction"].tolist() == clean.tolist()
 

@@ -412,6 +412,39 @@ class TestMissingInputs:
         assert sum("error:" in line for line in lines) == 1
         assert not (tmp_path / "x" / "manifest.json").exists()
 
+    # every refusal the flags and the model file allow is made before the test split is read
+    @pytest.mark.parametrize("model,argv,message", [
+        ("svm", ["--attack", "none", "--epsilon", 0.5],
+         "attack none reads no epsilon, so it must be 0, got 0.5"),
+        ("svm", ["--attack", "none", "--epsilon", 0, "--clip"],
+         "--clip: attack none on a model without a front end clamps nothing"),
+        ("svm", ["--attack", "fgsm", "--epsilon", 0.1],
+         "the fgsm attack needs a network, and this model is a linear SVM"),
+        ("svm_no_pair", ["--attack", "none", "--epsilon", 0],
+         "the SVM records no digit pair; retrain it with train-svm"),
+        ("svm", ["--attack", "semiwhite", "--epsilon", 0.1, "--limit", -1],
+         "--limit must be a nonnegative integer, got -1"),
+        ("svm", ["--attack", "semiwhite", "--epsilon", "nan"],
+         "epsilon must be a number in [0, inf), got nan"),
+        (None, ["--attack", "semiwhite", "--epsilon", 0.1],
+         "attack needs --model (or --config with an attack manifest)"),
+    ], ids=["none_epsilon", "none_clip_bare", "fgsm_svm", "svm_no_pair", "limit", "epsilon_nan",
+            "no_model"])
+    def test_attack_refusal_exits_2_before_data(self, model, argv, message, tmp_path, capsys):
+        flags = []
+        if model is not None:
+            model_file = tmp_path / f"{model}.model"
+            digits = None if model == "svm_no_pair" else (3, 7)
+            M.save_model(M.LinearModel(np.ones(784), 0.0, digits=digits), model_file)
+            flags = ["--model", model_file]
+        # the data directory does not exist, so reading any data would fail first
+        assert run_cli("attack", *flags, *argv, "--data", tmp_path / "absent",
+                       "--out", tmp_path / "x") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("error: ") and lines[0].endswith(message)
+        assert sum("error:" in line for line in lines) == 1
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
     def test_missing_data_dir_names_fetch_command(self, tmp_path, capsys):
         rc = run_cli("train-svm", "--digits", "3,7", "--data", tmp_path / "empty",
                      "--out", tmp_path / "o")

@@ -269,6 +269,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             Basis("haar_orthonormal", 2, 2, 2)
 
+    # no wavelet level fits a side of 1, so the levels bound would be the empty [1, 0]
+    @pytest.mark.parametrize("height,width", [(1, 1), (1, 8)])
+    def test_side_below_two(self, height, width):
+        with pytest.raises(ValueError, match=f"a wavelet basis needs at least 2 pixels per side, "
+                                             f"got {height}x{width}$"):
+            Basis("haar_orthonormal", height, width, 1)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Basis("dct", 28, 28, 1)
