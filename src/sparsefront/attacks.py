@@ -37,7 +37,7 @@ import numpy as np
 
 from . import frontend as frontend_mod
 from .data import check_real
-from .models import FeedforwardNetwork, LinearModel, softmax
+from .models import FeedforwardNetwork, LinearModel, class_indices, softmax
 
 __all__ = [
     "AttackSpec",
@@ -161,18 +161,6 @@ def check_attack(model, attack: AttackSpec):
         raise ValueError("the fgsm attack needs a network, and this model is a linear SVM")
 
 
-def _class_indices(model, labels):
-    """Dataset labels -> (class index per sample, label of each class index); checks the labels."""
-    label_of = np.array([1, -1]) if isinstance(model, LinearModel) else np.arange(model.n_classes)
-    labels = np.asarray(labels)
-    hit = labels[:, None] == label_of
-    unknown = ~hit.any(axis=1)
-    if unknown.any():
-        raise ValueError(f"label {labels[unknown][0]} is not one of the model's labels "
-                         f"{label_of.tolist()}")
-    return hit.argmax(axis=1), label_of
-
-
 def _perturbed(x, e, attack):
     if np.max(np.abs(e)) > attack.epsilon + BUDGET_SLACK:
         raise ValueError("perturbation exceeds the l-infinity budget")
@@ -185,15 +173,15 @@ def evaluate(model, dataset, attack: AttackSpec) -> EvalReport:
 
     The model is attacked through the front end it was trained with, if any.
     Its columns give labels, predictions and the chosen pair (i, t) as
-    dataset labels. Raises what ``check_attack`` raises, and ValueError on a
-    label the model has no class for and on a perturbation over the l-infinity
+    dataset labels. Raises what ``check_attack`` raises, what
+    ``models.class_indices`` raises (an empty dataset, a label not among the
+    model's class_labels), and ValueError on a perturbation over the l-infinity
     budget. Perturbed inputs are clipped to [0, 1] only when attack.clip is set.
     A record's full-precision floats depend, in their last digits, on its EVAL_BATCH-row pass.
     """
     check_attack(model, attack)
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    classes, label_of = _class_indices(model, dataset.labels)
+    classes = class_indices(model.class_labels, dataset.labels)
+    label_of = np.asarray(model.class_labels)
     fe = model.front_end
     clip = attack.clip
     batches = []

@@ -49,7 +49,7 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Flattened images in [0,1] plus integer labels."""
+    """Flattened images in [0,1] plus integer labels; refuses a pixel outside [0, 1], NaN too."""
 
     images: np.ndarray  # (n, 784) float64 in [0, 1]
     labels: np.ndarray  # (n,) int64
@@ -57,7 +57,7 @@ class Dataset:
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
             raise ValueError("images and labels disagree on sample count")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
 
     def __len__(self):
@@ -143,13 +143,22 @@ def _find_idx(directory, stem):
 
 
 def load_mnist(directory=None, split="train") -> Dataset:
-    """Load one MNIST split ('train' or 'test') from a directory of IDX files."""
+    """Load one MNIST split ('train' or 'test') from a directory of IDX files.
+
+    Raises IdxFormatError, naming the label file, when the split has no
+    samples or a label that is not a digit 0..9.
+    """
     directory = data_dir(directory)
     prefix = {"train": "train", "test": "t10k"}[split]
-    return load_idx(
-        _find_idx(directory, f"{prefix}-images-idx3-ubyte"),
-        _find_idx(directory, f"{prefix}-labels-idx1-ubyte"),
-    )
+    images_path = _find_idx(directory, f"{prefix}-images-idx3-ubyte")
+    labels_path = _find_idx(directory, f"{prefix}-labels-idx1-ubyte")
+    dataset = load_idx(images_path, labels_path)
+    if len(dataset) == 0:
+        raise IdxFormatError(f"{labels_path}: the split has no samples")
+    bad = dataset.labels[dataset.labels > 9]
+    if bad.size:
+        raise IdxFormatError(f"{labels_path}: label {bad[0]} is not a digit 0..9")
+    return dataset
 
 
 def check_int(name, value, low):

@@ -36,6 +36,7 @@ __all__ = [
     "PAPER_CNN",
     "REDUCED_DENSE",
     "build_network",
+    "class_indices",
     "train_linear_svm",
     "train_network",
     "softmax",
@@ -86,6 +87,20 @@ def softmax(y):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+def class_indices(class_labels, labels):
+    """Each label's index in class_labels; ValueError on no labels or a label with no class."""
+    label_of = np.asarray(class_labels)
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("empty dataset")
+    hit = labels[:, None] == label_of
+    unknown = ~hit.any(axis=1)
+    if unknown.any():
+        raise ValueError(f"label {labels[unknown][0]} is not one of the model's labels "
+                         f"{label_of.tolist()}")
+    return hit.argmax(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Linear SVM
 # ---------------------------------------------------------------------------
@@ -104,6 +119,7 @@ class LinearModel:
     b: float
     front_end: FrontEndConfig | None = None
     digits: tuple | None = None
+    class_labels = (1, -1)  # the label of each logit; not a field
 
     @property
     def n_inputs(self):
@@ -128,15 +144,15 @@ class LinearModel:
 def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
     """L2-regularized hinge loss via epoch-ordered subgradient descent.
 
-    Labels must be +1/-1 with both classes present. When config.front_end is
-    set, every training input is sparsified first and the returned model
-    carries the front-end config.
+    Raises ValueError, before any training, on an empty split, on a label
+    that is not one of LinearModel.class_labels, and on a split without both
+    labels. When config.front_end is set, every training input is sparsified
+    first and the returned model carries the front-end config.
     """
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if not np.array_equal(classes, [-1, 1]):
-        raise ValueError(f"need both labels +1 and -1, got classes {classes}")
+    if np.unique(class_indices(LinearModel.class_labels, labels)).size < 2:
+        raise ValueError(f"need both labels +1 and -1, got classes {np.unique(labels)}")
     images = frontend_mod.defend(config.front_end, images, config.clip_recon)
     n, dim = images.shape
     w = np.zeros(dim)
@@ -409,6 +425,10 @@ class FeedforwardNetwork:
     def n_classes(self):
         return self.layers[-1].b.shape[0]
 
+    @property
+    def class_labels(self):  # class i is label i
+        return range(self.n_classes)
+
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
 
@@ -556,13 +576,15 @@ def train_network(images, labels, config: TrainConfig, arch=REDUCED_DENSE,
                   log=None) -> FeedforwardNetwork:
     """SGD on softmax cross-entropy. Deterministic given config.seed.
 
-    When config.front_end is set, all training inputs are sparsified first
-    and the returned network carries the front-end config.
+    Raises ValueError, before the front end runs, on an empty split and on a
+    label that is not one of the network's class_labels. When
+    config.front_end is set, all training inputs are sparsified first and the
+    returned network carries the front-end config.
     """
     images = np.asarray(images, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    images = frontend_mod.defend(config.front_end, images, config.clip_recon)
     net = build_network(arch, config.seed, config.front_end)
+    classes = class_indices(net.class_labels, labels)
+    images = frontend_mod.defend(config.front_end, images, config.clip_recon)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5F]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xD0]))
     n = images.shape[0]
@@ -573,7 +595,7 @@ def train_network(images, labels, config: TrainConfig, arch=REDUCED_DENSE,
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             y, caches = net.forward(images[idx], train=True, rng=dropout_rng)
-            loss, g = _xent_and_grad(y, labels[idx])
+            loss, g = _xent_and_grad(y, classes[idx])
             epoch_loss += loss * idx.size
             if not np.isfinite(loss):
                 raise TrainingDivergence(epoch, loss)

@@ -33,6 +33,24 @@ def load_synth():
     return module
 
 
+def write_corrupt_split(directory, prefix, label=None):
+    """A 20-sample synthetic train and test split in `directory`, whose `prefix` part ("train"
+    or "t10k") has its label 7 set to `label`, or no samples when `label` is None."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    synth = load_synth()
+    for part, stream in (("train", 0), ("t10k", 1)):
+        pixels, labels = synth.generate(3, 20, stream)
+        if part == prefix:
+            if label is None:
+                pixels, labels = pixels[:0], labels[:0]
+            else:
+                labels[7] = label  # IDX labels are bytes, so a corrupt file can hold 12
+        synth.write_idx(directory / f"{part}-images-idx3-ubyte",
+                        directory / f"{part}-labels-idx1-ubyte", pixels, labels)
+    return directory
+
+
 @pytest.fixture(scope="session")
 def synth_data(tmp_path_factory):
     """A small synthetic-digit IDX split (coverage only, never a paper number)."""

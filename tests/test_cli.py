@@ -16,7 +16,7 @@ from sparsefront import transform as T
 from sparsefront.data import filter_pair, load_mnist
 from sparsefront.frontend import FrontEndConfig
 
-from conftest import load_synth, needs_mnist
+from conftest import load_synth, needs_mnist, write_corrupt_split
 
 
 def run_cli(*argv):
@@ -139,17 +139,13 @@ class TestSyntheticAttack:
         assert rc == 2
         assert "error: the fgsm attack needs a network" in capsys.readouterr().err
 
-    def test_label_outside_the_classes_exits_2(self, trained, synth_data, tmp_path, capsys):
-        # IDX labels are bytes, so a corrupt label file can hold 12
-        synth = load_synth()
-        pixels, labels = synth.generate(3, 20, 1)
-        labels[7] = 12
-        synth.write_idx(tmp_path / "t10k-images-idx3-ubyte", tmp_path / "t10k-labels-idx1-ubyte",
-                        pixels, labels)
+    def test_label_outside_the_classes_exits_2(self, trained, tmp_path, capsys):
+        write_corrupt_split(tmp_path, "t10k", 12)
         rc = run_cli("attack", "--data", tmp_path, "--model", trained["net_defended"],
                      "--attack", "white", "--epsilon", 0.1, "--out", tmp_path / "x")
         assert rc == 2
-        assert "error: label 12 " in capsys.readouterr().err
+        assert (f"error: {tmp_path / 't10k-labels-idx1-ubyte'}: label 12 is not a digit 0..9"
+                in capsys.readouterr().err)
 
 
 class TestMalformedNetwork:
@@ -212,6 +208,27 @@ class TestBadTrainingSettings:
         assert run_cli(command, f"{flag}={value}", "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0] == f"error: argument {flag}: expected {expected}, got {value!r}"
+
+    # a 12 in either split, or an empty one, is refused before any training
+    @pytest.mark.parametrize("prefix,label,message", [
+        ("train", 12, "label 12 is not a digit 0..9"),
+        ("t10k", 12, "label 12 is not a digit 0..9"),
+        ("train", None, "the split has no samples"),
+        ("t10k", None, "the split has no samples"),
+    ])
+    def test_corrupt_split_exits_2_before_training(self, prefix, label, message, tmp_path,
+                                                   capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(M, "train_network", refuse)
+        data = write_corrupt_split(tmp_path / "data", prefix, label)
+        rc = run_cli("train-net", "--arch", "reduced_dense", "--epochs", 1, "--data", data,
+                     "--out", tmp_path / "x")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {data / f'{prefix}-labels-idx1-ubyte'}: {message}\n")
+        assert list((tmp_path / "x").iterdir()) == []  # neither a model file nor a manifest
 
     def test_all_zero_svm_exits_2(self, tmp_path, capsys):
         # a split whose 3s and 7s are all blank trains an all-zero SVM

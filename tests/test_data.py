@@ -12,7 +12,7 @@ import pytest
 
 from sparsefront import data as D
 
-from conftest import needs_mnist
+from conftest import needs_mnist, write_corrupt_split
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=D.IMAGE_MAGIC,
@@ -129,6 +129,20 @@ class TestLoadIdx:
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
 
+    # a label byte above 9 or an empty split is refused, naming the label file
+    @pytest.mark.parametrize("label,message", [
+        (12, "label 12 is not a digit 0..9"), (255, "label 255 is not a digit 0..9"),
+        (None, "the split has no samples"),
+    ])
+    @pytest.mark.parametrize("split,prefix", [("train", "train"), ("test", "t10k")])
+    def test_unusable_split_rejected(self, tmp_path, split, prefix, label, message):
+        write_corrupt_split(tmp_path, prefix, label)
+        with pytest.raises(D.IdxFormatError) as err:
+            D.load_mnist(tmp_path, split)
+        assert str(err.value) == f"{tmp_path / f'{prefix}-labels-idx1-ubyte'}: {message}"
+        other = "test" if split == "train" else "train"
+        assert len(D.load_mnist(tmp_path, other)) == 20
+
 
 class TestFilterPair:
     def test_relabel_and_order(self, tmp_path):
@@ -226,7 +240,7 @@ class TestDataset:
         with pytest.raises(ValueError, match="sample count"):
             D.Dataset(np.zeros((3, 4)), np.zeros(2, dtype=np.int64))
 
-    @pytest.mark.parametrize("pixel", [-0.01, 1.01])
+    @pytest.mark.parametrize("pixel", [-0.01, 1.01, np.nan])
     def test_pixel_outside_unit_interval_rejected(self, pixel):
         images = np.zeros((2, 4))
         images[1, 2] = pixel

@@ -312,6 +312,34 @@ class TestTrainingDeterminism:
         assert np.array_equal(net.logits(x), low.logits(x))
 
 
+class TestClassLabels:
+    def test_each_kind_declares_its_labels(self):
+        assert M.LinearModel.class_labels == (1, -1)
+        assert M.build_network(TINY_DENSE, seed=0).class_labels == range(3)
+
+    def test_labels_map_to_their_classes(self):
+        labels = np.array([1, -1, -1, 1], dtype=np.int8)
+        assert M.class_indices((1, -1), labels).tolist() == [0, 1, 1, 0]
+        assert M.class_indices(range(3), np.array([2, 0, 1, 2])).tolist() == [2, 0, 1, 2]
+
+    # IDX labels are bytes, so 12 can reach a trainer; -1 and 3.5 are no class either
+    @pytest.mark.parametrize("labels,message", [
+        ([0, 1, 12, 2], "label 12 is not one of the model's labels"),
+        ([0, -1, 1, 2], "label -1 is not one of the model's labels"),
+        ([0, 3.5, 1, 2], "label 3.5 is not one of the model's labels"),
+        ([], "empty dataset"),
+    ])
+    def test_train_network_refuses_before_the_front_end(self, labels, message, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the front end ran")
+
+        monkeypatch.setattr(M.frontend_mod, "defend", refuse)
+        labels = np.array(labels)
+        with pytest.raises(ValueError, match=message):
+            M.train_network(np.zeros((labels.size, 16)), labels, M.TrainConfig(epochs=1),
+                            TINY_DENSE)
+
+
 class TestTrainingBehavior:
     def test_loss_decreases_first_epoch(self, rng):
         x = rng.random((500, 16))
@@ -382,8 +410,13 @@ class TestLinearSvm:
         assert ((svm.score(x) >= 0) == (t == 1)).all()
 
     def test_single_class_rejected(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"need both labels \+1 and -1"):
             M.train_linear_svm(rng.random((10, 4)), np.ones(10), M.TrainConfig())
+
+    def test_label_without_a_class_rejected(self, rng):
+        with pytest.raises(ValueError,
+                           match=r"^label 0 is not one of the model's labels \[1, -1\]$"):
+            M.train_linear_svm(rng.random((10, 4)), np.array([1, 0] * 5), M.TrainConfig())
 
     def test_all_zero_weights_rejected(self):
         # blank inputs give the hinge subgradient nothing to move w with
