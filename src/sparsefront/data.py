@@ -117,8 +117,9 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"image count {count} != label count {n_labels} "
             f"for {images_path} / {labels_path}"
         )
-    images = pixels.reshape(count, rows * cols)
-    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64))
+    images = pixels.reshape(count, rows * cols).astype(np.float64)
+    images /= 255.0
+    return Dataset(images, labels.astype(np.int64))
 
 
 def data_dir(override=None) -> Path:

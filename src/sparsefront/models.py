@@ -46,7 +46,7 @@ __all__ = [
 
 MODEL_MAGIC = b"SPFRONT1\n"
 LR_DECAY_FACTOR = 0.5  # learning-rate multiplier every lr_decay_every epochs
-CONV_ROWS = 16  # images per im2col block in Conv2d.forward
+CONV_ROWS = 16  # images per block in Conv2d.forward (im2col) and Conv2d.backward
 UPDATE_BLOCK = 65536  # weight-gradient elements per block handed to update (512 KiB)
 
 
@@ -187,6 +187,10 @@ def train_linear_svm(images, labels, config: TrainConfig) -> LinearModel:
 # mask and what param_grads(g, cache, update) reads, Dense's input and
 # Conv2d's whole-batch im2col cols. No cache holds a shape. update(p, rows,
 # gp) gets the gradient gp of p[rows], a weight in blocks of rows.
+# Relu overwrites its input in forward and its g in backward. That is safe
+# because no layer caches its own output, FeedforwardNetwork.forward copies
+# its input once, and a network ends in a dense layer, so the g a relu gets
+# was made fresh by a layer above it.
 # ---------------------------------------------------------------------------
 
 
@@ -236,10 +240,12 @@ class _NoParams:
 class Relu(_NoParams):
     def forward(self, x, train=False, rng=None):
         mask = x > 0
-        return x * mask, mask
+        x *= mask
+        return x, mask
 
     def backward(self, g, cache):
-        return g * cache
+        g *= cache
+        return g
 
 
 class Conv2d:
@@ -291,19 +297,26 @@ class Conv2d:
         b, oc, oh, ow = g.shape
         c = self.w.shape[1]
         h, w_ = oh + self.kh - 1, ow + self.kw - 1
-        # Batch last: g laid out (OC, OH, OW, B), and one gemm with weight rows
-        # in (kh, kw, C) order gives d laid out (kh, kw, C, OH, OW, B). Each
-        # kernel offset's slice of d is added, in (i, j) order, into gx laid
-        # out (C, H, W, B), so every add runs over OW*B contiguous values.
-        # The batch-last copy of g is a temporary, freed before gx is made.
+        # Batch last, CONV_ROWS images at a time: a block of g laid out
+        # (OC, OH, OW, n), and one gemm with weight rows in (kh, kw, C) order
+        # gives d laid out (kh, kw, C, OH, OW, n). Each kernel offset's slice of
+        # d is added, in (i, j) order, into a block gradient laid out
+        # (C, H, W, n), so every add runs over OW*n contiguous values. The
+        # gemm's row count is kh*kw*C at every block size, so no value
+        # depends on the block.
         wmat_t = self.w.transpose(2, 3, 1, 0).reshape(-1, oc)
-        d = wmat_t @ g.transpose(1, 2, 3, 0).reshape(oc, oh * ow * b)
-        d = d.reshape(self.kh, self.kw, c, oh, ow, b)
-        gx = np.zeros((c, h, w_, b))
-        for i in range(self.kh):
-            for j in range(self.kw):
-                gx[:, i : i + oh, j : j + ow] += d[i, j]
-        return gx.transpose(3, 0, 1, 2)
+        gx = np.empty((b, c, h, w_))
+        for start in range(0, b, CONV_ROWS):
+            block = g[start : start + CONV_ROWS]
+            n = block.shape[0]
+            d = wmat_t @ block.transpose(1, 2, 3, 0).reshape(oc, oh * ow * n)
+            d = d.reshape(self.kh, self.kw, c, oh, ow, n)
+            acc = np.zeros((c, h, w_, n))
+            for i in range(self.kh):
+                for j in range(self.kw):
+                    acc[:, i : i + oh, j : j + ow] += d[i, j]
+            gx[start : start + n] = acc.transpose(3, 0, 1, 2)
+        return gx
 
 
 class MaxPool2(_NoParams):
@@ -433,7 +446,8 @@ class FeedforwardNetwork:
         return [p for layer in self.layers for p in layer.params()]
 
     def _shape_in(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        # a copy: relu layers overwrite their input, and x may be the caller's
+        x = np.array(x, dtype=np.float64)
         if x.shape[-1] != self.n_inputs:
             raise ValueError(f"expected inputs of length {self.n_inputs}, got {x.shape}")
         return x.reshape((x.shape[0],) + self.input_shape)

@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,16 @@ needs_mnist = pytest.mark.skipif(
     not MNIST_AVAILABLE,
     reason="MNIST not found; run `sparsefront fetch-data` or set SPARSEFRONT_DATA_DIR",
 )
+
+
+def traced_peak_mib(fn):
+    """Peak bytes traced while fn runs, in MiB; unlike RSS it ignores the heap's state."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def load_synth():

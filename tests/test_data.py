@@ -46,6 +46,12 @@ class TestLoadIdx:
         assert ds.images.min() == 0.0
         assert list(ds.labels) == [7, 1, 0]
 
+    def test_pixels_scaled_exactly(self, tmp_path):
+        pixels = (np.arange(4 * 16 * 16) % 256).astype(np.uint8).reshape(4, 16, 16)
+        img, lbl = write_idx_pair(tmp_path, pixels, [0, 1, 2, 3])
+        want = pixels.reshape(4, 256) / 255.0
+        assert D.load_idx(img, lbl).images.tobytes() == want.tobytes()
+
     def test_gzip_transparent(self, tmp_path):
         images = np.arange(32, dtype=np.uint8).reshape(2, 4, 4)
         img, lbl = write_idx_pair(tmp_path, images, [1, 2])

@@ -6,6 +6,8 @@ from sparsefront import transform as T
 from sparsefront.frontend import FrontEndConfig
 from sparsefront.transform import Basis
 
+from conftest import traced_peak_mib
+
 HAAR_28 = Basis("haar_orthonormal", 28, 28, 2)
 CDF_28 = Basis("cdf97_biorthogonal", 28, 28, 2)
 
@@ -112,6 +114,20 @@ class TestApply:
         config = FrontEndConfig(CDF_28, rho=0.02)
         x = rng.random((1, 784))
         assert np.array_equal(F.support_batch(config, x)[0], F.support_batch(config, x)[0])
+
+    @pytest.mark.parametrize("basis", [HAAR_28, CDF_28], ids=["haar", "cdf97"])
+    def test_chunks_match_pieces(self, basis, rng):
+        config = FrontEndConfig(basis, rho=0.02)
+        x = rng.random((2 * F._CHUNK + 3, 784))
+        pieces = [F.apply_batch(config, x[s : s + 64]) for s in range(0, len(x), 64)]
+        assert F.apply_batch(config, x).tobytes() == np.concatenate(pieces).tobytes()
+
+    def test_defend_peak(self, rng):
+        config = FrontEndConfig(CDF_28, rho=0.02)
+        x = rng.random((2000, 784))
+        # the 12 MiB output plus chunk scratch; 4096-row chunks and a clipped
+        # copy of the output peaked at 83.7 MiB
+        assert traced_peak_mib(lambda: F.defend(config, x, clip=True)) <= 30
 
 
 class TestSupport:
