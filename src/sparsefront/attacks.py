@@ -100,14 +100,14 @@ def frozen_linearize(model, fe, x, clip):
     x = np.asarray(x, dtype=np.float64)
     if fe is None:
         return model.linearize(x)
-    x_hat = frontend_mod.apply_batch(fe, x)
+    x_hat, kept = frontend_mod.support_batch(fe, x)
     if clip:
         inside = (x_hat >= 0.0) & (x_hat <= 1.0)
         np.clip(x_hat, 0.0, 1.0, out=x_hat)
     y, jac = model.linearize(x_hat)
     if clip:
         jac *= inside[:, None, :]  # D, applied in place
-    return y, frontend_mod.frozen_adjoint(fe.basis, frontend_mod.support_batch(fe, x), jac)
+    return y, frontend_mod.frozen_adjoint(fe.basis, kept, jac)
 
 
 def pairwise_batch(y, jac, t, epsilon):

@@ -69,18 +69,16 @@ def run_ensemble(config: EnsembleConfig) -> dict[str, AttenuationReport]:
     """Mean defended/undefended distortion ratio over the random ensemble,
     for each attack mode: ``{"semiwhite": ..., "white": ...}``."""
     weights = np.empty((config.trials, config.n))
-    supports = np.empty((config.trials, config.k), dtype=np.int64)
+    kept = np.zeros((config.trials, config.n), dtype=bool)
     for t in range(config.trials):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, t]))
         weights[t] = rng.standard_normal(config.n)
-        supports[t] = rng.choice(config.n, size=config.k, replace=False)
+        kept[t, rng.choice(config.n, size=config.k, replace=False)] = True
 
     if config.basis is None:  # identity
-        rows = np.arange(config.trials)[:, None]
-        p = np.zeros_like(weights)
-        p[rows, supports] = weights[rows, supports]
+        p = np.where(kept, weights, 0.0)
     else:
-        p = frontend.frozen_adjoint(config.basis, supports, weights)
+        p = frontend.frozen_adjoint(config.basis, kept, weights)
 
     undefended = np.abs(weights).sum(axis=1)
     defended = {

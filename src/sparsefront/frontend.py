@@ -2,8 +2,10 @@
 
 The functions work on (batch, N) stacks of flat images. The defended input is
 ``x_hat = G top_K(F x)``, with F the analysis and G the synthesis operator.
-Once the retained support S is frozen, the front end is the linear map
-``G_S F_S``; ``frozen_adjoint`` applies its adjoint ``F_S^T G_S^T``, which
+A retained support S is held as a (batch, N) boolean kept mask, True at the
+coefficients top-K keeps; ``support_batch`` gives it with x_hat from one
+analysis. Once S is frozen, the front end is the linear map ``G_S F_S``;
+``frozen_adjoint`` applies its adjoint ``F_S^T G_S^T`` for a kept mask, which
 every white-box attack steers along and the attenuation lab measures.
 
 ``certified_radius_batch`` gives, per input, the l-infinity radius within
@@ -32,7 +34,7 @@ __all__ = [
     "certified_radius_batch",
 ]
 
-# rows per forward/top-K/inverse pass in apply_batch: its scratch is a few
+# rows per forward/top-K/inverse pass of the front end: its scratch is a few
 # chunk-sized temporaries (1.6 MB each at N = 784), whatever the batch
 _CHUNK = 256
 
@@ -79,15 +81,21 @@ def top_k_batch(values, k):
     return np.where(keep, values, 0.0)
 
 
-def apply_batch(config: FrontEndConfig, images) -> np.ndarray:
-    """Sparsify a (batch, N) stack of flat images: analyze, keep top K, synthesize."""
-    images = np.asarray(images, dtype=np.float64)
+def _sparsify(config: FrontEndConfig, images, kept=None) -> np.ndarray:
+    """Analyze, keep top K and synthesize, _CHUNK rows at a time; fills kept when given one."""
     out = np.empty_like(images)
     for start in range(0, images.shape[0], _CHUNK):
         sl = slice(start, start + _CHUNK)
-        coeffs = transform.forward_batch(config.basis, images[sl])
-        out[sl] = transform.inverse_batch(config.basis, top_k_batch(coeffs, config.k))
+        coeffs = top_k_batch(transform.forward_batch(config.basis, images[sl]), config.k)
+        if kept is not None:
+            np.not_equal(coeffs, 0.0, out=kept[sl])
+        out[sl] = transform.inverse_batch(config.basis, coeffs)
     return out
+
+
+def apply_batch(config: FrontEndConfig, images) -> np.ndarray:
+    """Sparsify a (batch, N) stack of flat images: analyze, keep top K, synthesize."""
+    return _sparsify(config, np.asarray(images, dtype=np.float64))
 
 
 def defend(config: FrontEndConfig | None, images, clip) -> np.ndarray:
@@ -98,37 +106,40 @@ def defend(config: FrontEndConfig | None, images, clip) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out) if clip else out
 
 
-def support_batch(config: FrontEndConfig, images) -> list:
-    """Per-row retained supports for a (batch, N) stack.
+def support_batch(config: FrontEndConfig, images) -> tuple[np.ndarray, np.ndarray]:
+    """The defended input and its kept mask from one analysis: (x_hat, kept), both (batch, N).
 
-    Each support is sorted ascending and omits exact zeros, so it can be
-    shorter than K.
+    x_hat is ``apply_batch``'s output. kept[s] is True at the coefficients
+    top-K retains for row s, except exact zeros, so a row can keep fewer
+    than K.
     """
-    kept = top_k_batch(transform.forward_batch(config.basis, images), config.k)
-    return [np.flatnonzero(row) for row in kept]
+    images = np.asarray(images, dtype=np.float64)
+    kept = np.empty(images.shape, dtype=bool)
+    return _sparsify(config, images, kept), kept
 
 
-def frozen_adjoint(basis: Basis, supports, v) -> np.ndarray:
-    """F_S^T (G_S^T v[s]) for each row s, with S the coefficient indices supports[s].
+def frozen_adjoint(basis: Basis, kept, v) -> np.ndarray:
+    """F_S^T (G_S^T v[s]) for each row s, with S the coefficients that kept[s] marks True.
 
-    supports holds one index array per row and the arrays may differ in
-    length, as ``support_batch`` gives them; v is (B, N) or (B, L, N). This
-    is the gradient, with respect to the input, of v[s] . G_S F_S x: the
-    steering vector of a white-box attack on the frozen front end. Each atom
-    is an outer product of 1-D atoms (``transform.atom_tables``), so both
-    G_S^T and F_S^T act on v as an h x w image without a dense operator.
+    kept is a (B, N) boolean mask, as ``support_batch`` gives it, and v is
+    (B, N) or (B, L, N). This is the gradient, with respect to the input, of
+    v[s] . G_S F_S x: the steering vector of a white-box attack on the frozen
+    front end. Each atom is an outer product of 1-D atoms
+    (``transform.atom_tables``), so both G_S^T and F_S^T act on v as an
+    h x w image without a dense operator. Each row's kept atoms are taken in
+    ascending index order and padded, with zero weight, to the count of the
+    row that keeps the most, since a row can keep fewer than K.
     """
     fy, fx, gy, gx = transform.atom_tables(basis)
     v = np.asarray(v, dtype=np.float64)
-    lengths = np.array([len(s) for s in supports])
-    # each support padded to the longest; the padding gets zero weight
-    kept = np.arange(lengths.max()) < lengths[:, None]
-    idx = np.zeros(kept.shape, dtype=np.intp)
-    idx[kept] = np.concatenate(supports)
+    counts = np.count_nonzero(kept, axis=1)
+    real = np.arange(counts.max()) < counts[:, None]  # False on the padding
+    idx = np.zeros(real.shape, dtype=np.intp)
+    idx[real] = np.nonzero(kept)[1]
     images = v.reshape(v.shape[0], -1, basis.height, basis.width)  # (B, L, h, w)
     # G_S^T v: c[s, l, k] = gy_k^T V[s, l] gx_k, with g_k = gy_k (x) gx_k
     c = ((gy[idx][:, None] @ images) * gx[idx][:, None]).sum(axis=-1)  # (B, L, K)
-    c *= kept[:, None, :]
+    c *= real[:, None, :]
     # F_S^T c: sum_k c[s, l, k] fy_k (x) fx_k
     out = (fy[idx].transpose(0, 2, 1)[:, None] * c[:, :, None, :]) @ fx[idx][:, None]
     return out.reshape(v.shape)

@@ -37,9 +37,9 @@ def synth_sparse_input(basis, k, rng, low=1.0, high=2.0):
     return T.inverse_batch(basis, code[None, :])[0]
 
 
-def haar_projection(w, support, basis):
-    """G_S G_S^T w: the orthogonal projection onto the retained Haar atoms."""
-    g_s = T.synthesis_matrix(basis)[:, support]
+def haar_projection(w, kept, basis):
+    """G_S G_S^T w: the orthogonal projection onto the Haar atoms of the kept mask's row."""
+    g_s = T.synthesis_matrix(basis)[:, kept]
     return g_s @ (g_s.T @ w)
 
 
@@ -103,10 +103,10 @@ class TestLinearAttacks:
         rng = np.random.default_rng(0)
         fe = FrontEndConfig(HAAR_2x4, rho=0.25)  # K = 2
         x = synth_sparse_input(HAAR_2x4, 2, rng)
-        support = F.support_batch(fe, x[None, :])[0]
+        _, kept = F.support_batch(fe, x[None, :])
         w = rng.standard_normal(8)
         e, predicted = linear_attack(LinearModel(w, 0.0), x, 0.1, "white", fe)
-        proj = haar_projection(w, support, HAAR_2x4)
+        proj = haar_projection(w, kept[0], HAAR_2x4)
         assert np.array_equal(e, 0.1 * np.sign(proj))
         assert predicted == pytest.approx(0.1 * np.abs(proj).sum(), rel=1e-12)
 
@@ -164,7 +164,7 @@ class TestDistortionLinear:
             model = LinearModel(w, 0.0)
             e = eps * np.sign(rng.standard_normal(784))
             measured = defended_distortion(model, x, e, fe)
-            proj = haar_projection(w, F.support_batch(fe, x[None, :])[0], HAAR_28)
+            proj = haar_projection(w, F.support_batch(fe, x[None, :])[1][0], HAAR_28)
             assert measured == pytest.approx(abs(e @ proj), abs=1e-9)
 
 
@@ -293,8 +293,8 @@ class TestFrozenLinearize:
         if clip:
             assert not inside.all()  # the clamp binds somewhere, so D is tested
         f, g = T.analysis_matrix(basis), T.synthesis_matrix(basis)
-        for s, support in enumerate(F.support_batch(fe, x)):
-            chain = (j_net[s] * inside[s]) @ g[:, support] @ f[support]
+        for s, kept in enumerate(F.support_batch(fe, x)[1]):
+            chain = (j_net[s] * inside[s]) @ g[:, kept] @ f[kept]
             assert np.max(np.abs(jac[s] - chain)) < 1e-10
 
 
@@ -411,18 +411,17 @@ class TestWhiteExactness:
         gain = predicted - (y[rows, i_star] - y[rows, classes])
 
         adv = x + e
-        kept = np.array([np.array_equal(a, b) for a, b in
-                         zip(F.support_batch(fe, x), F.support_batch(fe, adv))])
-        x_hat, adv_hat = F.apply_batch(fe, x), F.apply_batch(fe, adv)
+        (x_hat, kept_x), (adv_hat, kept_adv) = F.support_batch(fe, x), F.support_batch(fe, adv)
+        frozen = (kept_x == kept_adv).all(axis=1)
         if clip:
-            kept &= (inside_unit(x_hat) == inside_unit(adv_hat)).all(axis=1)
-            assert not inside_unit(x_hat[kept]).all()  # the clamp binds on kept rows
+            frozen &= (inside_unit(x_hat) == inside_unit(adv_hat)).all(axis=1)
+            assert not inside_unit(x_hat[frozen]).all()  # the clamp binds on frozen rows
         if kind == "network":
-            kept &= [same_switches(model, a, b) for a, b in
-                     zip(F.defend(fe, x, clip), F.defend(fe, adv, clip))]
-        assert kept.mean() > 0.5
-        assert (gain[kept] > 0).all()
-        assert np.max(np.abs(achieved[kept] - gain[kept]) / gain[kept]) <= 1e-9
+            frozen &= [same_switches(model, a, b) for a, b in
+                       zip(F.defend(fe, x, clip), F.defend(fe, adv, clip))]
+        assert frozen.mean() > 0.5
+        assert (gain[frozen] > 0).all()
+        assert np.max(np.abs(achieved[frozen] - gain[frozen]) / gain[frozen]) <= 1e-9
 
 
 class TestFgsm:
@@ -615,6 +614,30 @@ class TestEvaluate:
         rows, report = self.forwarded_rows(net, ds, AttackSpec(kind, epsilon, clip), monkeypatch)
         assert rows == expected
         assert report.columns["clean_prediction"].tolist() == clean.tolist()
+
+    @pytest.mark.parametrize("kind", ["network", "svm"])
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_white_analyzes_each_row_twice(self, kind, clip, rng, monkeypatch):
+        # one analysis of each clean row gives both the defended input and
+        # its kept mask; defending the perturbed row is the other
+        fe = FrontEndConfig(CDF_8, rho=0.25)
+        n = A.EVAL_BATCH + 44
+        if kind == "network":
+            model = M.build_network(TINY_CNN, seed=25, front_end=fe)
+            labels = rng.integers(0, 4, n)
+        else:
+            model = LinearModel(rng.standard_normal(64), 0.0, fe)
+            labels = np.where(rng.random(n) < 0.5, 1, -1)
+        rows = []
+        forward = T.forward_batch
+
+        def counted(basis, x):
+            rows.append(len(x))
+            return forward(basis, x)
+
+        monkeypatch.setattr(T, "forward_batch", counted)
+        A.evaluate(model, Dataset(rng.random((n, 64)), labels), AttackSpec("white", 0.1, clip))
+        assert sum(rows) == 2 * n
 
     def test_svm_budget_overrun_rejected(self, rng, monkeypatch):
         model = LinearModel(rng.standard_normal(4), 0.0)

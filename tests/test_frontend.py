@@ -113,14 +113,25 @@ class TestApply:
     def test_deterministic(self, rng):
         config = FrontEndConfig(CDF_28, rho=0.02)
         x = rng.random((1, 784))
-        assert np.array_equal(F.support_batch(config, x)[0], F.support_batch(config, x)[0])
+        (x_hat, kept), (again, kept_again) = F.support_batch(config, x), F.support_batch(config, x)
+        assert x_hat.tobytes() == again.tobytes()
+        assert np.array_equal(kept, kept_again)
 
     @pytest.mark.parametrize("basis", [HAAR_28, CDF_28], ids=["haar", "cdf97"])
     def test_chunks_match_pieces(self, basis, rng):
+        # support_batch is apply_batch's pass, with the mask of the nonzero
+        # retained coefficients alongside
         config = FrontEndConfig(basis, rho=0.02)
         x = rng.random((2 * F._CHUNK + 3, 784))
+        x[F._CHUNK + 1] = 0.0
         pieces = [F.apply_batch(config, x[s : s + 64]) for s in range(0, len(x), 64)]
-        assert F.apply_batch(config, x).tobytes() == np.concatenate(pieces).tobytes()
+        x_hat = F.apply_batch(config, x)
+        assert x_hat.tobytes() == np.concatenate(pieces).tobytes()
+        one_pass, kept = F.support_batch(config, x)
+        assert one_pass.tobytes() == x_hat.tobytes()
+        assert kept.dtype == bool
+        assert np.array_equal(kept, F.top_k_batch(T.forward_batch(basis, x), config.k) != 0)
+        assert not kept[F._CHUNK + 1].any()  # the all-zero row keeps nothing
 
     def test_defend_peak(self, rng):
         config = FrontEndConfig(CDF_28, rho=0.02)
@@ -134,22 +145,22 @@ class TestSupport:
     def test_contains_scaled_basis_vector(self):
         config = FrontEndConfig(HAAR_28, rho=0.02)
         x = 10.0 * T.synthesis_matrix(HAAR_28)[:, 5]
-        assert 5 in F.support_batch(config, x[None, :])[0]
+        assert F.support_batch(config, x[None, :])[1][0, 5]
 
     def test_scale_invariant(self, rng):
         config = FrontEndConfig(CDF_28, rho=0.02)
         x = rng.random(784)
-        supports = F.support_batch(config, np.stack([x, 7.3 * x, -2.0 * x]))
-        assert np.array_equal(supports[0], supports[1])
-        assert np.array_equal(supports[0], supports[2])
+        _, kept = F.support_batch(config, np.stack([x, 7.3 * x, -2.0 * x]))
+        assert (kept == kept[0]).all()
 
     def test_digit_against_sort_oracle(self, digits_test):
         config = FrontEndConfig(HAAR_28, rho=0.02)
         x = digits_test.images[3:4]
         coeffs = T.forward_batch(HAAR_28, x)[0]
         order = sorted(range(784), key=lambda j: (-abs(coeffs[j]), j))
-        oracle = sorted(j for j in order[: config.k] if coeffs[j] != 0.0)
-        assert list(F.support_batch(config, x)[0]) == oracle
+        oracle = np.zeros(784, dtype=bool)
+        oracle[[j for j in order[: config.k] if coeffs[j] != 0.0]] = True
+        assert np.array_equal(F.support_batch(config, x)[1][0], oracle)
 
 
 def k_sparse_input(basis, support, rng):
@@ -168,7 +179,7 @@ class TestFrozenAdjoint:
         config = FrontEndConfig(basis, rho=1.0)
         x = rng.random((2, 784))
         v = rng.standard_normal((2, 784))
-        got = F.frozen_adjoint(basis, F.support_batch(config, x), v)
+        got = F.frozen_adjoint(basis, F.support_batch(config, x)[1], v)
         assert np.max(np.abs(got - v)) < 1e-9
 
     @pytest.mark.parametrize("basis", [HAAR_28, CDF_28], ids=["haar", "cdf97"])
@@ -176,9 +187,9 @@ class TestFrozenAdjoint:
         # (G_S F_S)^2 = G_S F_S because F_S G_S is the identity on S
         config = FrontEndConfig(basis, rho=0.03)
         x = rng.random((3, 784))
-        supports = F.support_batch(config, x)
-        once = F.frozen_adjoint(basis, supports, rng.standard_normal((3, 784)))
-        twice = F.frozen_adjoint(basis, supports, once)
+        _, kept = F.support_batch(config, x)
+        once = F.frozen_adjoint(basis, kept, rng.standard_normal((3, 784)))
+        twice = F.frozen_adjoint(basis, kept, once)
         assert np.max(np.abs(twice - once)) < 1e-9
 
     def test_haar_against_masked_transform_oracle(self, rng):
@@ -186,12 +197,13 @@ class TestFrozenAdjoint:
         config = FrontEndConfig(HAAR_28, rho=20 / 784)
         support = np.sort(rng.choice(784, size=config.k, replace=False))
         x = k_sparse_input(HAAR_28, support, rng)
-        assert np.array_equal(F.support_batch(config, x[None, :])[0], support)
+        _, kept = F.support_batch(config, x[None, :])
+        assert np.array_equal(np.flatnonzero(kept[0]), support)
         v = rng.standard_normal(784)
         mask = np.zeros(784)
         mask[support] = T.forward_batch(HAAR_28, v[None, :])[0, support]
         oracle = T.inverse_batch(HAAR_28, mask[None, :])[0]
-        got = F.frozen_adjoint(HAAR_28, F.support_batch(config, x[None, :]), v[None, :])[0]
+        got = F.frozen_adjoint(HAAR_28, kept, v[None, :])[0]
         assert np.max(np.abs(got - oracle)) < 1e-9
 
     @pytest.mark.parametrize("basis", [Basis("cdf97_biorthogonal", 8, 8, 1),
@@ -207,17 +219,20 @@ class TestFrozenAdjoint:
         n = basis.size
         drawn = [rng.choice(n, size=3, replace=False) for _ in range(3)]
         if given:
-            # exactly K unsorted indices per row, the way the attenuation lab passes them
-            supports = np.stack(drawn)
+            # exactly K unsorted indices per row, scattered into the mask the
+            # way the attenuation lab scatters its draws
+            kept = np.zeros((3, n), dtype=bool)
+            for row, support in enumerate(drawn):
+                kept[row, support] = True
         else:
             config = FrontEndConfig(basis, rho=3 / n)
             # the all-zero image keeps no coefficient, a support shorter than K
             x = np.stack([k_sparse_input(basis, s, rng) for s in drawn[:2]] + [np.zeros(n)])
-            supports = F.support_batch(config, x)
+            _, kept = F.support_batch(config, x)
             drawn = drawn[:2]
         v = rng.standard_normal((3, 4, n))
-        got = F.frozen_adjoint(basis, supports, v)
-        flat = F.frozen_adjoint(basis, supports, v[:, 0])
+        got = F.frozen_adjoint(basis, kept, v)
+        flat = F.frozen_adjoint(basis, kept, v[:, 0])
         assert got.shape == v.shape and flat.shape == v[:, 0].shape
         if not given:
             assert not got[2].any() and not flat[2].any()
@@ -291,9 +306,9 @@ class TestHighSnrCertificate:
         assert not certified(config, x, 1.0)
         f = T.analysis_matrix(HAAR_28)
         e = np.sign(f[40] - f[30])
-        supports = F.support_batch(config, np.stack([x, x + e]))
-        assert list(supports[0]) == [10, 20, 30]
-        assert list(supports[1]) == [10, 20, 40]
+        _, kept = F.support_batch(config, np.stack([x, x + e]))
+        assert list(np.flatnonzero(kept[0])) == [10, 20, 30]
+        assert list(np.flatnonzero(kept[1])) == [10, 20, 40]
 
     def test_boundary_is_strict(self):
         config = FrontEndConfig(HAAR_28, rho=1 / 784)  # K = 1
@@ -334,7 +349,8 @@ class TestHighSnrCertificate:
             x = T.inverse_batch(basis, code[None, :])[0]
             eps = 0.9 * radius_of(config, x)
             assert certified(config, x, eps)
-            support = F.support_batch(config, x[None, :])[0]
+            _, kept = F.support_batch(config, x[None, :])
+            support = np.flatnonzero(kept[0])
             weakest = support[np.argmin(np.abs(code[support]))]
             adversarial = [
                 eps * np.sign(rng.standard_normal(784)),
@@ -344,8 +360,9 @@ class TestHighSnrCertificate:
                 eps * np.sign(g[:, int(rng.integers(784))]),
             ]
             random_es = [eps * (2 * rng.random(784) - 1) for _ in range(7)]
-            for e in adversarial + random_es:
-                assert np.max(np.abs(e)) <= eps + 1e-12
-                assert np.array_equal(F.support_batch(config, (x + e)[None, :])[0], support)
-                checked += 1
+            es = np.stack(adversarial + random_es)
+            assert np.max(np.abs(es)) <= eps + 1e-12
+            _, moved = F.support_batch(config, x + es)
+            assert (moved == kept).all()
+            checked += len(moved)
         assert checked == 1000
