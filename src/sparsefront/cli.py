@@ -137,14 +137,24 @@ def _train_config(args, task, fe):
     return TrainConfig(seed=args.seed, front_end=fe, clip_recon=args.clip, **recipe)
 
 
+def _print_epoch(epoch, loss):
+    """Print a network's epoch line, `train_network`'s log in every command, and return it."""
+    line = f"epoch {epoch}: mean loss {loss:.6f}"
+    print(line)
+    return line
+
+
 def paper_model(args, task, defense, train):
-    """The model `table1` trains for (task, defense) on the split `train`."""
+    """The model `table1` trains for (task, defense) on the split `train`: an SVM on
+    PAPER_DIGITS, which it records as `train-svm` does, or a network that prints its epochs."""
     fe = FrontEndConfig(_basis(args), PAPER_SETTINGS[task]["rho"]) if defense == "sparse" else None
     config = _train_config(args, task, fe)
     if task == "svm":
-        return models_mod.train_linear_svm(train.images, train.labels, config)
+        model = models_mod.train_linear_svm(train.images, train.labels, config)
+        model.digits = tuple(PAPER_DIGITS)
+        return model
     return models_mod.train_network(train.images, train.labels, config,
-                                    models_mod.ARCH_PRESETS[args.arch])
+                                    models_mod.ARCH_PRESETS[args.arch], log=_print_epoch)
 
 
 def paper_rows(args, task, defense, model, test):
@@ -225,34 +235,28 @@ def cmd_train_net(args):
     train = data_mod.load_mnist(args.data, "train")
     test = data_mod.load_mnist(args.data, "test")
     log_lines = []
-
-    def log(epoch, loss):
-        line = f"epoch {epoch}: mean loss {loss:.6f}"
-        log_lines.append(line)
-        print(line)
-
-    net = models_mod.train_network(train.images, train.labels, config, arch, log=log)
+    net = models_mod.train_network(
+        train.images, train.labels, config, arch,
+        log=lambda epoch, loss: log_lines.append(_print_epoch(epoch, loss)))
     _finish_training(args, net, f"net_{args.arch}_", test,
                      {"arch": args.arch, "training_log": log_lines})
 
 
 def attack_samples(model_file, data, limit, attack):
     """The model in `model_file` and the samples `attack` reports: the test split in `data`, an
-    SVM's digit pair only, then the first `limit` (0: all). Every refusal but the model's input
-    width, which must be the images', comes before any data is read, `check_attack` among them."""
+    SVM's digit pair only (every SVM model file records one), then the first `limit` (0: all).
+    Every refusal but the model's input width, which must be the images', comes before any data
+    is read: `load_model`'s of a malformed file and `check_attack`'s among them."""
     data_mod.check_int("--limit", limit, 0)
     model = models_mod.load_model(model_file)
     attacks_mod.check_attack(model, attack)
     if attack.kind == "none" and attack.clip and model.front_end is None:
         raise ValueError("--clip: attack none on a model without a front end clamps nothing")
-    svm = isinstance(model, models_mod.LinearModel)
-    if svm and model.digits is None:
-        raise ValueError(f"{model_file}: the SVM records no digit pair; retrain it with train-svm")
     test = data_mod.load_mnist(data, "test")
     if model.n_inputs != test.images.shape[1]:
         raise ValueError(f"{model_file}: the model takes {model.n_inputs} inputs, "
                          f"the test images have {test.images.shape[1]}")
-    if svm:
+    if isinstance(model, models_mod.LinearModel):
         test = data_mod.filter_pair(test, *model.digits)
     if limit:
         test = data_mod.Dataset(test.images[:limit], test.labels[:limit])
@@ -323,7 +327,9 @@ def cmd_attenuation(args):
 def cmd_table1(args):
     """Train the four models, keyed by (task, defense), and run PAPER_TABLE's rows in order.
 
-    Each row's per-sample report goes to `<task>_<attack>_<defense>/` under --out.
+    Each model is saved as `<task>_<defense>.model` under --out, the file `train-svm` or
+    `train-net` writes for it, and each row's per-sample report goes to
+    `<task>_<attack>_<defense>/` there, its summary naming the model file.
     """
     out = Path(args.out)
     # argparse checked basis and arch; levels and seed are checked before any data is read
@@ -341,7 +347,8 @@ def cmd_table1(args):
     for task, spec in tasks.items():
         print(f"training {spec['name']} (plain, defended)...")
         for defense in ("none", "sparse"):
-            models[task, defense] = paper_model(args, task, defense, spec["train"])
+            model = models[task, defense] = paper_model(args, task, defense, spec["train"])
+            models_mod.save_model(model, out / f"{task}_{defense}.model")
 
     measured = {}  # attacked accuracy in percent, keyed like PAPER_TABLE
     clean = {}  # clean accuracy in percent, by model name
@@ -351,7 +358,8 @@ def cmd_table1(args):
             row_dir = out / f"{task}_{attack}_{defense}"
             row_dir.mkdir(exist_ok=True)
             summary = _report_attack(row_dir, report, dict(
-                task=task, attack=attack, defense=defense, epsilon=epsilon, clip=args.clip))
+                task=task, attack=attack, defense=defense, epsilon=epsilon, clip=args.clip,
+                model=f"{task}_{defense}.model"))
             accuracy = measured[task, attack, defense] = 100 * summary["attacked_accuracy"]
             # every report measures clean accuracy on the same split with the same clip
             clean.setdefault(task + ("_defended" if defense == "sparse" else ""),

@@ -113,6 +113,8 @@ class LinearModel:
     As a two-logit model its logits are (score, 0): class 0 is label +1 and
     class 1 is label -1, and argmax's first-max rule gives +1 at score 0.
     `digits` is the MNIST digit pair (label +1, label -1) it was trained on.
+    A model without a pair serves library and test use, but `save_model`
+    writes only a model with one.
     """
 
     w: np.ndarray
@@ -629,9 +631,13 @@ def train_network(images, labels, config: TrainConfig, arch=REDUCED_DENSE,
 def save_model(model, path):
     """Write a LinearModel or FeedforwardNetwork to a versioned binary file, atomically.
 
-    The front end is recorded as the fields of its Basis plus rho.
+    The front end is recorded as the fields of its Basis plus rho, and an SVM's
+    digit pair, which `attack` filters the test split by, as `digits`. Raises
+    ValueError, writing nothing, for an SVM without a pair.
     """
     if isinstance(model, LinearModel):
+        if model.digits is None:
+            raise ValueError("an SVM model file records its digit pair, and this model has none")
         header = {"model": "linear_svm", "dim": model.n_inputs, "b": model.b,
                   "digits": model.digits}
         arrays = [model.w]
@@ -653,10 +659,11 @@ def load_model(path):
     """Inverse of save_model; round-trip is exact.
 
     Raises ValueError when the file is not a model file, when its header is
-    truncated, lacks a field or holds a malformed layer entry or front-end
-    record, a conv kernel larger than its input, a bad digit pair or bias, or
-    a front end whose size is not the model's input width, or when its
-    payload is not the size the header implies or holds a non-finite value.
+    truncated, lacks a field (an SVM's digit pair among them) or holds a
+    malformed layer entry or front-end record, a conv kernel larger than its
+    input, a bad or null digit pair, a bad bias, or a front end whose size is
+    not the model's input width, or when its payload is not the size the
+    header implies or holds a non-finite value.
     No array is allocated before the payload is known to hold it.
     """
     raw = Path(path).read_bytes()
@@ -687,12 +694,9 @@ def load_model(path):
             fe = FrontEndConfig(Basis(**fields), rho)
         kind = header["model"]
         if kind == "linear_svm":
-            digits = header.get("digits")  # absent from files written before it was recorded
-            if digits is not None:
-                check_pair(*digits)
+            check_pair(*header["digits"])
             check_real("b", header["b"], "(-inf, inf)")
-            model = LinearModel(claim(header["dim"]), header["b"], fe,
-                                None if digits is None else tuple(digits))
+            model = LinearModel(claim(header["dim"]), header["b"], fe, tuple(header["digits"]))
             arrays = [model.w]
         elif kind == "feedforward":
             model = _assemble(header, fe, claim, claim)

@@ -27,6 +27,19 @@ def run_cli(*argv):
         return exc.code
 
 
+def edit_header(model_file, edit):
+    """Rewrite the JSON header of `model_file` by `edit`, which changes the header dict in place;
+    a file no command writes, such as an SVM's without its digit pair."""
+    blob = model_file.read_bytes()
+    start = len(M.MODEL_MAGIC) + 4
+    size = int.from_bytes(blob[len(M.MODEL_MAGIC):start], "big")
+    fields = json.loads(blob[start:start + size])
+    edit(fields)
+    head = json.dumps(fields, sort_keys=True).encode()
+    model_file.write_bytes(M.MODEL_MAGIC + len(head).to_bytes(4, "big") + head
+                           + blob[start + size:])
+
+
 # model name -> (train argv, model file, attacks run against it)
 MODELS = {
     "svm_plain": (["train-svm", "--epochs", 20, "--no-defense"],
@@ -374,31 +387,26 @@ class TestSvmDigitPair:
         assert attacked["clean_accuracy"] == trained["clean_accuracy"]
         assert M.load_model(model_file).digits == (4, 9)
 
-    # refused before any data is read, so an absent data directory changes nothing
+    # a malformed header, refused before any data is read, so an absent data directory
+    # changes nothing
     @pytest.mark.parametrize("data", ["synth", "absent"])
     @pytest.mark.parametrize("header", ["null", "absent"])
     def test_model_without_pair_exits_2(self, header, data, trained, synth_data, tmp_path,
                                         capsys):
         model_file = tmp_path / "old.model"
-        model = M.load_model(trained["svm_plain"])
-        model.digits = None  # a model trained through the library
-        M.save_model(model, model_file)
-        if header == "absent":  # a file written before the pair was recorded
-            blob = model_file.read_bytes()
-            start = len(M.MODEL_MAGIC) + 4
-            size = int.from_bytes(blob[len(M.MODEL_MAGIC):start], "big")
-            fields = json.loads(blob[start:start + size])
-            del fields["digits"]
-            head = json.dumps(fields, sort_keys=True).encode()
-            model_file.write_bytes(M.MODEL_MAGIC + len(head).to_bytes(4, "big") + head
-                                   + blob[start + size:])
-        assert M.load_model(model_file).digits is None
+        model_file.write_bytes(trained["svm_plain"].read_bytes())
+        if header == "null":
+            edit_header(model_file, lambda fields: fields.update(digits=None))
+        else:  # a file written before the pair was recorded
+            edit_header(model_file, lambda fields: fields.pop("digits"))
         data_dir = synth_data if data == "synth" else tmp_path / "no_data"
         rc = run_cli("attack", "--data", data_dir, "--model", model_file,
                      "--attack", "none", "--epsilon", 0, "--out", tmp_path / "x")
         assert rc == 2
-        err = capsys.readouterr().err
-        assert f"error: {model_file}" in err and "train-svm" in err
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"error: {model_file}: malformed model header")
+        assert sum("error:" in line for line in lines) == 1
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
 
 class TestMissingInputs:
@@ -438,7 +446,7 @@ class TestMissingInputs:
         ("svm", ["--attack", "fgsm", "--epsilon", 0.1],
          "the fgsm attack needs a network, and this model is a linear SVM"),
         ("svm_no_pair", ["--attack", "none", "--epsilon", 0],
-         "the SVM records no digit pair; retrain it with train-svm"),
+         "malformed model header (KeyError: 'digits')"),
         ("svm", ["--attack", "semiwhite", "--epsilon", 0.1, "--limit", -1],
          "--limit must be a nonnegative integer, got -1"),
         ("svm", ["--attack", "semiwhite", "--epsilon", "nan"],
@@ -451,8 +459,9 @@ class TestMissingInputs:
         flags = []
         if model is not None:
             model_file = tmp_path / f"{model}.model"
-            digits = None if model == "svm_no_pair" else (3, 7)
-            M.save_model(M.LinearModel(np.ones(784), 0.0, digits=digits), model_file)
+            M.save_model(M.LinearModel(np.ones(784), 0.0, digits=(3, 7)), model_file)
+            if model == "svm_no_pair":
+                edit_header(model_file, lambda fields: fields.pop("digits"))
             flags = ["--model", model_file]
         # the data directory does not exist, so reading any data would fail first
         assert run_cli("attack", *flags, *argv, "--data", tmp_path / "absent",
@@ -907,6 +916,37 @@ class TestTable1:
         summary = json.loads((tmp_path / "svm_white_sparse" / "report.json").read_text())["summary"]
         assert {key: summary[key] for key in ("task", "attack", "defense", "epsilon", "clip")} == {
             "task": "svm", "attack": "white", "defense": "sparse", "epsilon": 0.12, "clip": True}
+
+    def test_rows_are_attack_runs_on_the_saved_models(self, synth_data, tmp_path):
+        def written(run):
+            """An attack report's per-sample records and its CSV bytes."""
+            return (json.loads((run / "report.json").read_text())["records"],
+                    (run / "report.csv").read_bytes())
+
+        out = tmp_path / "table1"
+        assert run_cli("table1", "--arch", "reduced_dense", "--data", synth_data,
+                       "--out", out) == 0
+        for key in cli.PAPER_TABLE:
+            row = out / "_".join(key)
+            summary = json.loads((row / "report.json").read_text())["summary"]
+            assert summary["model"] == f"{key[0]}_{key[2]}.model"
+            rerun = tmp_path / "attack" / row.name
+            assert run_cli("attack", "--data", synth_data, "--model", out / summary["model"],
+                           "--attack", summary["attack"], "--epsilon", summary["epsilon"],
+                           *(["--clip"] if summary["clip"] else []), "--out", rerun) == 0
+            assert written(row) == written(rerun), row.name
+        # each model is the file the single-model command writes at its default recipe
+        for name, argv, model_file in [
+            ("svm_sparse", ["train-svm", "--clip"], "svm_3v7_sparse_rho0.02.model"),
+            ("svm_none", ["train-svm", "--no-defense"], "svm_3v7_plain.model"),
+            ("cnn_sparse", ["train-net", "--arch", "reduced_dense", "--clip"],
+             "net_reduced_dense_sparse_rho0.03.model"),
+            ("cnn_none", ["train-net", "--arch", "reduced_dense", "--no-defense"],
+             "net_reduced_dense_plain.model"),
+        ]:
+            assert run_cli(*argv, "--data", synth_data, "--out", tmp_path / name) == 0
+            assert (out / f"{name}.model").read_bytes() == \
+                (tmp_path / name / model_file).read_bytes(), name
 
     # a manifest replays a basis or architecture that argparse's choices would refuse
     @pytest.mark.parametrize("config,flags,named", [

@@ -67,11 +67,16 @@ def front_end_json(**fields):
             **fields}
 
 
+ABSENT = object()  # a linear_file field left out of the header
+
+
 def linear_file(dim, payload=b"", **fields):
-    """Model file bytes: a linear_svm header of dimension dim and `fields`, then payload."""
-    header = json.dumps({"model": "linear_svm", "dim": dim, "b": 0.0,
-                         "front_end": None, **fields}).encode()
-    return M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header + payload
+    """Model file bytes: a linear_svm header of dimension dim, digit pair [3, 7] and `fields`
+    (a field set to ABSENT is left out), then payload."""
+    header = {"model": "linear_svm", "dim": dim, "b": 0.0, "digits": [3, 7], "front_end": None,
+              **fields}
+    header = json.dumps({key: value for key, value in header.items() if value is not ABSENT})
+    return M.MODEL_MAGIC + len(header).to_bytes(4, "big") + header.encode() + payload
 
 
 def mean_ce(net, x, t):
@@ -831,6 +836,12 @@ class TestSerialization:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.model"]  # no net.model.tmp
 
+    def test_svm_without_pair_not_saved(self, tmp_path):
+        # an in-memory SVM needs no pair, but its model file records one
+        with pytest.raises(ValueError, match="digit pair"):
+            M.save_model(M.LinearModel(np.ones(4), 0.0), tmp_path / "svm.model")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_model_kind_not_saved(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize object"):
             M.save_model(object(), tmp_path / "x.model")
@@ -892,6 +903,8 @@ class TestSerialization:
         linear_file(2, payload=bytes(16), digits=[3, 7, 9]),
         linear_file(2, payload=bytes(16), digits=37),
         linear_file(2, payload=bytes(16), digits=[True, False]),
+        linear_file(2, payload=bytes(16), digits=ABSENT),
+        linear_file(2, payload=bytes(16), digits=None),
         linear_file(2, payload=bytes(16), front_end=front_end_json(levels=1.5)),
         linear_file(2, payload=bytes(16), front_end=front_end_json(height=28.0)),
         linear_file(2, payload=bytes(16), front_end=front_end_json(levels=True)),
@@ -939,10 +952,10 @@ class TestSerialization:
             "layer_without_size", "empty_layer", "non_numeric_dropout_rate",
             "dropout_without_rate", "relu_with_value", "huge_svm_dim", "huge_dense_layer",
             "non_integer_dense_size", "one_digit", "string_digits", "three_digits",
-            "number_digits", "bool_digits", "fractional_levels", "float_height",
-            "bool_levels", "bool_rho", "string_rho", "float_input_shape", "bool_input_shape",
-            "zero_input_shape", "string_bias", "null_bias", "list_bias", "bool_bias",
-            "nan_bias", "infinite_bias", "overflowing_bias", "nan_svm_weight",
+            "number_digits", "bool_digits", "absent_digits", "null_digits", "fractional_levels",
+            "float_height", "bool_levels", "bool_rho", "string_rho", "float_input_shape",
+            "bool_input_shape", "zero_input_shape", "string_bias", "null_bias", "list_bias",
+            "bool_bias", "nan_bias", "infinite_bias", "overflowing_bias", "nan_svm_weight",
             "infinite_dense_weight", "unknown_model_type", "ends_in_relu", "ends_in_flatten", "no_layers",
             "odd_maxpool_input", "empty_dense_layer", "empty_conv_kernel", "kernel_over_input",
             "repeated_digit", "digit_out_of_range", "svm_front_end_too_wide",
@@ -953,6 +966,13 @@ class TestSerialization:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="junk.model"):
             M.load_model(path)
+
+    def test_linear_file_defaults_load(self, tmp_path):
+        # so each linear_file case above is refused for its own field
+        path = tmp_path / "svm.model"
+        path.write_bytes(linear_file(2, payload=bytes(16)))
+        model = M.load_model(path)
+        assert (model.n_inputs, model.b, model.digits, model.front_end) == (2, 0.0, (3, 7), None)
 
     # a real-valued field that is not a number is refused by name, not by a comparison
     @pytest.mark.parametrize("blob,message", [
